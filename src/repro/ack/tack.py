@@ -97,18 +97,13 @@ class TackPolicy(AckPolicy):
         degraded = boost > 1.0
         if degraded != self._degraded:
             self._degraded = degraded
-            boost_r = round(boost, 3)
-            ack_loss = self.receiver.peer_ack_loss_rate
-            tel = self.receiver.sim.telemetry
-            if tel is not None:
-                tel.emit("ack", "degrade", self.receiver.flow_id,
-                         on=degraded, boost=boost_r, ack_loss=ack_loss)
             # Rare (mode flips only), so the attribute lookup instead
             # of a cached reference costs nothing measurable.
-            diag = getattr(self.receiver.sim, "diagnosis", None)
-            if diag is not None:
-                diag.observe("ack", "degrade", self.receiver.flow_id,
-                             on=degraded, boost=boost_r, ack_loss=ack_loss)
+            bus = self.receiver.sim.probes
+            if bus is not None:
+                bus.emit("ack", "degrade", self.receiver.flow_id,
+                         on=degraded, boost=round(boost, 3),
+                         ack_loss=self.receiver.peer_ack_loss_rate)
         return max(rtt_min / (self.params.beta * boost), 1e-4)
 
     def _block_budget(self) -> tuple[int, int]:

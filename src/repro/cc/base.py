@@ -78,25 +78,21 @@ class CongestionController:
 
     def __init__(self, mss: int = MSS):
         self.mss = mss
-        # telemetry: attached by the sender (null-guard pattern).  The
-        # controller has no simulator reference; the collector stamps
-        # sim-time itself, so hooks stay dependency-free.
+        # probes: attached by the sender (null-guard pattern).  The
+        # controller has no simulator reference; bus and collector
+        # stamp sim-time themselves, so hooks stay dependency-free.
+        self._bus = None
         self._tel = None
         self._tel_flow = 0
-        # diagnosis: attached by the sender under the same pattern;
-        # the flow doctor stamps sim-time itself.
-        self._diag = None
-        self._diag_flow = 0
 
-    def attach_telemetry(self, collector, flow_id: int = 0) -> None:
-        """Route ``cc``-category events through *collector*."""
-        self._tel = collector
+    def attach_probes(self, bus, flow_id: int = 0) -> None:
+        """Route ``cc``-category events: what the flow doctor consumes
+        (``state``) through *bus*, the trace-only rest straight to the
+        bus's trace subscriber — ``None`` in a doctor-only run, so
+        those sites build nothing."""
+        self._bus = bus
+        self._tel = bus.trace
         self._tel_flow = flow_id
-
-    def attach_diagnosis(self, doctor, flow_id: int = 0) -> None:
-        """Mirror diagnosis-relevant ``cc`` events to the flow doctor."""
-        self._diag = doctor
-        self._diag_flow = flow_id
 
     def attach_profiler(self, profiler) -> None:
         """Bind the feedback hot path to a ``cc.<name>`` profile span.
@@ -107,10 +103,6 @@ class CongestionController:
         if profiler is not None:
             self.on_feedback = profiler.wrap(f"cc.{self.name}",
                                              self.on_feedback)
-
-    def _tel_emit(self, name: str, **fields) -> None:
-        if self._tel is not None:
-            self._tel.emit("cc", name, self._tel_flow, **fields)
 
     def on_feedback(self, sample: RateSample) -> None:
         raise NotImplementedError

@@ -126,7 +126,8 @@ class BBR(CongestionController):
                     # Value-change detection on the windowed max, not
                     # clock arithmetic; most updates leave it unchanged.
                     if new_bw != prior_bw:
-                        self._tel_emit("bw_filter", bw_bps=new_bw)
+                        self._tel.emit("cc", "bw_filter", self._tel_flow,
+                                       bw_bps=new_bw)
         if self.aggregation_compensation and sample.newly_acked > 0:
             self._update_extra_acked(sample.newly_acked, now)
         self._update_rounds(now)
@@ -171,20 +172,14 @@ class BBR(CongestionController):
                 self.filled_pipe = True
 
     def _set_state(self, state: str) -> None:
-        """State transition routed through one point for telemetry."""
+        """State transition routed through one point for the probes."""
         if state == self.state:
             return
         self.state = state
-        if self._tel is not None or self._diag is not None:
-            bw = self.bw_estimate()
-            min_rtt = self.min_rtt()
-            if self._tel is not None:
-                self._tel_emit("state", state=state, bw_bps=bw,
-                               min_rtt_s=min_rtt)
-            if self._diag is not None:
-                self._diag.observe("cc", "state", self._diag_flow,
-                                   state=state, bw_bps=bw,
-                                   min_rtt_s=min_rtt)
+        if self._bus is not None:
+            self._bus.emit("cc", "state", self._tel_flow, state=state,
+                           bw_bps=self.bw_estimate(),
+                           min_rtt_s=self.min_rtt())
 
     def _update_state(self, now: float) -> None:
         if self.state == STARTUP and self.filled_pipe:

@@ -42,3 +42,10 @@ class Pacer:
 
     def reset(self, now: float) -> None:
         self._next_send = now
+
+    def forgive(self, now: float, size_bytes: int) -> None:
+        """Cap outstanding debt at one *size_bytes* transmission at
+        the current rate: whatever exceeds that was charged at a rate
+        that has since been replaced."""
+        self._next_send = min(self._next_send,
+                              now + size_bytes * 8.0 / self._rate_bps)

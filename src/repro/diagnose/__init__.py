@@ -2,12 +2,11 @@
 
 The package classifies every instant of a flow's lifetime into one of
 the exclusive send-limit states of :mod:`repro.diagnose.states`, either
-**live** (a :class:`FlowDoctor` attached to the simulator, fed by
-null-guarded hooks sitting next to the existing telemetry hooks) or
-**offline** (replaying any schema-v1 trace, JSONL or binary, through
-the same reducer).  The two paths observe the same event vocabulary
-with the same values and the same clock, so their reports — and the
-report digests — are byte-identical.
+**live** (a :class:`FlowDoctor` subscribed to the simulator's probe
+bus, the stream the telemetry trace records) or **offline** (replaying
+any schema-v1 trace, JSONL or binary, through the same reducer).  Both
+paths observe the very same events, so their reports — and the report
+digests — are byte-identical.
 
 Layering:
 
@@ -15,7 +14,7 @@ Layering:
 * :mod:`repro.diagnose.engine` — the pure stream reducer
   (:class:`DiagnosisEngine`) plus anomaly detection.
 * :mod:`repro.diagnose.live` — :class:`FlowDoctor`, the simulation-side
-  adapter (holds the bound sim clock; everything else is host code).
+  bus subscriber (everything else is host code).
 * :mod:`repro.diagnose.offline` — trace replay (`diagnose_trace`).
 * :mod:`repro.diagnose.explain` — two-run goodput-delta attribution.
 * :mod:`repro.diagnose.cli` — ``python -m repro.diagnose``.

@@ -1,11 +1,11 @@
 """The diagnosis reducer: observations in, per-flow reports out.
 
 :class:`DiagnosisEngine` is a *pure stream reducer*: it consumes
-``(t, category, name, flow_id, fields)`` observations — the diagnosis
-event vocabulary, a strict subset of the schema-v1 telemetry taxonomy
-— and folds them into per-flow state timelines, byte-weighted
-attribution, and anomaly findings.  It never reads a clock, never
-draws randomness, and never looks at a file: both the live plane
+``TraceEvent`` observations — the diagnosis event vocabulary, a strict
+subset of the schema-v1 telemetry taxonomy — and folds them into
+per-flow state timelines, byte-weighted attribution, and anomaly
+findings.  It never reads a clock, never draws randomness, and never
+looks at a file: both the live plane
 (:class:`repro.diagnose.live.FlowDoctor`) and the offline plane
 (:func:`repro.diagnose.offline.diagnose_trace`) drive the same
 reducer with the same values in the same order, which is what makes
@@ -49,12 +49,12 @@ REPORT_SCHEMA = "repro-diagnosis"
 #: (feedback-guard violations and the ACK-withholding watchdog).
 REPORT_VERSION = 2
 
-#: The diagnosis event vocabulary: exactly the events the live hooks
-#: observe.  Offline replay feeds *whole traces* through the engine,
-#: so anything outside this set (sampled per-packet sites, cc/update,
-#: rttmin_sync, netsim/chaos categories) must be dropped here — before
-#: the per-flow evidence-offset counter — or live and offline offsets
-#: would disagree.
+#: The diagnosis event vocabulary: exactly the events sites emit
+#: through the probe bus.  Offline replay feeds *whole traces* through
+#: the engine, so anything outside this set (sampled per-packet sites,
+#: cc/update, rttmin_sync, netsim/chaos categories) must be dropped
+#: here — before the per-flow evidence-offset counter — or live and
+#: offline offsets would disagree.
 TRANSPORT_VOCAB = frozenset({
     "open", "established", "limited", "recovery", "persist", "rto",
     "feedback", "complete", "abort", "close",
@@ -545,8 +545,14 @@ class DiagnosisEngine:
         self._done: Dict[int, Dict[str, Any]] = {}
 
     # -- ingestion ---------------------------------------------------
-    def observe(self, t_s: float, category: str, name: str, flow_id: int,
-                fields: Dict[str, Any]) -> None:
+    def observe(self, event) -> None:
+        """Fold one ``TraceEvent`` — the single ingestion step, driven
+        by the live bus subscription and the offline replay loop."""
+        t_s = event.time
+        category = event.category
+        name = event.name
+        flow_id = event.flow_id
+        fields = event.fields
         # Vocabulary gate first: the `ack` category is all-vocabulary
         # (feedback kinds + degrade), the others carry one or a few
         # diagnosis events amid hot-path noise.

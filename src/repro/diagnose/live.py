@@ -1,36 +1,39 @@
 """Live diagnosis plane: the simulator-attached flow doctor.
 
 :class:`FlowDoctor` is the only simulation-side piece of the package:
-it holds the bound simulation clock and forwards hook calls into the
-pure :class:`~repro.diagnose.engine.DiagnosisEngine`.  Components
-reach it through the ``sim.diagnosis`` slot with the same null-guard
-discipline as telemetry/energy/simsan hooks — one ``is not None``
-check per site when diagnosis is off.
+a stream subscriber of the simulator's probe bus
+(:mod:`repro.telemetry.bus`).  Every diagnosis-vocabulary site emits
+its event once, through ``sim.probes``; the bus stamps one
+``TraceEvent`` and hands that same object to the doctor and — after
+the collector's own filter and sampling — to the trace.  The doctor's
+subscription *is* :meth:`DiagnosisEngine.observe`, the very call
+:func:`~repro.diagnose.offline.diagnose_events` makes per replayed
+event, so live and offline reports are byte-identical by construction
+whenever the trace kept the vocabulary categories unsampled (the
+default collector does; the always-on ring thins the *trace*, never
+what the doctor sees).
 
-The hooks sit *next to* the telemetry emits and pass the *same field
-values*, and the doctor stamps time from the same simulation clock the
-trace collector binds, so replaying the recorded trace offline through
-the same engine reproduces this doctor's report byte-for-byte
-(provided the collector did not sample away diagnosis-vocabulary
-categories — the default configuration does not).
+Subscribers by kind: ``telemetry`` and ``diagnosis`` consume the event
+vocabulary and hang off the bus; the energy ledger, the sanitizer and
+the profiler consume packet/record objects at their own sites and stay
+direct null-guarded hooks — routing them through events would make the
+shared emit path branch per subscriber.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-from repro.diagnose.engine import DiagnosisConfig, DiagnosisEngine
+from repro.diagnose.engine import DiagnosisEngine
+from repro.telemetry.bus import ProbeBus
 
 __all__ = ["FlowDoctor"]
 
 
-class FlowDoctor:
-    """Per-simulation diagnosis collector.
+class FlowDoctor(DiagnosisEngine):
+    """The diagnosis reducer, subscribed to one simulation's events.
 
-    Create it before the endpoints, attach with
-    ``sim.attach_diagnosis(doctor)`` (or the ``diagnosis=`` constructor
-    argument of :class:`~repro.netsim.engine.Simulator`), and read the
-    report after the run::
+    Hand it to the ``diagnosis=`` constructor argument of
+    :class:`~repro.netsim.engine.Simulator` and read the report after
+    the run::
 
         doctor = FlowDoctor()
         sim = Simulator(seed=1, diagnosis=doctor)
@@ -39,29 +42,7 @@ class FlowDoctor:
         report = doctor.report()
     """
 
-    def __init__(self, config: Optional[DiagnosisConfig] = None):
-        self.engine = DiagnosisEngine(config)
-        self._now = None
-
     def attach(self, sim) -> "FlowDoctor":
-        """Bind the simulation clock; called by ``attach_diagnosis``."""
-        self._now = sim.clock.now
+        """Subscribe to the simulator's probe bus."""
+        ProbeBus.of(sim).subscribe(self.observe)
         return self
-
-    # -- hook entry point (hot-ish path; one call per diagnosis event)
-    def observe(self, category: str, name: str, flow_id: int = 0,
-                **fields: Any) -> None:
-        self.engine.observe(self._now(), category, name, flow_id, fields)
-
-    # -- extraction ---------------------------------------------------
-    def finalize(self, end_s: Optional[float] = None) -> None:
-        self.engine.finalize(end_s)
-
-    def pop_flow(self, flow_id: int) -> Optional[Dict[str, Any]]:
-        return self.engine.pop_flow(flow_id)
-
-    def flows(self) -> Dict[str, Dict[str, Any]]:
-        return self.engine.flows()
-
-    def report(self) -> Dict[str, Any]:
-        return self.engine.report()

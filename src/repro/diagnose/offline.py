@@ -40,8 +40,7 @@ def diagnose_events(events: Iterable[TraceEvent],
     """Run the diagnosis reducer over an in-memory event stream."""
     engine = DiagnosisEngine(config)
     for event in events:
-        engine.observe(event.time, event.category, event.name,
-                       event.flow_id, event.fields)
+        engine.observe(event)
     engine.finalize()
     return engine.report()
 

@@ -85,10 +85,9 @@ class EnergyLedger:
         :class:`RadioPowerModel` (or model name) supplying the
         tx/rx/idle draws.
 
-    Attach with ``Simulator(energy=ledger)`` or
-    ``sim.attach_energy(ledger)`` *before* links and endpoints are
-    constructed — they cache ``sim.energy`` at build time, exactly
-    like the telemetry collector.
+    Attach with ``Simulator(energy=ledger)``: links and endpoints
+    cache ``sim.energy`` at build time, exactly like the telemetry
+    collector.
     """
 
     def __init__(self, phy: Union[PhyProfile, str] = "802.11n",

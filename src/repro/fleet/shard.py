@@ -102,7 +102,7 @@ class _ShardRun:
         # bit-identically in any shard order.
         self.energy = EnergyLedger(phy=spec.phy, power=spec.power)
         # Flow doctor rides the same pattern: attached before endpoints
-        # (they cache sim.diagnosis at construction), retired flows
+        # (they cache sim.probes at construction), retired flows
         # fold into ExactSum state-time partials at _retire so doctor
         # memory stays flat under churn.
         self.doctor = FlowDoctor()

@@ -66,19 +66,27 @@ class Simulator:
         ``REPRO_SIMSAN`` environment variable.
     telemetry:
         Optional :class:`repro.telemetry.TraceCollector` capturing
-        structured events from instrumented components.  Like the
-        sanitizer it must be in place before endpoints/links are
-        constructed — they cache the reference at build time.
+        structured events from instrumented components.
+    diagnosis:
+        Optional :class:`repro.diagnose.FlowDoctor` reducing the same
+        event stream into per-flow bottleneck reports.
     profiler:
         Optional :class:`repro.profile.Profiler` accounting host wall
-        time per handler class and subsystem.  Same construction-order
-        rule as telemetry: attach before endpoints are built so they
-        can bind profiled spans at construction time.
+        time per handler class and subsystem.
     energy:
         Optional :class:`repro.energy.EnergyLedger` folding per-packet
         airtime and radio power states into per-flow joule accounts.
-        Same construction-order rule: links/endpoints cache
-        ``sim.energy`` at build time.
+
+    Construction order: every plane is given here, before any link or
+    endpoint exists.  Components resolve what is attached once, at
+    build time — cached references, sampling strides, profiled method
+    spans — which is what keeps a detached plane at one ``is not None``
+    test per site; a plane attached later would be seen by nothing.
+
+    ``telemetry`` and ``diagnosis`` consume the event vocabulary, so
+    they subscribe to :attr:`probes` (:mod:`repro.telemetry.bus`, left
+    ``None`` with neither attached); the sanitizer, profiler and energy
+    ledger consume packet/record objects and stay direct hooks.
     """
 
     def __init__(self, seed: int = 1, simsan: Optional[bool] = None,
@@ -90,73 +98,20 @@ class Simulator:
         self._events_fired = 0
         self.san = (sanitize.SimSanitizer(self)
                     if sanitize.resolve(simsan) else None)
-        self.telemetry = None
-        if telemetry is not None:
-            self.attach_telemetry(telemetry)
-        self.profiler = None
+        self.probes = None
+        self.telemetry = telemetry.attach(self) if telemetry is not None else None
+        self.diagnosis = diagnosis.attach(self) if diagnosis is not None else None
+        self.energy = energy.attach(self) if energy is not None else None
+        self.profiler = profiler
         if profiler is not None:
-            self.attach_profiler(profiler)
-        self.energy = None
-        if energy is not None:
-            self.attach_energy(energy)
-        self.diagnosis = None
-        if diagnosis is not None:
-            self.attach_diagnosis(diagnosis)
+            profiler.attach(self)
 
     def enable_sanitizer(self) -> "sanitize.SimSanitizer":
-        """Attach (or return the already-attached) invariant sanitizer.
-
-        Must be called before endpoints are constructed — they cache
-        the sanitizer reference at build time.
-        """
+        """Attach (or return the already-attached) invariant sanitizer
+        (same construction-order rule as the constructor's planes)."""
         if self.san is None:
             self.san = sanitize.SimSanitizer(self)
         return self.san
-
-    def attach_telemetry(self, collector):
-        """Attach an event-trace collector (``repro.telemetry``).
-
-        Binds the collector to this simulator's virtual clock.  Must
-        be called before endpoints/links are constructed — they cache
-        ``sim.telemetry`` at build time (same rule as the sanitizer).
-        """
-        self.telemetry = collector.attach(self)
-        return self.telemetry
-
-    def attach_energy(self, ledger):
-        """Attach a per-flow energy/airtime ledger (``repro.energy``).
-
-        Binds the ledger to this simulator's virtual clock (it bounds
-        each flow's idle-energy window).  Must be called before links
-        and endpoints are constructed — they cache ``sim.energy`` at
-        build time (same rule as telemetry).
-        """
-        self.energy = ledger.attach(self)
-        return self.energy
-
-    def attach_diagnosis(self, doctor):
-        """Attach a live flow doctor (``repro.diagnose``).
-
-        Binds the doctor to this simulator's virtual clock so its
-        observations are stamped identically to trace events.  Must be
-        called before endpoints are constructed — they cache
-        ``sim.diagnosis`` at build time (same rule as telemetry).
-        """
-        self.diagnosis = doctor.attach(self)
-        return self.diagnosis
-
-    def attach_profiler(self, profiler):
-        """Attach a host-side profiler (``repro.profile``).
-
-        Binds the profiler to this simulator's virtual clock so the
-        report can state simulated-seconds-per-wall-second.  Must be
-        called before endpoints/links are constructed — they bind
-        profiled method spans at build time (same rule as telemetry).
-        """
-        if profiler is not None:
-            profiler.attach(self)
-        self.profiler = profiler
-        return self.profiler
 
     # ------------------------------------------------------------------
     # time
@@ -205,24 +160,9 @@ class Simulator:
 
         Returns ``False`` when the queue is empty (simulation is over).
         """
-        while self._queue:
-            ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
-            if self.san is not None:
-                self.san.on_event(ev.time)
-            self.clock.advance_to(ev.time)
-            self._events_fired += 1
-            if self.profiler is not None:
-                self.profiler.event_begin(ev.fn, len(self._queue))
-                try:
-                    ev.fn()
-                finally:
-                    self.profiler.event_end()
-            else:
-                ev.fn()
-            return True
-        return False
+        fired = self._events_fired
+        self.run(max_events=1)
+        return self._events_fired > fired
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or

@@ -203,31 +203,13 @@ class Link:
         # costs neither a collector call nor its field dict (see
         # TraceCollector.sampling_stride).
         if self._imp is not None and self._imp.blackout:
-            self.packets_lost += 1
-            if self._tel_stride and self._tick():
-                self._tel.emit_kept("netsim", "drop", packet.flow_id,
-                                    link=self.name, reason="blackout",
-                                    kind=packet.kind.value,
-                                    size=packet.size,
-                                    pkt_seq=packet.pkt_seq)
+            self._drop(packet, "blackout")
             return False
         if self.config.loss.should_drop(packet, self.sim.now()):
-            self.packets_lost += 1
-            if self._tel_stride and self._tick():
-                self._tel.emit_kept("netsim", "drop", packet.flow_id,
-                                    link=self.name, reason="loss",
-                                    kind=packet.kind.value,
-                                    size=packet.size,
-                                    pkt_seq=packet.pkt_seq)
+            self._drop(packet, "loss")
             return False
         if not self.queue.try_enqueue(packet):
-            self.packets_lost += 1
-            if self._tel_stride and self._tick():
-                self._tel.emit_kept("netsim", "drop", packet.flow_id,
-                                    link=self.name, reason="queue",
-                                    kind=packet.kind.value,
-                                    size=packet.size,
-                                    pkt_seq=packet.pkt_seq)
+            self._drop(packet, "queue")
             return False
         if self._tel_stride:
             n = self._tel_n + 1
@@ -248,6 +230,16 @@ class Link:
         if not self._busy:
             self._start_transmission()
         return True
+
+    def _drop(self, packet: Packet, reason: str) -> None:
+        """Count one lost packet and trace why (off the per-packet hot
+        path, so the stride tick may be a call here)."""
+        self.packets_lost += 1
+        if self._tel_stride and self._tick():
+            self._tel.emit_kept("netsim", "drop", packet.flow_id,
+                                link=self.name, reason=reason,
+                                kind=packet.kind.value, size=packet.size,
+                                pkt_seq=packet.pkt_seq)
 
     def _tick(self) -> bool:
         """Advance the netsim stride counter; ``True`` = keep.  Only
@@ -289,13 +281,7 @@ class Link:
             if delay < 0:
                 # Corruption: the packet evaporates mid-flight.
                 self.packets_corrupted += 1
-                self.packets_lost += 1
-                if self._tel_stride and self._tick():
-                    self._tel.emit_kept("netsim", "drop", packet.flow_id,
-                                        link=self.name, reason="corrupt",
-                                        kind=packet.kind.value,
-                                        size=packet.size,
-                                        pkt_seq=packet.pkt_seq)
+                self._drop(packet, "corrupt")
                 self._start_transmission()
                 return
         self.sim.call_in(delay, lambda p=packet: self._deliver(p))

@@ -1,10 +1,12 @@
 """The trace collector: opt-in event capture with near-zero off cost.
 
-The collector follows the null-guard hook pattern simsan established:
-instrumented components cache ``sim.telemetry`` at construction and
-every hook site is guarded by ``if self._tel is not None``, so a
-simulation without telemetry pays one attribute test per hook.  With
-telemetry on, each hook calls :meth:`TraceCollector.emit`, which
+The collector is the *trace subscriber* of the probe bus
+(:mod:`repro.telemetry.bus`): events other planes also consume reach
+it through ``sim.probes``, already stamped, via :meth:`gate` +
+:meth:`record`; sites only a trace wants cache ``sim.telemetry`` at
+construction and guard with ``if self._tel is not None`` (or a cached
+stride), so a simulation without telemetry pays one test per site.
+Those sites call :meth:`TraceCollector.emit`, which
 
 1. drops the event if its category is filtered out,
 2. applies deterministic per-category sampling (keep 1 in N, counted
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
+from repro.telemetry.bus import ProbeBus
 from repro.telemetry.events import TraceEvent
 from repro.telemetry.sinks import MemorySink, TraceSink
 
@@ -71,13 +74,11 @@ class TraceCollector:
 
     # ------------------------------------------------------------------
     def attach(self, sim) -> "TraceCollector":
-        """Bind to a simulator's virtual clock (timestamp source)."""
+        """Bind to a simulator's virtual clock (timestamp source) and
+        become the trace subscriber of its probe bus."""
         self._now = sim.clock.now
+        ProbeBus.of(sim).trace = self
         return self
-
-    def wants(self, category: str) -> bool:
-        """True when events of *category* would not be filtered out."""
-        return self._categories is None or category in self._categories
 
     def sampling_stride(self, category: str) -> int:
         """Keep-1-in-N stride a hot site should apply *locally*.
@@ -148,12 +149,16 @@ class TraceCollector:
         """Record one event that already passed :meth:`gate`."""
         t = self._now() if self._now is not None else 0.0
         event = TraceEvent(t, category, name, flow_id, fields)
+        self.record(event)
+        return event
+
+    def record(self, event: TraceEvent) -> None:
+        """Keep an already-stamped event that passed :meth:`gate`."""
         self.events_emitted += 1
         self.sink.append(event)
         if self._listeners:
             for fn in self._listeners:
                 fn(event)
-        return event
 
     def emit(self, category: str, name: str, flow_id: int = 0,
              **fields) -> Optional[TraceEvent]:

@@ -18,9 +18,7 @@ Categories (see DESIGN.md section 10 for the full event taxonomy):
 ``netsim``
     Link-level packet life cycle: ``enqueue``, ``drop`` (with a
     ``reason`` of ``loss``, ``queue``, ``blackout``, or ``corrupt``),
-    ``tx_start``, ``delivered``, ``idle``, plus ``tap`` events
-    forwarded by a telemetry-connected tap (see
-    :func:`~repro.netsim.trace.make_tap`).
+    ``tx_start``, ``delivered``, ``idle``.
 ``transport``
     Endpoint events: ``send``/``retx`` (sender emission),
     ``recv``/``gap``/``deliver`` (receiver side), ``feedback``

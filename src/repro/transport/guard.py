@@ -36,9 +36,10 @@ rule               violated when
 ``tack_delay``     the claimed hold delay is negative or larger than
                    the time since the echoed departure (would fake a
                    tiny RTT); timing fields are stripped
-``rate``           ``delivery_rate_bps`` is negative or implausibly
-                   above what the sender ever sent; ``rx_loss_rate``
-                   outside [0, 1]; the field is dropped/clamped
+``rate``           ``delivery_rate_bps`` is negative, implausibly above
+                   what the sender ever sent, or below one sent segment
+                   per connection lifetime; ``rx_loss_rate`` outside
+                   [0, 1]; the field is dropped/clamped
 ``withheld``       the ACK-withholding watchdog probed: feedback
                    stopped while accepted sends kept flowing
 =================  ====================================================
@@ -206,16 +207,26 @@ class FeedbackValidator:
         # Peak send rate (ground truth for the delivery-rate cap).
         self._rate_mark: Optional[tuple[float, int]] = None
         self._peak_send_bps = 0.0
+        # First data departure and smallest segment sent (ground truth
+        # for the delivery-rate floor).
+        self._first_sent_s: Optional[float] = None
+        self._min_seg_bytes = 0
 
     # ------------------------------------------------------------------
     # bookkeeping fed by the sender
     # ------------------------------------------------------------------
-    def on_data_sent(self, ts: float, now: float) -> None:
+    def on_data_sent(self, now: float, length_bytes: int) -> None:
         """Record a data-packet departure stamp (TACK timing ground
-        truth).  Time is monotone, so the FIFO prunes in order."""
-        if ts not in self._stamps:
-            self._stamps.add(ts)
-            self._stamp_q.append(ts)
+        truth) and segment size.  Time is monotone, so the FIFO prunes
+        in order."""
+        if self._first_sent_s is None:
+            self._first_sent_s = now
+            self._min_seg_bytes = length_bytes
+        elif length_bytes < self._min_seg_bytes:
+            self._min_seg_bytes = length_bytes
+        if now not in self._stamps:
+            self._stamps.add(now)
+            self._stamp_q.append(now)
         horizon = now - self.cfg.echo_window_s
         while self._stamp_q and self._stamp_q[0] < horizon:
             self._stamps.discard(self._stamp_q.popleft())
@@ -237,8 +248,8 @@ class FeedbackValidator:
         self.total += 1
         self._frame_rules.add(rule)
         if count <= self.cfg.trace_limit:
-            self.sender._obs_guard("violation", rule=rule, count=count,
-                                   detail=detail)
+            self.sender._obs("violation", "guard", rule=rule, count=count,
+                             detail=detail)
         if (count >= self._escalate_after()
                 or self.total >= self._escalate_total()):
             self._escalate(rule)
@@ -248,9 +259,8 @@ class FeedbackValidator:
             return
         self.escalated = True
         self.escalation_rule = rule
-        self.sender._obs_guard("escalated", rule=rule,
-                               count=self.counts.get(rule, 0),
-                               total=self.total)
+        self.sender._obs("escalated", "guard", rule=rule,
+                         count=self.counts.get(rule, 0), total=self.total)
 
     def _end_frame(self) -> None:
         """Close one frame's accounting: advance the consecutive-run
@@ -283,8 +293,8 @@ class FeedbackValidator:
         counts (the tail of the rate-limited violation stream)."""
         if self.total == 0:
             return
-        self.sender._obs_guard("summary", total=self.total,
-                               frames=self.frames, **self.counts)
+        self.sender._obs("summary", "guard", total=self.total,
+                         frames=self.frames, **self.counts)
 
     # ------------------------------------------------------------------
     # admission
@@ -492,6 +502,17 @@ class FeedbackValidator:
                 self.violate("rate",
                              f"delivery_rate_bps={rate:.3g} > cap {cap:.3g}")
                 sanitized().delivery_rate_bps = None
+            elif self._first_sent_s is not None and now > self._first_sent_s:
+                # Floor: every receiver rate sample is >= one segment
+                # over an arrival span that cannot predate the first
+                # data departure.  A lower claim would have the pacer
+                # charge one packet minutes of debt.
+                floor = (self._min_seg_bytes * 8.0
+                         / (now - self._first_sent_s))
+                if rate < floor:
+                    self.violate("rate", f"delivery_rate_bps={rate:.3g} "
+                                         f"< floor {floor:.3g}")
+                    sanitized().delivery_rate_bps = None
         if fb.rx_loss_rate is not None and not (0.0 <= fb.rx_loss_rate <= 1.0):
             self.violate("rate", f"rx_loss_rate={fb.rx_loss_rate!r}")
             sanitized().rx_loss_rate = min(max(fb.rx_loss_rate, 0.0), 1.0)

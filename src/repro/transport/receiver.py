@@ -109,18 +109,17 @@ class TransportReceiver:
         self._san = sim.san
         if self._san is not None:
             self._san.register_receiver(self)
-        # telemetry: same null-guard pattern (recv/gap/deliver + one
-        # `ack`-category event per feedback emission).
+        # probes: one `ack` event per feedback emission goes through
+        # the bus (the flow doctor counts them — the denominator side
+        # of the rho' ground truth); recv/gap/deliver are trace-only
+        # and keep the collector itself.
+        self._bus = sim.probes
         self._tel = sim.telemetry
         # site-local sampling stride for the per-packet recv/deliver
         # sites (see TraceCollector.sampling_stride).
         self._tel_stride = (self._tel.sampling_stride("transport")
                             if self._tel is not None else 0)
         self._tel_n = 0
-        # diagnosis: the flow doctor counts emitted feedback (the
-        # denominator side of the rho' ground truth) from the same
-        # site the `ack` trace events come from.
-        self._diag = getattr(sim, "diagnosis", None)
         # energy ledger: counts offered feedback bytes per flow (the
         # feedback packets' airtime/energy is billed at the link).
         self._en = getattr(sim, "energy", None)
@@ -396,16 +395,11 @@ class TransportReceiver:
             self.stats.iacks_sent += 1
         else:
             self.stats.acks_sent += 1
-        if self._tel is not None:
-            self._tel.emit("ack", kind.value, self.flow_id,
+        if self._bus is not None:
+            self._bus.emit("ack", kind.value, self.flow_id,
                            reason=fb.reason, cum_ack=fb.cum_ack,
                            sack=len(fb.sack_blocks),
                            unacked=len(fb.unacked_blocks), size=pkt.size)
-        if self._diag is not None:
-            self._diag.observe("ack", kind.value, self.flow_id,
-                               reason=fb.reason, cum_ack=fb.cum_ack,
-                               sack=len(fb.sack_blocks),
-                               unacked=len(fb.unacked_blocks), size=pkt.size)
         if self._en is not None:
             self._en.on_feedback_emitted(self.flow_id, pkt.size)
         if self._port.send(pkt) is False:

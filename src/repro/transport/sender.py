@@ -197,8 +197,14 @@ class TransportSender:
         self._san = sim.san
         if self._san is not None:
             self._san.register_sender(self)
-        # telemetry: same null-guard pattern; the congestion controller
-        # shares the collector so cwnd/state events carry this flow id.
+        # probes: flow-doctor-vocabulary events go through the bus,
+        # once, to every subscriber; the trace-only sites (send/retx,
+        # cc/update, rttmin_sync) keep the collector itself, so a
+        # doctor-only run leaves them at stride 0 / None.  The
+        # change-tracking state below is maintained unconditionally (a
+        # handful of comparisons), so *when* an event fires never
+        # depends on who is listening.
+        self._bus = sim.probes
         self._tel = sim.telemetry
         self._tel_last_rtt_min: Optional[float] = None
         # site-local sampling stride for the per-packet send site (see
@@ -207,18 +213,8 @@ class TransportSender:
         self._tel_stride = (self._tel.sampling_stride("transport")
                             if self._tel is not None else 0)
         self._tel_n = 0
-        if self._tel is not None:
-            cc.attach_telemetry(self._tel, flow_id)
-        # diagnosis: the live flow doctor observes the same event
-        # vocabulary the telemetry trace records, with the same values
-        # and the same clock, so the offline replay of a trace is
-        # byte-identical to the live report.  Null-guarded like every
-        # other hook; the change-tracking state below is maintained
-        # unconditionally (it is a handful of comparisons) so the two
-        # planes never disagree about *when* an event fires.
-        self._diag = getattr(sim, "diagnosis", None)
-        if self._diag is not None:
-            cc.attach_diagnosis(self._diag, flow_id)
+        if self._bus is not None:
+            cc.attach_probes(self._bus, flow_id)
         self._limit: Optional[str] = None       # last emitted send-limit
         self._recovery_mode = "none"            # none | rto | pull
         self._recovery_high = 0                 # recovery point (next_seq)
@@ -236,23 +232,11 @@ class TransportSender:
             self._try_send = prof.wrap("sender.try_send", self._try_send)
             cc.attach_profiler(prof)
 
-    def _obs(self, name: str, **fields) -> None:
-        """One diagnosis-vocabulary ``transport`` event, mirrored to
-        the telemetry trace and the live flow doctor with identical
-        values (the identity that makes offline replay byte-equal)."""
-        if self._tel is not None:
-            self._tel.emit("transport", name, self.flow_id, **fields)
-        if self._diag is not None:
-            self._diag.observe("transport", name, self.flow_id, **fields)
-
-    def _obs_guard(self, name: str, **fields) -> None:
-        """One ``guard`` event, mirrored to telemetry and the live flow
-        doctor like :meth:`_obs` (rate limiting happens upstream in the
-        validator, identically for both planes)."""
-        if self._tel is not None:
-            self._tel.emit("guard", name, self.flow_id, **fields)
-        if self._diag is not None:
-            self._diag.observe("guard", name, self.flow_id, **fields)
+    def _obs(self, name: str, category: str = "transport", **fields) -> None:
+        """One diagnosis-vocabulary event (the validator's ``guard``
+        events come through here too, already rate-limited)."""
+        if self._bus is not None:
+            self._bus.emit(category, name, self.flow_id, **fields)
 
     def _note_recovery(self, mode: str) -> None:
         """Track the loss-recovery mode; emits only on change."""
@@ -379,8 +363,8 @@ class TransportSender:
             self._wd_last_probe_s = now
             self._accepts_since_probe = 0
             self.guard.note_withheld()
-            self._obs_guard("watchdog_probe", probes=self._wd_probes,
-                            silence_s=now - last_fb)
+            self._obs("watchdog_probe", "guard", probes=self._wd_probes,
+                      silence_s=now - last_fb)
             if self._wd_probes > self._guard_cfg.watchdog_probes:
                 self._guard_abort()
                 return
@@ -549,20 +533,14 @@ class TransportSender:
             sample = self.rtt_min_est.on_tack(now, fb.echo_departure_ts, fb.tack_delay)
             if sample is not None:
                 self.rtt.on_sample(sample)
-                self.stats.rtt_samples += 1
                 rtt_sample = sample
-                if self._san is not None:
-                    self._san.on_rtt_sample(self, sample, now)
-                self._obs_rtt(sample)
+                self._obs_rtt(sample, now)
             for departure_ts, delay in fb.packet_delays:
                 # Per-packet delay entries (S4.3 alternative): one RTT
                 # sample each.
                 extra = self.rtt_min_est.on_tack(now, departure_ts, delay)
                 if extra is not None:
-                    self.stats.rtt_samples += 1
-                    if self._san is not None:
-                        self._san.on_rtt_sample(self, extra, now)
-                    self._obs_rtt(extra)
+                    self._obs_rtt(extra, now)
 
         # --- loss notifications -------------------------------------
         if fb.pull_pkt_range is not None:
@@ -656,24 +634,18 @@ class TransportSender:
     def _take_rtt_sample(self, sample: float, now: float) -> None:
         self.rtt.on_sample(sample)
         self.min_rtt_legacy.on_sample(sample, now)
+        self._obs_rtt(sample, now)
+
+    def _obs_rtt(self, sample: float, now: float) -> None:
+        """Count one RTT sample and show it to the planes: sanitizer
+        check plus one ``timing``/``rtt_sample`` event."""
         self.stats.rtt_samples += 1
         if self._san is not None:
             self._san.on_rtt_sample(self, sample, now)
-        self._obs_rtt(sample)
-
-    def _obs_rtt(self, sample: float) -> None:
-        """Emit one ``timing``/``rtt_sample`` event to the telemetry
-        trace and the live flow doctor (null-guarded internally)."""
-        if self._tel is None and self._diag is None:
-            return
-        srtt = self.rtt.smoothed()
-        rtt_min = self.current_rtt_min()
-        if self._tel is not None:
-            self._tel.emit("timing", "rtt_sample", self.flow_id,
-                           rtt_s=sample, srtt_s=srtt, rtt_min_s=rtt_min)
-        if self._diag is not None:
-            self._diag.observe("timing", "rtt_sample", self.flow_id,
-                               rtt_s=sample, srtt_s=srtt, rtt_min_s=rtt_min)
+        if self._bus is not None:
+            self._bus.emit("timing", "rtt_sample", self.flow_id,
+                           rtt_s=sample, srtt_s=self.rtt.smoothed(),
+                           rtt_min_s=self.current_rtt_min())
 
     def _legacy_rate_sample(self, rec: SendRecord, now: float) -> Optional[float]:
         """BBR-style delivery-rate sample from a newly acked record."""
@@ -912,7 +884,7 @@ class TransportSender:
         if self.guard is not None and self.receiver_driven:
             # Departure-stamp ground truth for the echo_ts rule: only
             # timestamps recorded here may come back in a TACK.
-            self.guard.on_data_sent(now, now)
+            self.guard.on_data_sent(now, rec.length)
         if self._san is not None:
             self._san.on_data_sent(self, rec)
         if self.sync_rtt_min:
@@ -995,8 +967,15 @@ class TransportSender:
         self._recovery_high = self.next_seq
         self._note_recovery("rto")
         self.rtt.back_off()
-        self.cc.on_rto(self.sim.now())
+        now = self.sim.now()
+        self.cc.on_rto(now)
         self.pacer.set_rate(self.cc.pacing_rate_bps())
+        # A timeout also voids pacing debt charged at a since-replaced
+        # rate (one packet at a hostile 3.5 bps report is 20 minutes):
+        # it must not pacing-block the timeout's own retransmission —
+        # with nothing in flight neither this timer nor the watchdog
+        # would ever fire again.
+        self.pacer.forgive(now, self.mss + HEADER_SIZE)
         # A timeout declares *everything* outstanding lost (RFC 6298
         # recovery; Linux tcp_timeout_mark_lost does the same).  Marking
         # only the first segment livelocks after a burst outage: the
@@ -1004,7 +983,6 @@ class TransportSender:
         # new flows to trigger dupACK/RACK detection, and Karn's rule
         # blocks fresh RTT samples — recovery crawls at one segment per
         # backoff-capped RTO.
-        now = self.sim.now()
         for i in range(self._head, len(self._order)):
             rec = self.records.get(self._order[i])
             if rec is not None and rec.in_flight():
@@ -1066,12 +1044,11 @@ class TransportSender:
             return
         # Guard summary first (rate-limited violation counters), then
         # the close event: the flow doctor finalizes on "close", so the
-        # summary must already be on record in both planes.
+        # summary must already be on record.
         if self.guard is not None:
             self.guard.emit_summary()
         # The close event is emitted before the flag flips so the flow
-        # doctor finalizes the flow exactly once, at this timestamp,
-        # in both the live and the replayed-trace plane.
+        # doctor finalizes the flow exactly once, at this timestamp.
         self._obs("close", cum_acked=self.cum_acked)
         self.closed = True
         for timer in (self._send_timer, self._rto_timer,

@@ -114,6 +114,15 @@ class TestDeclaredVerdicts:
         assert anomaly["rules"]
         assert flow["guard"]["total"] >= 1
 
+    def test_mangled_rate_never_stalls_the_flow(self):
+        """Seed 6 mangles delivery_rate_bps to 3.5 on an early TACK;
+        the pacer then charged one packet 1 200 s of debt and the run
+        ended ``stalled`` at its 120 s limit with nothing in flight."""
+        result = run_scenario(adversary_scenario("field-mangler"),
+                              scheme="tcp-tack", seed=6, simsan=True)
+        assert result.outcome in ("delivered", "aborted")
+        assert result.sim_time_s < 10.0
+
     def test_same_seed_is_deterministic(self):
         a = run_scenario(adversary_scenario("field-mangler"),
                          scheme="tcp-tack", seed=5)

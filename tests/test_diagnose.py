@@ -20,7 +20,12 @@ from repro.diagnose import (
     explain_reports,
 )
 from repro.diagnose.cli import main as diagnose_main
-from repro.telemetry import BinaryFileSink, JsonlSink, TraceCollector
+from repro.telemetry import (
+    BinaryFileSink,
+    JsonlSink,
+    TraceCollector,
+    TraceEvent,
+)
 from repro.telemetry.cli import main as telemetry_main
 
 MSS = 1448
@@ -29,7 +34,7 @@ MSS = 1448
 def drive(engine, events):
     """Feed (t, cat, name, fields) tuples for flow 0."""
     for t, cat, name, fields in events:
-        engine.observe(t, cat, name, 0, fields)
+        engine.observe(TraceEvent(t, cat, name, 0, fields))
 
 
 def basic_lifetime(extra=(), close_t=10.0):

@@ -30,7 +30,7 @@ import tempfile
 
 import pytest
 
-from repro.chaos import ADVERSARY_SCENARIOS, SCENARIOS, run_scenario
+from repro.chaos import get_scenario, run_scenario
 from repro.core.flavors import make_connection
 from repro.diagnose import FlowDoctor, diagnose_trace
 from repro.energy import EnergyLedger
@@ -50,8 +50,7 @@ PLANES = ("telemetry", "diagnosis", "energy", "simsan")
 
 
 def chaos_cell(scenario: str, scheme: str) -> dict:
-    spec = SCENARIOS.get(scenario) or ADVERSARY_SCENARIOS[scenario]
-    result = run_scenario(spec, scheme, seed=1)
+    result = run_scenario(get_scenario(scenario), scheme, seed=1)
     return {"diagnosis_digest": result.diagnosis["digest"],
             "events_fired": result.events_fired,
             "bytes_delivered": result.bytes_delivered}

@@ -12,6 +12,7 @@ import math
 import pytest
 
 from repro.cc import BBR, NewReno
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import MSS, Packet, PacketType
 from repro.transport.errors import FeedbackFormatError
 from repro.transport.feedback import (
@@ -21,6 +22,7 @@ from repro.transport.feedback import (
     make_feedback_packet,
 )
 from repro.transport.guard import AWND_MAX, GuardConfig, resolve_strict
+from repro.telemetry import TraceCollector
 from repro.transport.sender import TransportSender
 
 
@@ -380,6 +382,26 @@ class TestRateRules:
              kind=PacketType.TACK)
         assert sender.guard.counts["rate"] == 1
 
+    def test_rate_below_one_segment_per_lifetime_dropped(self, sim):
+        sender, _ = tack_sender(sim)
+        sender.set_total(4 * MSS)
+        sim.run(until=0.05)
+        pacing_before = sender.pacer.rate_bps
+        # One MSS over the ~30 ms since the first departure is ~400
+        # kbps; 3.5 bps is what the field mangler writes.
+        feed(sender, fb_for(MSS, delivery_rate_bps=3.5),
+             kind=PacketType.TACK)
+        assert sender.guard.counts["rate"] == 1
+        assert sender.pacer.rate_bps >= pacing_before
+
+    def test_slow_but_honest_rate_accepted(self, sim):
+        sender, _ = tack_sender(sim)
+        sender.set_total(4 * MSS)
+        sim.run(until=0.05)
+        feed(sender, fb_for(MSS, delivery_rate_bps=1e6),
+             kind=PacketType.TACK)
+        assert sender.guard.counts.get("rate", 0) == 0
+
     def test_rx_loss_rate_clamped(self, sim):
         sender, _ = tack_sender(sim)
         sender.set_total(4 * MSS)
@@ -466,10 +488,15 @@ class TestTelemetryRateLimit:
     """Satellite (b): per-rule violation traces are bounded; the
     summary event carries the authoritative totals."""
 
-    def test_trace_limit_bounds_events(self, sim):
-        from repro.telemetry import TraceCollector
+    @pytest.fixture
+    def collector(self):
+        return TraceCollector()
 
-        collector = sim.attach_telemetry(TraceCollector())
+    @pytest.fixture
+    def sim(self, collector):
+        return Simulator(seed=42, telemetry=collector)
+
+    def test_trace_limit_bounds_events(self, sim, collector):
         sender, _ = established_sender(
             sim, guard=GuardConfig(trace_limit=3, escalate_after=10_000,
                                    escalate_total=100_000,
@@ -483,10 +510,7 @@ class TestTelemetryRateLimit:
         assert len(events) == 3
         assert sender.guard.counts["cum_ack"] == 20
 
-    def test_summary_event_at_close(self, sim):
-        from repro.telemetry import TraceCollector
-
-        collector = sim.attach_telemetry(TraceCollector())
+    def test_summary_event_at_close(self, sim, collector):
         sender, _ = established_sender(
             sim, guard=GuardConfig(escalate_after=10_000,
                                    escalate_total=100_000,
@@ -502,10 +526,7 @@ class TestTelemetryRateLimit:
         assert summaries[0].fields["cum_ack"] == 7
         assert summaries[0].fields["total"] == 7
 
-    def test_clean_run_emits_no_guard_events(self, sim):
-        from repro.telemetry import TraceCollector
-
-        collector = sim.attach_telemetry(TraceCollector())
+    def test_clean_run_emits_no_guard_events(self, sim, collector):
         sender, _ = established_sender(sim)
         sender.set_total(2 * MSS)
         sim.run(until=0.05)

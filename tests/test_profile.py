@@ -119,9 +119,9 @@ class TestEngineInstrumentation:
             pass
         assert prof.events_fired == 2
 
-    def test_attach_profiler_is_explicit_alternative(self):
-        sim = Simulator(seed=1)
-        prof = sim.attach_profiler(Profiler())
+    def test_constructor_kwarg_attaches_profiler(self):
+        prof = Profiler()
+        sim = Simulator(seed=1, profiler=prof)
         assert sim.profiler is prof
         sim.call_in(0.01, lambda: None)
         sim.run()

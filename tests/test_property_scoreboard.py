@@ -78,6 +78,11 @@ def test_scoreboard_invariants(steps):
         fb = AckFeedback(cum_ack=cum, awnd=1 << 30, sack_blocks=sack_blocks)
         sender.on_packet(make_feedback_packet(PacketType.TACK, fb))
         sim.run(until=sim.now() + 0.05)
+        if sender.aborted is not None:
+            # A run of frames naming never-sent ranges escalated the
+            # feedback guard (misbehaving_peer): the scoreboard is
+            # frozen from here on, which the model does not track.
+            break
         if cum <= sent_at_feedback:
             best_cum = max(best_cum, cum)
 

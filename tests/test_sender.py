@@ -268,6 +268,23 @@ class TestRto:
         assert sender.stats.rtos >= 1
         assert any(p.seq == 0 for p in port.sent)
 
+    def test_pacer_debt_does_not_outlive_an_rto(self, sim):
+        """Debt charged at a since-replaced rate (20 minutes for one
+        packet at 10 bps) must not pacing-block the timeout's own
+        retransmission — nothing is in flight to fire another timer."""
+        sender, port = established_sender(sim)
+        sender.set_total(2 * MSS)
+        sim.run(until=0.05)
+        sender.pacer.set_rate(10.0)
+        sender.pacer.on_sent(MSS, sim.now())
+        sender.pacer.set_rate(20e6)
+        assert not sender.pacer.can_send(sim.now() + 60.0)
+        port.sent.clear()
+        sim.run(until=3.0)  # no feedback at all
+        assert sender.stats.rtos >= 1
+        assert sender.stats.retransmissions >= 1
+        assert any(p.seq == 0 for p in port.sent)
+
     def test_rto_backoff_doubles(self, sim):
         sender, port = established_sender(sim)
         sender.set_total(MSS)
