@@ -1,4 +1,8 @@
-"""Golden lock for the probe-bus refactor (ROADMAP item 5a, scoped).
+"""Golden locks (ROADMAP item 5a, scoped): values recorded at the
+commit *before* a refactor that the refactor must reproduce exactly.
+
+Probe bus
+---------
 
 ``tests/golden/probe_bus.json`` was recorded at the commit *before* the
 flow doctor became a subscriber of the telemetry event stream.  Every
@@ -14,22 +18,42 @@ reach the planes must reproduce each one exactly:
 * planes: attaching any subset of telemetry / diagnosis / energy /
   simsan leaves ``events_fired`` and delivered bytes untouched.
 
-Regenerate (only for an *intended* behaviour change, with the diff
-shown in the PR)::
+Legacy scoreboard
+-----------------
+``tests/golden/legacy_scoreboard.json`` was recorded at the commit
+*before* the sender's SACK/RACK scoreboard became incremental: the
+per-ACK baselines on their recovery paths.
 
-    PYTHONPATH=src python tests/test_golden_lock.py --regen
+* chaos: four loss/reordering scenarios x {tcp-bbr, tcp-cubic,
+  tcp-bbr-perpacket}, seed 1, each with ``diagnosis_digest`` /
+  ``events_fired`` / ``bytes_delivered`` and the sender's
+  retransmission, fast-retransmit and RTO counts;
+* bulk: one ``tcp-bbr`` flow over a wired path with one forward drop
+  every 250 packets, long enough (> 8 192 segments) to cross the
+  compaction of the sender's send-order index, with a sha256 over
+  every DATA emission (``seq``, ``pkt_seq``, departure time) — the
+  retransmission order itself, not only its count.
+
+Regenerate (only for an *intended* behaviour change, with the diff
+shown in the PR); ``--regen`` takes an optional golden name and
+rewrites only that file::
+
+    PYTHONPATH=src python tests/test_golden_lock.py --regen [probe_bus|legacy_scoreboard]
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 
+import repro.chaos.runner
 from repro.chaos import get_scenario, run_scenario
 from repro.core.flavors import make_connection
 from repro.diagnose import FlowDoctor, diagnose_trace
@@ -37,16 +61,23 @@ from repro.energy import EnergyLedger
 from repro.experiments.fig08_ack_frequency import run_traced
 from repro.fleet import FleetConfig, WorkloadConfig, campaign_report, run_fleet
 from repro.netsim.engine import Simulator
+from repro.netsim.loss import PatternLoss
+from repro.netsim.packet import PacketType
 from repro.netsim.paths import wired_path
 from repro.telemetry import TraceCollector, trace_digest
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "probe_bus.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 CHAOS_SCENARIOS = ("blackout", "ack-path-loss", "route-change",
                    "adv-optimistic-acker")
 CHAOS_SCHEMES = ("tcp-tack", "tcp-bbr")
 PLANES = ("telemetry", "diagnosis", "energy", "simsan")
+
+LEGACY_SCENARIOS = ("burst-loss", "jitter-reorder", "dup-corrupt",
+                    "kitchen-sink")
+LEGACY_SCHEMES = ("tcp-bbr", "tcp-cubic", "tcp-bbr-perpacket")
+BULK_DROP_EVERY = 250
+BULK_UNTIL_S = 4.0
 
 
 def chaos_cell(scenario: str, scheme: str) -> dict:
@@ -95,7 +126,68 @@ def plane_run(attached: tuple) -> tuple:
     return sim.events_fired, conn.receiver.stats.bytes_delivered
 
 
-def record() -> dict:
+def legacy_cell(scenario: str, scheme: str) -> dict:
+    """``chaos_cell`` plus the sender's loss-recovery counters (the
+    runner does not hand the connection out, so it is captured on the
+    way through ``make_connection``)."""
+    made = []
+
+    def capture(*args, **kwargs):
+        made.append(make_connection(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(repro.chaos.runner, "make_connection", capture):
+        result = run_scenario(get_scenario(scenario), scheme, seed=1)
+    stats = made[0].sender.stats
+    return {"diagnosis_digest": result.diagnosis["digest"],
+            "events_fired": result.events_fired,
+            "bytes_delivered": result.bytes_delivered,
+            "retransmissions": stats.retransmissions,
+            "fast_retransmits": stats.fast_retransmits,
+            "rtos": stats.rtos}
+
+
+class _EmissionLog:
+    """Forward-port proxy hashing every DATA packet the sender emits."""
+
+    def __init__(self, port):
+        self._port = port
+        self.sha = hashlib.sha256()
+
+    def send(self, packet):
+        if packet.kind is PacketType.DATA:
+            self.sha.update(f"{packet.seq},{packet.pkt_seq},"
+                            f"{packet.sent_at!r}\n".encode())
+        return self._port.send(packet)
+
+
+def legacy_bulk() -> dict:
+    """One tcp-bbr bulk flow with a forward drop every 250 packets."""
+    sim = Simulator(seed=1)
+    rate_bps, rtt_s = 50e6, 0.04
+    drops = range(BULK_DROP_EVERY // 2, 40_000, BULK_DROP_EVERY)
+    path = wired_path(sim, rate_bps, rtt_s,
+                      queue_bytes=int(2 * rate_bps * rtt_s / 8),
+                      forward_loss=PatternLoss(drops))
+    conn = make_connection(sim, "tcp-bbr", initial_rtt_s=rtt_s)
+    conn.wire(path.forward, path.reverse)
+    log = _EmissionLog(path.forward)
+    conn.sender.connect(log)
+    conn.start_bulk()
+    sim.run(until=BULK_UNTIL_S)
+    stats = conn.sender.stats
+    return {"events_fired": sim.events_fired,
+            "bytes_delivered": conn.receiver.stats.bytes_delivered,
+            "data_packets_sent": stats.data_packets_sent,
+            "feedback_received": stats.feedback_received,
+            "retransmissions": stats.retransmissions,
+            "fast_retransmits": stats.fast_retransmits,
+            "rtos": stats.rtos,
+            "cum_acked": conn.sender.cum_acked,
+            "emissions_sha256": log.sha.hexdigest()}
+
+
+def record_probe_bus() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {
             "chaos": {f"{sc}/{scheme}": chaos_cell(sc, scheme)
@@ -106,10 +198,31 @@ def record() -> dict:
         }
 
 
+def record_legacy_scoreboard() -> dict:
+    return {
+        "chaos": {f"{sc}/{scheme}": legacy_cell(sc, scheme)
+                  for sc in LEGACY_SCENARIOS for scheme in LEGACY_SCHEMES},
+        "bulk": legacy_bulk(),
+    }
+
+
+RECORDERS = {"probe_bus": record_probe_bus,
+             "legacy_scoreboard": record_legacy_scoreboard}
+
+
+def _load(name: str) -> dict:
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    with open(GOLDEN_PATH) as fh:
-        return json.load(fh)
+    return _load("probe_bus")
+
+
+@pytest.fixture(scope="module")
+def legacy_golden() -> dict:
+    return _load("legacy_scoreboard")
 
 
 @pytest.mark.parametrize("scheme", CHAOS_SCHEMES)
@@ -135,11 +248,31 @@ def test_any_plane_subset_leaves_the_run_untouched(golden):
             assert plane_run(attached) == baseline, attached
 
 
+@pytest.mark.parametrize("scheme", LEGACY_SCHEMES)
+@pytest.mark.parametrize("scenario", LEGACY_SCENARIOS)
+def test_legacy_scoreboard_cells_match_golden(legacy_golden, scenario, scheme):
+    assert (legacy_cell(scenario, scheme)
+            == legacy_golden["chaos"][f"{scenario}/{scheme}"])
+
+
+def test_legacy_bulk_flow_matches_golden_across_compaction(legacy_golden):
+    bulk = legacy_bulk()
+    # The lock only means something if the run crosses the compaction
+    # of the send-order index and goes through recovery episodes.
+    assert bulk["data_packets_sent"] > 8192 + 1000
+    assert bulk["retransmissions"] >= 10
+    assert bulk == legacy_golden["bulk"]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden_lock.py --regen")
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(record(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
+    names = sys.argv[2:] or sorted(RECORDERS)
+    if sys.argv[1:2] != ["--regen"] or not set(names) <= set(RECORDERS):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_lock.py "
+                 f"--regen [{'|'.join(sorted(RECORDERS))}]")
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for name in names:
+        path = os.path.join(GOLDEN_DIR, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(RECORDERS[name](), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {path}")
