@@ -4,7 +4,8 @@ These give the harness real wall-clock numbers (events/second, cost of
 one simulated connection-second per scheme) so performance regressions
 in the simulator are visible alongside the paper experiments.
 
-Each test also appends its best wall time to
+Each test also appends its best wall time (of five rounds for the
+connection-second pair, whose bbr/tack ratio ROADMAP item 3 tracks) to
 ``benchmarks/results/history/`` as BenchRecords (see
 :mod:`repro.bench`), which is what ``python -m repro.profile gate``
 compares against the trailing window in CI.
@@ -66,7 +67,7 @@ def test_engine_event_throughput(benchmark):
 
 def test_tack_connection_second(benchmark):
     delivered = benchmark.pedantic(
-        _one_connection_second, args=("tcp-tack",), rounds=1, iterations=1
+        _one_connection_second, args=("tcp-tack",), rounds=5, iterations=1
     )
     assert delivered > 2e6  # the flow actually ran
     _record_wall(benchmark, "engine_micro.connection_second_tack",
@@ -76,7 +77,7 @@ def test_tack_connection_second(benchmark):
 
 def test_bbr_connection_second(benchmark):
     delivered = benchmark.pedantic(
-        _one_connection_second, args=("tcp-bbr",), rounds=1, iterations=1
+        _one_connection_second, args=("tcp-bbr",), rounds=5, iterations=1
     )
     assert delivered > 2e6
     _record_wall(benchmark, "engine_micro.connection_second_bbr",

@@ -36,7 +36,3 @@ class RackState:
         if send_time >= self.latest_delivered_send_time:
             return False
         return now >= send_time + srtt + self.reo_wnd(srtt)
-
-    def deadline(self, send_time: float, srtt: float) -> float:
-        """Time at which the packet would be declared lost."""
-        return send_time + srtt + self.reo_wnd(srtt)

@@ -17,6 +17,11 @@ paper's correctness rests on:
     ``next_seq`` is covered by exactly one live send record
     (sent = delivered + lost + in-flight), and the incremental
     ``in_flight`` counter matches the records.
+``scoreboard_index``
+    The sender's incremental SACK/RACK structures agree with a
+    brute-force pass over its send records: the SACKED coverage is the
+    union of the SACKED records, and the hole list is exactly the
+    records below the SACK frontier that are not SACKED.
 ``stream_conservation``
     The receiver never holds more stream bytes than the sender
     injected.
@@ -213,15 +218,36 @@ class SimSanitizer:
             self.check_sender_ledger(sender)
 
     def check_sender_ledger(self, sender) -> None:
-        """Full O(window) conservation audit of the sender's ledger."""
+        """Full O(window) audit of the sender's ledger: conservation,
+        and the incremental scoreboard against the records it indexes."""
+        # Imported here: the engine imports this module, the sender
+        # imports the engine.
+        from repro.transport.intervals import IntervalSet
+        from repro.transport.sender import IN_FLIGHT, SACKED
         self.checks_run += 1
         flow = sender.flow_id
         covered = 0
         in_flight = 0
-        for rec in sender.records.values():
+        sacked = IntervalSet()
+        holes = []
+        for seq in sorted(sender.records):
+            rec = sender.records[seq]
             covered += max(0, rec.end - max(rec.seq, sender.cum_acked))
-            if rec.in_flight():
+            if rec.state == IN_FLIGHT:
                 in_flight += rec.length
+            if rec.state == SACKED:
+                sacked.add(rec.seq, rec.end)
+            elif rec.seq < sender._frontier:
+                holes.append(rec.seq)
+        if sacked.ranges() != sender._sacked.ranges():
+            self._fail("scoreboard_index", flow,
+                       f"SACKED coverage {sender._sacked.ranges()} != "
+                       f"{sacked.ranges()}, the union of the SACKED records")
+        if holes != sender._holes:
+            self._fail("scoreboard_index", flow,
+                       f"hole list {sender._holes} != {holes}, the "
+                       f"un-SACKed records below the SACK frontier "
+                       f"{sender._frontier}")
         outstanding = sender.next_seq - sender.cum_acked
         if covered != outstanding:
             self._fail("byte_conservation", flow,

@@ -74,17 +74,16 @@ class IntervalSet:
         """Disjoint present ranges, ascending."""
         return list(zip(self._starts, self._ends))
 
-    def gaps(self, upto: int) -> list[tuple[int, int]]:
-        """Missing ranges below ``upto`` (and above the lowest present
-        value or zero)."""
+    def gaps(self, upto: int, start: int = 0) -> list[tuple[int, int]]:
+        """Missing ranges within ``[start, upto)``, ascending."""
+        starts, ends = self._starts, self._ends
         result = []
-        prev = 0
-        for s, e in zip(self._starts, self._ends):
-            if s >= upto:
-                break
-            if s > prev:
-                result.append((prev, min(s, upto)))
-            prev = e
+        i = bisect.bisect_right(starts, start)
+        prev = max(start, ends[i - 1]) if i else start
+        while i < len(starts) and starts[i] < upto:
+            result.append((prev, starts[i]))
+            prev = ends[i]
+            i += 1
         if prev < upto:
             result.append((prev, upto))
         return result

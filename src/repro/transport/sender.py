@@ -18,8 +18,8 @@ pacing at ``1.2 * cwnd / srtt`` inside the congestion controllers.
 
 from __future__ import annotations
 
-import bisect
 import collections
+from bisect import bisect_left
 from typing import Callable, Optional
 
 from repro.cc.base import CongestionController, RateSample
@@ -38,7 +38,15 @@ from repro.netsim.packet import (
 from repro.transport.errors import AbortInfo, FeedbackFormatError
 from repro.transport.feedback import AckFeedback, check_wire_form
 from repro.transport.guard import FeedbackValidator, GuardConfig
+from repro.transport.intervals import IntervalSet
 from repro.transport.rtt import MinRttTracker, RttEstimator
+
+#: ``SendRecord.state``.  A record is exactly one of these until the
+#: cumulative ACK passes it and it leaves the scoreboard: its latest
+#: transmission is presumed in the network; it was declared lost and
+#: awaits retransmission (which puts it back in flight); or a SACK
+#: block covered it (final: a late loss mark never revives it).
+IN_FLIGHT, LOST, SACKED = range(3)
 
 
 class SendRecord:
@@ -51,35 +59,26 @@ class SendRecord:
         "first_sent",
         "last_sent",
         "retx_count",
-        "sacked",
-        "lost",
-        "acked",
+        "state",
         "delivered_snapshot",
         "delivered_time",
-        "app_limited",
     )
 
     def __init__(self, seq: int, length: int, pkt_seq: int, now: float,
-                 delivered_snapshot: int, app_limited: bool):
+                 delivered_snapshot: int):
         self.seq = seq
         self.length = length
         self.pkt_seq = pkt_seq
         self.first_sent = now
         self.last_sent = now
         self.retx_count = 0
-        self.sacked = False
-        self.lost = False
-        self.acked = False
+        self.state = IN_FLIGHT
         self.delivered_snapshot = delivered_snapshot
         self.delivered_time = now
-        self.app_limited = app_limited
 
     @property
     def end(self) -> int:
         return self.seq + self.length
-
-    def in_flight(self) -> bool:
-        return not (self.sacked or self.lost or self.acked)
 
 
 class SenderStats:
@@ -136,6 +135,13 @@ class TransportSender:
         self.records: dict[int, SendRecord] = {}
         self._order: list[int] = []          # seq starts, ascending
         self._head = 0                       # first un-cum-acked index
+        # SACK scoreboard, maintained incrementally so a feedback costs
+        # what it newly says (DESIGN.md, transport): the byte ranges of
+        # the live SACKED records; the highest SACK block end swept so
+        # far; and the records below it that are not SACKED, ascending.
+        self._sacked = IntervalSet()
+        self._frontier = 0
+        self._holes: list[int] = []
         self.pkt_map: dict[int, int] = {}    # pkt_seq -> seq (latest)
         self.retx_queue: collections.deque[int] = collections.deque()
         self._retx_queued: set[int] = set()
@@ -160,7 +166,6 @@ class TransportSender:
         self.ack_loss = AckPathLossEstimator()
         self.pacer = Pacer(rate_bps=cc.pacing_rate_bps() if self._safe_rate(cc) else 1e6)
         # legacy dupACK state
-        self._last_cum = 0
         self._dup_count = 0
         self._recovery_point = -1
         # timers
@@ -491,7 +496,7 @@ class TransportSender:
                 if rec is None or rec.end > cum_ack:
                     break
                 self._head += 1
-                if not rec.acked and not rec.sacked:
+                if rec.state != SACKED:
                     newly_acked += self._settle_record(rec, now, sacked=False)
                     if rec.retx_count == 0 and not self.receiver_driven:
                         # Legacy RTT sampling from ACK arrival times
@@ -505,6 +510,11 @@ class TransportSender:
                 del self.records[seq]
                 self.pkt_map.pop(rec.pkt_seq, None)
                 self.governor.on_acked(seq)
+            if self._sacked or self._holes:
+                # The scoreboard indexes live records only.
+                first_live = self._first_live_seq()
+                self._sacked.remove_below(first_live)
+                del self._holes[:bisect_left(self._holes, first_live)]
             if self._head > 8192:
                 # Compact the send-order index so memory tracks the
                 # window, not the lifetime of the connection.
@@ -517,16 +527,17 @@ class TransportSender:
                 self._dup_count += 1
 
         # --- selective acknowledgment (acked list) ------------------
-        sack_progress = False
-        for start, end in fb.sack_blocks:
-            for rec in self._records_in_range(start, end):
-                if not rec.acked and not rec.sacked and rec.end <= end and rec.seq >= start:
-                    newly_acked += self._settle_record(rec, now, sacked=True)
-                    sack_progress = True
-                    if rec.retx_count == 0:
-                        rate = self._legacy_rate_sample(rec, now)
-                        if rate is not None:
-                            rate_sample_bps = max(rate_sample_bps or 0.0, rate)
+        if fb.sack_blocks:
+            first_live = self._first_live_seq()
+            for start, end in fb.sack_blocks:
+                # A block that repeats what earlier feedback settled
+                # has no gap left: it costs this one bisect.
+                for gap_start, gap_end in self._sacked.gaps(
+                        end, start=max(start, first_live)):
+                    acked, rate = self._sack_gap(gap_start, gap_end, end, now)
+                    newly_acked += acked
+                    if rate is not None:
+                        rate_sample_bps = max(rate_sample_bps or 0.0, rate)
 
         # --- TACK timing --------------------------------------------
         if self.receiver_driven:
@@ -619,14 +630,52 @@ class TransportSender:
         self._rearm_rto(progress=newly_acked > 0)
         self._try_send()
 
+    def _first_live_seq(self) -> int:
+        """Start of the lowest record still on the scoreboard."""
+        if self._head < len(self._order):
+            return self._order[self._head]
+        return self.next_seq
+
+    def _sack_gap(self, gap_start: int, gap_end: int, block_end: int,
+                  now: float) -> tuple[int, Optional[float]]:
+        """Settle the records starting in ``[gap_start, gap_end)``, a
+        stretch of a SACK block no SACKED record covers yet, so every
+        record found is new information.  Returns the newly-acked byte
+        count and the best delivery-rate sample taken (or ``None``).
+        """
+        order, records = self._order, self.records
+        first = i = bisect_left(order, gap_start, self._head)
+        newly_acked = 0
+        best_rate: Optional[float] = None
+        run_end = gap_start
+        while i < len(order):
+            seq = order[i]
+            if seq >= gap_end:
+                break
+            rec = records[seq]
+            if rec.end > block_end:
+                break       # straddles the block edge: not acknowledged
+            newly_acked += self._settle_record(rec, now, sacked=True)
+            if seq < self._frontier:
+                del self._holes[bisect_left(self._holes, seq)]
+            if rec.retx_count == 0:
+                rate = self._legacy_rate_sample(rec, now)
+                if rate is not None and (best_rate is None or rate > best_rate):
+                    best_rate = rate
+            run_end = rec.end
+            i += 1
+        if i > first:
+            # Records tile the sequence space, so what was settled is
+            # one contiguous run.
+            self._sacked.add(order[first], run_end)
+        return newly_acked, best_rate
+
     def _settle_record(self, rec: SendRecord, now: float, sacked: bool) -> int:
         """Mark a record delivered; returns newly-acked byte count."""
-        if rec.in_flight():
+        if rec.state == IN_FLIGHT:
             self.in_flight -= rec.length
         if sacked:
-            rec.sacked = True
-        else:
-            rec.acked = True
+            rec.state = SACKED
         self.delivered += rec.length
         self.rack.on_delivered(rec.last_sent)
         return rec.length
@@ -660,8 +709,8 @@ class TransportSender:
     # loss detection
     # ------------------------------------------------------------------
     def _records_in_range(self, start: int, end: int):
-        i = bisect.bisect_left(self._order, start, self._head)
-        if i > self._head and i <= len(self._order):
+        i = bisect_left(self._order, start, self._head)
+        if i > self._head:
             j = i - 1
             seq = self._order[j]
             rec = self.records.get(seq)
@@ -685,7 +734,7 @@ class TransportSender:
             if seq is None:
                 continue
             rec = self.records.get(seq)
-            if rec is None or rec.acked or rec.sacked:
+            if rec is None or rec.state == SACKED:
                 continue
             if rec.pkt_seq != pkt_seq:
                 continue  # already retransmitted under a newer number
@@ -699,7 +748,7 @@ class TransportSender:
         """TACK unacked-list blocks: byte ranges missing at the receiver."""
         lost = 0
         for rec in self._records_in_range(start, end):
-            if rec.acked or rec.sacked:
+            if rec.state == SACKED:
                 continue
             lost += self._mark_record_lost(rec, now)
         return lost
@@ -718,15 +767,30 @@ class TransportSender:
         guard = 1.5 * self.rtt.smoothed()
         if not certain and not self.governor.may_retransmit(rec.seq, now, guard):
             return 0
-        if rec.lost:
+        if rec.state != IN_FLIGHT:
             return 0
-        if rec.in_flight():
-            self.in_flight -= rec.length
-        rec.lost = True
+        self.in_flight -= rec.length
+        rec.state = LOST
         if rec.seq not in self._retx_queued:
             self.retx_queue.append(rec.seq)
             self._retx_queued.add(rec.seq)
         return rec.length
+
+    def _advance_frontier(self, sack_top: int) -> None:
+        """A higher SACK block end puts more records below the
+        frontier: those starting where nothing is SACKED are holes."""
+        # Clamped: a record sent later must still be classified.
+        sack_top = min(sack_top, self.next_seq)
+        if sack_top <= self._frontier:
+            return
+        order, holes = self._order, self._holes
+        for gap_start, gap_end in self._sacked.gaps(sack_top,
+                                                    start=self._frontier):
+            i = bisect_left(order, gap_start, self._head)
+            while i < len(order) and order[i] < gap_end:
+                holes.append(order[i])
+                i += 1
+        self._frontier = sack_top
 
     def _legacy_loss_detection(self, fb: AckFeedback, now: float) -> int:
         """Fast retransmit on 3 dupACKs plus a RACK time sweep.
@@ -734,9 +798,16 @@ class TransportSender:
         The sweep runs on every SACK-bearing feedback (not only on new
         SACK progress): after a burst loss the receiver's repeated
         SACKs are identical, yet older holes still cross the RACK
-        deadline as time passes and must be detected.
+        deadline as time passes and must be detected.  Only holes can
+        be in flight below a SACK block, so it visits those alone; a
+        reordered feedback (``sack_top`` below the frontier) sweeps the
+        holes below its own top.
         """
         lost = 0
+        sack_top = 0
+        if fb.sack_blocks:
+            sack_top = max(end for _, end in fb.sack_blocks)
+            self._advance_frontier(sack_top)
         if self._dup_count >= 3 and self.cum_acked > self._recovery_point:
             rec = self._first_unacked_record()
             if rec is not None:
@@ -744,24 +815,31 @@ class TransportSender:
                 self._recovery_point = self.next_seq
                 self.stats.fast_retransmits += 1
                 self._dup_count = 0
-        if fb.sack_blocks:
+        if fb.sack_blocks and self._holes:
             srtt = self.rtt.smoothed()
-            sack_top = max(end for _, end in fb.sack_blocks)
-            for i in range(self._head, len(self._order)):
-                seq = self._order[i]
+            records, rack = self.records, self.rack
+            for seq in self._holes:
                 if seq >= sack_top:
                     break
-                rec = self.records.get(seq)
-                if rec is None or not rec.in_flight():
-                    continue
-                if self.rack.is_lost(rec.last_sent, srtt, now):
+                rec = records[seq]
+                if (rec.state == IN_FLIGHT
+                        and rack.is_lost(rec.last_sent, srtt, now)):
                     lost += self._mark_record_lost(rec, now)
         return lost
 
+    def _unsacked_records(self):
+        """Every record that is not SACKED, ascending: the holes, then
+        everything at or above the SACK frontier."""
+        order, records = self._order, self.records
+        for seq in self._holes:
+            yield records[seq]
+        for i in range(bisect_left(order, self._frontier, self._head),
+                       len(order)):
+            yield records[order[i]]
+
     def _first_unacked_record(self) -> Optional[SendRecord]:
-        for i in range(self._head, len(self._order)):
-            rec = self.records.get(self._order[i])
-            if rec is not None and rec.in_flight():
+        for rec in self._unsacked_records():
+            if rec.state == IN_FLIGHT:
                 return rec
         return None
 
@@ -779,7 +857,7 @@ class TransportSender:
     def _has_retx(self) -> bool:
         while self.retx_queue:
             rec = self.records.get(self.retx_queue[0])
-            if rec is None or rec.acked or rec.sacked or not rec.lost:
+            if rec is None or rec.state != LOST:
                 seq = self.retx_queue.popleft()
                 self._retx_queued.discard(seq)
                 continue
@@ -839,10 +917,7 @@ class TransportSender:
         self.next_pkt_seq += 1
         if not self.unlimited:
             self.pending_bytes -= length_bytes
-        rec = SendRecord(
-            seq, length_bytes, pkt_seq, now, self.delivered,
-            app_limited=(not self.unlimited and self.pending_bytes <= 0),
-        )
+        rec = SendRecord(seq, length_bytes, pkt_seq, now, self.delivered)
         self.records[seq] = rec
         self._order.append(seq)
         self.pkt_map[pkt_seq] = seq
@@ -852,7 +927,7 @@ class TransportSender:
     def _transmit_retx(self, seq: int, now: float) -> None:
         self._retx_queued.discard(seq)
         rec = self.records.get(seq)
-        if rec is None or rec.acked or rec.sacked or not rec.lost:
+        if rec is None or rec.state != LOST:
             return
         old_pkt_seq = rec.pkt_seq
         rec.pkt_seq = self.next_pkt_seq
@@ -861,7 +936,7 @@ class TransportSender:
         # holds the latest transmission (paper S5.1).
         self.pkt_map.pop(old_pkt_seq, None)
         self.pkt_map[rec.pkt_seq] = seq
-        rec.lost = False
+        rec.state = IN_FLIGHT
         rec.last_sent = now
         rec.retx_count += 1
         rec.delivered_snapshot = self.delivered
@@ -983,9 +1058,8 @@ class TransportSender:
         # new flows to trigger dupACK/RACK detection, and Karn's rule
         # blocks fresh RTT samples — recovery crawls at one segment per
         # backoff-capped RTO.
-        for i in range(self._head, len(self._order)):
-            rec = self.records.get(self._order[i])
-            if rec is not None and rec.in_flight():
+        for rec in self._unsacked_records():
+            if rec.state == IN_FLIGHT:
                 # Timeout overrides the once-per-RTT governor.
                 self.governor.on_acked(rec.seq)
                 self._mark_record_lost(rec, now, certain=True)

@@ -137,11 +137,9 @@ def legacy_cell(scenario: str, scheme: str) -> dict:
         return made[-1]
 
     with mock.patch.object(repro.chaos.runner, "make_connection", capture):
-        result = run_scenario(get_scenario(scenario), scheme, seed=1)
+        cell = chaos_cell(scenario, scheme)
     stats = made[0].sender.stats
-    return {"diagnosis_digest": result.diagnosis["digest"],
-            "events_fired": result.events_fired,
-            "bytes_delivered": result.bytes_delivered,
+    return {**cell,
             "retransmissions": stats.retransmissions,
             "fast_retransmits": stats.fast_retransmits,
             "rtos": stats.rtos}

@@ -23,7 +23,7 @@ from repro.transport.feedback import (
 )
 from repro.transport.guard import AWND_MAX, GuardConfig, resolve_strict
 from repro.telemetry import TraceCollector
-from repro.transport.sender import TransportSender
+from repro.transport.sender import SACKED, TransportSender
 
 
 class StubPort:
@@ -247,7 +247,7 @@ class TestRangeRules:
         feed(sender, fb_for(MSS, sack_blocks=[(nxt + MSS, nxt + 2 * MSS)]))
         assert sender.guard.counts["sack_range"] == 1
         # the bogus block must not have marked anything sacked
-        assert all(not rec.sacked for rec in sender.records.values())
+        assert all(rec.state != SACKED for rec in sender.records.values())
 
     def test_good_and_bad_blocks_split(self, sim):
         sender, _ = established_sender(sim)
@@ -258,7 +258,7 @@ class TestRangeRules:
                                             (nxt + MSS, nxt + 2 * MSS)]))
         assert sender.guard.counts["sack_range"] == 1
         rec = sender.records.get(MSS)
-        assert rec is not None and rec.sacked   # in-range block survived
+        assert rec is not None and rec.state == SACKED   # in-range block survived
 
     def test_unacked_range_violation_counted(self, sim):
         sender, port = tack_sender(sim)

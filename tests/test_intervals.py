@@ -78,6 +78,13 @@ class TestQueries:
         assert s.gaps(50) == [(0, 10), (20, 30), (40, 50)]
         assert s.gaps(15) == [(0, 10)]
 
+    def test_gaps_from_a_start(self):
+        s = IntervalSet([(10, 20), (30, 40)])
+        assert s.gaps(40, start=15) == [(20, 30)]
+        assert s.gaps(50, start=25) == [(25, 30), (40, 50)]
+        assert s.gaps(20, start=10) == []      # fully covered
+        assert s.gaps(10, start=30) == []      # empty window
+
     def test_gaps_empty_set(self):
         assert IntervalSet().gaps(10) == [(0, 10)]
 

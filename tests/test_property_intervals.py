@@ -65,15 +65,18 @@ def test_first_missing_matches_brute_force(ranges, probe):
     assert s.first_missing(probe) == value
 
 
-@given(ranges_strategy, st.integers(0, 240))
-def test_gaps_complement_ranges(ranges, upto):
+@given(ranges_strategy, st.integers(0, 240), st.integers(0, 240))
+def test_gaps_complement_ranges(ranges, upto, start):
     s = IntervalSet(ranges)
     expected = brute_force_set(ranges)
-    gap_values = set()
-    for start, end in s.gaps(upto):
-        gap_values.update(range(start, min(end, upto)))
-    for value in range(upto):
-        assert (value in gap_values) == (value not in expected)
+    for lo in (0, start):
+        gaps = s.gaps(upto, lo) if lo else s.gaps(upto)
+        assert all(a < b for a, b in gaps)
+        assert gaps == sorted(gaps)
+        gap_values = set()
+        for a, b in gaps:
+            gap_values.update(range(a, b))
+        assert gap_values == set(range(lo, upto)) - expected
 
 
 @given(ranges_strategy, st.integers(0, 240))

@@ -6,16 +6,25 @@ delivered; a brute-force per-segment reference model tracks what the
 sender *should* believe.  Invariants: in-flight accounting never goes
 negative or exceeds what was sent, acked bytes are never retransmitted,
 and completion fires exactly when everything is covered.
+
+The legacy (``receiver_driven=False``) sender is additionally run in
+lockstep with :class:`FullWindowScoreboard`, the per-ACK full-window
+SACK walk and RACK sweep the sender used before its scoreboard became
+incremental, kept here as the differential oracle.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cc import NewReno
+from repro.cc.base import CongestionController
+from repro.cc.rack import RackState
+from repro.core.loss_detect import RetransmitGovernor
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import MSS, Packet, PacketType
 from repro.transport.feedback import AckFeedback, make_feedback_packet
-from repro.transport.sender import TransportSender
+from repro.transport.guard import GuardConfig
+from repro.transport.sender import LOST, TransportSender
 
 
 class CapturePort:
@@ -144,3 +153,267 @@ def test_random_block_feedback_conserves_bytes(data):
         sim.run(until=sim.now() + 0.02)
         assert sender.delivered <= sender.stats.bytes_sent
         assert sender.in_flight >= 0
+
+
+# ----------------------------------------------------------------------
+# differential: incremental scoreboard vs the full-window walks
+# ----------------------------------------------------------------------
+class FixedWindow(CongestionController):
+    """A constant window paced at about a segment per millisecond:
+    send times differ (RACK compares them) and a repair can wait in
+    ``retx_queue`` across feedbacks."""
+
+    def __init__(self, segments):
+        super().__init__()
+        self._cwnd = segments * MSS
+
+    def on_feedback(self, sample):
+        pass
+
+    def on_rto(self, now):
+        pass
+
+    def cwnd_bytes(self):
+        return self._cwnd
+
+    def pacing_rate_bps(self):
+        return 12e6
+
+
+class _RefRecord:
+    def __init__(self, seq, length, now):
+        self.seq, self.length, self.end = seq, length, seq + length
+        self.last_sent = now
+        self.sacked = self.lost = False
+
+    def in_flight(self):
+        return not (self.sacked or self.lost)
+
+
+class FullWindowScoreboard:
+    """The legacy sender's loss bookkeeping as it was: every SACK block
+    re-iterates every record under it, and the RACK sweep rescans the
+    send order from the first unacked record to the SACK top.  Fed the
+    same transmissions, feedback and timeouts as the real sender (and
+    the sender's ``srtt``, which is not scoreboard state)."""
+
+    def __init__(self):
+        self.records = {}            # seq -> _RefRecord, insertion = seq order
+        self.next_seq = 0
+        self.cum_acked = 0
+        self.in_flight = 0
+        self.delivered = 0
+        self.retx_queue = []
+        self.dup_count = 0
+        self.recovery_point = -1
+        self.fast_retransmits = 0
+        self.rack = RackState()
+        self.governor = RetransmitGovernor()
+
+    # -- transmissions seen on the sender's port ------------------------
+    def on_emit(self, seq, length, now):
+        rec = self.records.get(seq)
+        if rec is None:
+            assert seq == self.next_seq
+            self.records[seq] = _RefRecord(seq, length, now)
+            self.next_seq += length
+            self.in_flight += length
+            return
+        assert rec.lost and not rec.sacked, "retransmitted a segment not lost"
+        assert self.pending_retx()[0] == seq, "retransmission out of order"
+        self.retx_queue.remove(seq)
+        rec.lost = False
+        rec.last_sent = now
+        self.in_flight += length
+        self.governor.on_retransmit(seq, now)
+
+    def pending_retx(self):
+        return [seq for seq in self.retx_queue
+                if seq in self.records and self.records[seq].lost
+                and not self.records[seq].sacked]
+
+    # -- the walks ------------------------------------------------------
+    def _settle(self, rec, sacked):
+        if rec.in_flight():
+            self.in_flight -= rec.length
+        rec.sacked = sacked
+        self.delivered += rec.length
+        self.rack.on_delivered(rec.last_sent)
+
+    def _mark_lost(self, rec, now, srtt, certain=False):
+        if not certain and not self.governor.may_retransmit(
+                rec.seq, now, 1.5 * srtt):
+            return
+        if rec.lost:
+            return
+        if rec.in_flight():
+            self.in_flight -= rec.length
+        rec.lost = True
+        if rec.seq not in self.retx_queue:
+            self.retx_queue.append(rec.seq)
+
+    def on_feedback(self, fb, now, srtt):
+        cum_ack = min(fb.cum_ack, self.next_seq)
+        if cum_ack > self.cum_acked:
+            self.cum_acked = cum_ack
+            self.dup_count = 0
+            for seq in sorted(self.records):
+                rec = self.records[seq]
+                if rec.end > cum_ack:
+                    break
+                if not rec.sacked:
+                    self._settle(rec, sacked=False)
+                del self.records[seq]
+                self.governor.on_acked(seq)
+        elif fb.cum_ack == self.cum_acked:
+            if fb.sack_blocks or self.in_flight > 0:
+                self.dup_count += 1
+        for start, end in fb.sack_blocks:
+            for seq in sorted(self.records):
+                rec = self.records[seq]
+                if not rec.sacked and rec.seq >= start and rec.end <= end:
+                    self._settle(rec, sacked=True)
+        if self.dup_count >= 3 and self.cum_acked > self.recovery_point:
+            first = next((self.records[seq] for seq in sorted(self.records)
+                          if self.records[seq].in_flight()), None)
+            if first is not None:
+                self._mark_lost(first, now, srtt)
+                self.recovery_point = self.next_seq
+                self.fast_retransmits += 1
+                self.dup_count = 0
+        if fb.sack_blocks:
+            sack_top = max(end for _, end in fb.sack_blocks)
+            for seq in sorted(self.records):
+                if seq >= sack_top:
+                    break
+                rec = self.records[seq]
+                if rec.in_flight() and self.rack.is_lost(rec.last_sent,
+                                                         srtt, now):
+                    self._mark_lost(rec, now, srtt)
+
+    def on_rto(self, now):
+        for seq in sorted(self.records):
+            rec = self.records[seq]
+            if rec.in_flight():
+                self.governor.on_acked(seq)
+                self._mark_lost(rec, now, 0.0, certain=True)
+
+
+class Lockstep:
+    """A legacy sender on a capture port and the oracle beside it."""
+
+    RTO = object()      # marker in the port log: the mark-all ran here
+
+    def __init__(self, window_segments):
+        self.sim = Simulator(seed=1, simsan=True)
+        # Guard off: optimistic, unaligned and never-sent ranges must
+        # reach the scoreboard itself, not be filtered in front of it.
+        self.sender = TransportSender(self.sim, FixedWindow(window_segments),
+                                      guard=GuardConfig(enabled=False))
+        self.port = CapturePort()
+        self.sender.connect(self.port)
+        # Timers look the handler up when they are armed, so this sees
+        # every timeout; the marker goes in front of the repairs the
+        # timeout itself sends.
+        real_on_rto = self.sender._on_rto
+
+        def on_rto():
+            at, before = len(self.port.sent), self.sender.stats.rtos
+            real_on_rto()
+            if self.sender.stats.rtos > before and self.sender.aborted is None:
+                self.port.sent.insert(at, self.RTO)
+
+        self.sender._on_rto = on_rto
+        self.sender.start()
+        syn_ack = Packet(PacketType.SYN_ACK, size=64)
+        syn_ack.meta["syn_sent_at"] = 0.0
+        self.sim.call_in(0.01, lambda: self.sender.on_packet(syn_ack))
+        self.sender.set_unlimited()
+        self.ref = FullWindowScoreboard()
+        self._seen = 0
+        self.run(0.05)
+
+    def _sync(self):
+        """Replay onto the oracle, in order, what the sender did since
+        the last call, then compare the two ledgers.  The oracle
+        asserts that every retransmission is the head of *its* queue,
+        so the newly-lost set matches in content and order."""
+        sender, ref = self.sender, self.ref
+        for item in self.port.sent[self._seen:]:
+            if item is self.RTO:
+                ref.on_rto(self.sim.now())
+            elif item.kind is PacketType.DATA:
+                ref.on_emit(item.seq, item.payload_len, item.sent_at)
+        self._seen = len(self.port.sent)
+        assert ([seq for seq in sender.retx_queue
+                 if seq in sender.records
+                 and sender.records[seq].state == LOST]
+                == ref.pending_retx())
+        assert sender.in_flight == ref.in_flight
+        assert sender.delivered == ref.delivered
+        assert sender.cum_acked == ref.cum_acked
+        assert sender.stats.fast_retransmits == ref.fast_retransmits
+        self.sim.san.check_sender_ledger(sender)
+
+    def feed(self, fb):
+        self.sender.on_packet(make_feedback_packet(PacketType.ACK, fb))
+        self.ref.on_feedback(fb, self.sim.now(), self.sender.rtt.smoothed())
+        self._sync()
+
+    def run(self, duration_s):
+        self.sim.run(until=self.sim.now() + duration_s)
+        self._sync()
+
+    def run_to_rto(self):
+        """Stop within a millisecond of the next timeout, while most of
+        what it marked lost still waits for its paced repair."""
+        rtos = self.sender.stats.rtos
+        for _ in range(5000):
+            if self.sender.stats.rtos > rtos or self.sender.aborted:
+                break
+            self.run(0.001)
+
+
+WINDOW = 24
+
+legacy_steps = st.lists(
+    st.one_of(
+        # feedback: cum ack and SACK blocks in half-segment units, so
+        # some edges are unaligned; blocks may repeat, shrink, reorder
+        # and name bytes never sent.
+        st.tuples(st.just("fb"), st.integers(0, 2 * WINDOW),
+                  st.lists(st.tuples(st.integers(0, 3 * WINDOW),
+                                     st.integers(1, 2 * WINDOW)),
+                           max_size=3)),
+        # the same feedback again: duplicate SACKs, dupACK counting
+        st.tuples(st.just("dup")),
+        # time passing: RACK deadlines and paced repairs
+        st.tuples(st.just("wait"), st.sampled_from([0.002, 0.03])),
+        # the RTO mark-all
+        st.tuples(st.just("rto")),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+@given(legacy_steps)
+@settings(max_examples=150, deadline=None)
+def test_incremental_scoreboard_matches_full_window_walks(steps):
+    pair = Lockstep(WINDOW)
+    last = AckFeedback(cum_ack=0, awnd=1 << 30)
+    for step in steps:
+        if pair.sender.aborted is not None:
+            break
+        if step[0] == "wait":
+            pair.run(step[1])
+            continue
+        if step[0] == "rto":
+            pair.run_to_rto()
+            continue
+        if step[0] == "fb":
+            _, cum_half, blocks = step
+            last = AckFeedback(
+                cum_ack=cum_half * MSS // 2, awnd=1 << 30,
+                sack_blocks=[(s * MSS // 2, (s + n) * MSS // 2)
+                             for s, n in blocks])
+        pair.feed(last)

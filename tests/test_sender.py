@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cc import BBR, NewReno
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import MSS, Packet, PacketType
 from repro.netsim.pipe import Pipe
 from repro.transport.feedback import AckFeedback, make_feedback_packet
@@ -183,6 +184,98 @@ class TestDupAckRecovery:
         for _ in range(6):
             ack_for(sender, 0, sack_blocks=[(MSS, 2 * MSS)])
         assert sender.stats.fast_retransmits == 1
+
+
+    def test_fast_retransmit_skips_a_segment_already_marked_lost(self, sim):
+        """The dupACK rule repairs the first segment still presumed in
+        the network, not one already queued for retransmission."""
+        sender, port = established_sender(sim)
+        sender.set_unlimited()
+        sim.run(until=0.1)
+        # Pacing debt keeps the repair of segment 0 in the queue.
+        sender.pacer.set_rate(1.0)
+        sender.pacer.on_sent(10_000, sim.now())
+        sender._mark_record_lost(sender.records[0], sim.now(), certain=True)
+        for _ in range(3):
+            ack_for(sender, 0)
+        assert sender.stats.fast_retransmits == 1
+        assert list(sender.retx_queue) == [0, MSS]
+
+
+class CountingDict(dict):
+    """``sender.records`` with its lookups counted."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return dict.get(self, key, default)
+
+
+class TestScoreboardCost:
+    """A feedback costs what it newly says, not the window (the
+    per-ACK full-window SACK walk and RACK sweep looked up about two
+    records per segment in flight on every ACK)."""
+
+    WINDOW = 450
+    SLACK = 8       # hole sweep, first-unacked, retx-queue peeks
+
+    @pytest.fixture
+    def sim(self):
+        # Never sanitized: simsan's ledger audit is O(window) by design
+        # and reads the same dict.
+        return Simulator(seed=42, simsan=False)
+
+    def feed(self, sender, cum_ack, sack_blocks=()):
+        """One ACK; returns (record lookups, records newly settled)."""
+        sender.records.lookups = 0
+        delivered = sender.delivered
+        ack_for(sender, cum_ack, sack_blocks=list(sack_blocks))
+        return (sender.records.lookups,
+                (sender.delivered - delivered) // MSS)
+
+    def test_one_hole_episode_costs_new_information_only(self, sim):
+        sender, port = established_sender(
+            sim, NewReno(initial_cwnd_mss=self.WINDOW))
+        sender.set_unlimited()
+        sim.run(until=0.15)     # window full, first RTO not yet due
+        assert sender.in_flight >= 400 * MSS
+        sender.records = CountingDict(sender.records)
+        # Segment 0 is lost; every later one arrives and is SACKed, one
+        # ACK per segment, each ACK sent twice.
+        for top in range(2, 420):
+            sim.run(until=sim.now() + 1e-4)
+            for settles in (1, 0):
+                lookups, settled = self.feed(sender, 0, [(MSS, top * MSS)])
+                assert settled == settles
+                assert lookups <= self.SLACK + settled, (top, lookups)
+            assert len(sender.records) >= 400
+        assert sender.stats.fast_retransmits == 1
+        assert sender.stats.rtos == 0
+        # The repair lands: one cumulative ACK retires the whole run.
+        lookups, settled = self.feed(sender, 419 * MSS)
+        assert settled == 1
+        assert lookups <= self.SLACK + 419
+
+    def test_repeated_sack_blocks_are_free(self, sim):
+        sender, port = established_sender(
+            sim, NewReno(initial_cwnd_mss=self.WINDOW))
+        sender.set_unlimited()
+        sim.run(until=0.15)     # window full, first RTO not yet due
+        blocks = [(MSS, 100 * MSS), (150 * MSS, 300 * MSS),
+                  (320 * MSS, 400 * MSS)]
+        ack_for(sender, 0, sack_blocks=blocks)
+        sender.records = CountingDict(sender.records)
+        for _ in range(5):
+            sim.run(until=sim.now() + 1e-4)
+            lookups, settled = self.feed(sender, 0, blocks)
+            assert settled == 0
+            # 71 holes below the SACK top: the sweep visits those only.
+            assert lookups <= self.SLACK + 71
 
 
 class TestReceiverDrivenPull:

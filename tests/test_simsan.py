@@ -154,6 +154,34 @@ class TestInvariantsTrip:
         with pytest.raises(InvariantViolation, match="byte_conservation"):
             sim.san.check_sender_ledger(sender)
 
+    def mid_recovery_sender(self):
+        """A legacy sender stopped while one lost segment is a hole
+        under a SACKed run."""
+        from repro.netsim.loss import PatternLoss
+        sim = Simulator(seed=7, simsan=True)
+        path = wired_path(sim, 20e6, 0.04, forward_loss=PatternLoss([5]))
+        conn = Connection(sim, NewReno(), DelayedAck(),
+                          forward_port=path.forward,
+                          reverse_port=path.reverse)
+        conn.start_transfer(200 * MSS)
+        while not conn.sender._holes:
+            assert sim.step()
+        sim.san.check_sender_ledger(conn.sender)     # consistent so far
+        return sim, conn.sender
+
+    def test_scoreboard_index_stale_hole_list(self):
+        sim, sender = self.mid_recovery_sender()
+        sender._holes.pop()  # corrupt: a hole the RACK sweep never sees
+        with pytest.raises(InvariantViolation, match="scoreboard_index"):
+            sim.san.check_sender_ledger(sender)
+
+    def test_scoreboard_index_sacked_coverage_drift(self):
+        sim, sender = self.mid_recovery_sender()
+        start, end = sender._sacked.ranges()[0]
+        sender._sacked.add(end, end + MSS)  # corrupt: covers an un-SACKed record
+        with pytest.raises(InvariantViolation, match="scoreboard_index"):
+            sim.san.check_sender_ledger(sender)
+
     def test_rtt_min_window(self):
         sim, conn = self.setup_conn()
         sender = conn.sender
