@@ -21,16 +21,16 @@ class Clock:
     def advance_to(self, t: float) -> None:
         """Move the clock forward to absolute time ``t``.
 
-        Raises :class:`ValueError` if ``t`` is in the past; the simulator
-        never rewinds time and neither may tests.
+        Raises :class:`ValueError` if ``t`` is in the past or NaN; the
+        simulator never rewinds time and neither may tests.
         """
-        if t < self._now:
+        if not t >= self._now:
             raise ValueError(f"clock cannot rewind: {t} < {self._now}")
         self._now = t
 
     def advance_by(self, dt: float) -> None:
         """Move the clock forward by ``dt`` seconds (``dt >= 0``)."""
-        if dt < 0:
+        if not dt >= 0:  # also rejects NaN
             raise ValueError(f"negative clock step: {dt}")
         self._now += dt
 

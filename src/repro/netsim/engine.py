@@ -1,11 +1,19 @@
 """Event queue and simulation driver.
 
-The engine is a classic calendar queue built on :mod:`heapq`.  Two
-properties matter for reproducibility:
+The pending set is a binary heap (:mod:`heapq`) of
+``(time, seq, event)`` tuples.  Three properties matter:
 
 * **Determinism** -- ties in firing time are broken by insertion order
-  (a monotonically increasing sequence number), never by callback
-  identity, so a given seed always replays the same trajectory.
+  (``seq``, a monotonically increasing sequence number), never by
+  callback identity, so a given seed always replays the same
+  trajectory.
+* **Ordering runs in C** -- tuples compare element by element and
+  ``seq`` is unique, so a comparison is always decided by ``time`` or
+  ``seq`` (two floats, or two ints) and never reaches the third
+  element.  :class:`Event` therefore defines no ordering at all, and a
+  push or pop costs no Python-level call however deep the heap is.
+  A NaN time would compare false against everything and silently break
+  the heap invariant, which is why :meth:`Simulator.call_at` rejects it.
 * **Cancellation** -- protocol timers (RTO, delayed-ACK, TACK period)
   are rescheduled constantly; events carry a ``cancelled`` flag and the
   queue skips dead entries lazily instead of paying for removal.
@@ -23,11 +31,14 @@ from repro.netsim.clock import Clock
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback: the handle :meth:`Simulator.call_at` and
+    :meth:`Simulator.call_in` return, whose only operation is
+    :meth:`cancel`.
 
-    Instances are returned by :meth:`Simulator.schedule` (``call_at`` /
-    ``call_in``) and can be cancelled.  Comparison orders events by
-    ``(time, seq)`` which is what :mod:`heapq` requires.
+    It rides as the third element of its ``(time, seq, event)`` heap
+    entry and is never compared (``seq`` is unique, see the module
+    docstring), so it deliberately has no ``__lt__``; ``time`` and
+    ``seq`` are kept on it for ``repr`` and debugging only.
     """
 
     __slots__ = ("time", "seq", "fn", "cancelled")
@@ -41,9 +52,6 @@ class Event:
     def cancel(self) -> None:
         """Mark the event dead; the queue drops it when it surfaces."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -92,8 +100,12 @@ class Simulator:
     def __init__(self, seed: int = 1, simsan: Optional[bool] = None,
                  telemetry=None, profiler=None, energy=None, diagnosis=None):
         self.clock = Clock()
+        #: Current simulated time in seconds: ``sim.now()`` is the
+        #: clock's own bound method, one call deep, because every
+        #: handler reads the time at least once.
+        self.now: Callable[[], float] = self.clock.now
         self.rng = random.Random(seed)
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._events_fired = 0
         self.san = (sanitize.SimSanitizer(self)
@@ -114,12 +126,8 @@ class Simulator:
         return self.san
 
     # ------------------------------------------------------------------
-    # time
+    # counters and randomness
     # ------------------------------------------------------------------
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self.clock.now()
-
     @property
     def events_fired(self) -> int:
         """Number of callbacks executed so far (profiling aid)."""
@@ -138,19 +146,20 @@ class Simulator:
     # ------------------------------------------------------------------
     def call_at(self, t: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run at absolute time ``t``."""
-        if t < self.clock.now():
+        if not t >= self.now():  # also rejects NaN
             raise ValueError(
-                f"cannot schedule in the past: {t} < {self.clock.now()}"
+                f"cannot schedule in the past: {t} < {self.now()}"
             )
-        ev = Event(t, next(self._seq), fn)
-        heapq.heappush(self._queue, ev)
+        seq = next(self._seq)
+        ev = Event(t, seq, fn)
+        heapq.heappush(self._queue, (t, seq, ev))
         return ev
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay: {delay}")
-        return self.call_at(self.clock.now() + delay, fn)
+        return self.call_at(self.now() + delay, fn)
 
     # ------------------------------------------------------------------
     # execution
@@ -174,40 +183,43 @@ class Simulator:
         measurement window behaves.
         """
         fired = 0
+        queue = self._queue
+        heappop = heapq.heappop
+        advance_to = self.clock.advance_to
         prof = self.profiler  # hoisted: attach happens before run()
-        while self._queue:
-            ev = self._queue[0]
+        while queue:
+            t, _, ev = queue[0]
             if ev.cancelled:
-                heapq.heappop(self._queue)
+                heappop(queue)
                 continue
-            if until is not None and ev.time > until:
+            if until is not None and t > until:
                 break
             if max_events is not None and fired >= max_events:
                 break
-            heapq.heappop(self._queue)
+            heappop(queue)
             if self.san is not None:
-                self.san.on_event(ev.time)
-            self.clock.advance_to(ev.time)
+                self.san.on_event(t)
+            advance_to(t)
             self._events_fired += 1
             fired += 1
             if prof is not None:
-                prof.event_begin(ev.fn, len(self._queue))
+                prof.event_begin(ev.fn, len(queue))
                 try:
                     ev.fn()
                 finally:
                     prof.event_end()
             else:
                 ev.fn()
-        if until is not None and self.clock.now() < until:
-            self.clock.advance_to(until)
-        return self.clock.now()
+        if until is not None and self.now() < until:
+            advance_to(until)
+        return self.now()
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        return sum(1 for _, _, ev in self._queue if not ev.cancelled)
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self.clock.now():.6f}, "
+            f"Simulator(now={self.now():.6f}, "
             f"pending={len(self._queue)}, fired={self._events_fired})"
         )

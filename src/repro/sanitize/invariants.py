@@ -22,9 +22,12 @@ paper's correctness rests on:
     brute-force pass over its send records: the SACKED coverage is the
     union of the SACKED records, and the hole list is exactly the
     records below the SACK frontier that are not SACKED.
+``interval_count``
+    The reassembly buffer's maintained ``covered()`` counter equals the
+    brute-force sum over its ranges.
 ``stream_conservation``
     The receiver never holds more stream bytes than the sender
-    injected.
+    injected (checked against that brute-force sum, not the counter).
 ``nonneg_rwnd`` / ``nonneg_pacing``
     Advertised windows, pacing rates, and congestion windows stay
     non-negative (cwnd strictly positive).
@@ -298,9 +301,14 @@ class SimSanitizer:
             self._fail("stream_conservation", flow,
                        f"reassembly cursor {first_missing} below "
                        f"consumption point {receiver.delivered_ptr}")
+        buffered = sum(end - start for start, end in receiver.intervals.ranges())
+        if receiver.intervals.covered() != buffered:
+            self._fail("interval_count", flow,
+                       f"covered() counter {receiver.intervals.covered()} "
+                       f"!= {buffered} summed over the ranges")
         sender = self._peer_sender.get(receiver)
         if sender is not None:
-            held = receiver.delivered_ptr + receiver.intervals.covered()
+            held = receiver.delivered_ptr + buffered
             if held > sender.next_seq:
                 self._fail("stream_conservation", flow,
                            f"receiver holds {held} stream bytes but the "

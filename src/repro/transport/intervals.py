@@ -3,8 +3,10 @@
 The receiver's reassembly buffer, the SACK scoreboard, and the TACK
 "acked list"/"unacked list" all need the same algebra: insert byte
 ranges, coalesce, and enumerate present ranges or gaps.  Implemented as
-a sorted list of disjoint ``[start, end)`` pairs; n is tiny in practice
-(number of holes), so linear scans with :mod:`bisect` are fine.
+a sorted list of disjoint ``[start, end)`` pairs located with
+:mod:`bisect`, plus a running count of the integers present so that
+:meth:`IntervalSet.covered` (read twice per received segment) does not
+depend on the number of holes.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from typing import Iterable, Iterator
 class IntervalSet:
     """Set of non-negative integers stored as disjoint half-open ranges."""
 
-    __slots__ = ("_starts", "_ends")
+    __slots__ = ("_starts", "_ends", "_covered")
 
     def __init__(self, ranges: Iterable[tuple[int, int]] = ()):
         self._starts: list[int] = []
         self._ends: list[int] = []
+        self._covered = 0
         for start, end in ranges:
             self.add(start, end)
 
@@ -43,16 +46,21 @@ class IntervalSet:
         added = (end - start) - max(0, overlap)
         self._starts[i:j] = [new_start]
         self._ends[i:j] = [new_end]
+        self._covered += added
         return added
 
     def remove_below(self, bound: int) -> None:
         """Delete every integer < ``bound`` (used when the app consumes
         in-order data)."""
-        while self._starts and self._ends[0] <= bound:
-            self._starts.pop(0)
-            self._ends.pop(0)
-        if self._starts and self._starts[0] < bound:
-            self._starts[0] = bound
+        starts, ends = self._starts, self._ends
+        k = bisect.bisect_right(ends, bound)  # ranges wholly below bound
+        if k:
+            self._covered -= sum(ends[:k]) - sum(starts[:k])
+            del starts[:k]
+            del ends[:k]
+        if starts and starts[0] < bound:
+            self._covered -= bound - starts[0]
+            starts[0] = bound
 
     # ------------------------------------------------------------------
     def __contains__(self, value: int) -> bool:
@@ -68,11 +76,18 @@ class IntervalSet:
 
     def covered(self) -> int:
         """Total number of integers present."""
-        return sum(e - s for s, e in zip(self._starts, self._ends))
+        return self._covered
 
     def ranges(self) -> list[tuple[int, int]]:
         """Disjoint present ranges, ascending."""
         return list(zip(self._starts, self._ends))
+
+    def last_ranges(self, count: int, above: int) -> list[tuple[int, int]]:
+        """The ``count`` highest ranges that reach past ``above``
+        (``end > above``), ascending."""
+        n = len(self._ends)
+        lo = max(bisect.bisect_right(self._ends, above), n - count)
+        return list(zip(self._starts[lo:], self._ends[lo:]))
 
     def gaps(self, upto: int, start: int = 0) -> list[tuple[int, int]]:
         """Missing ranges within ``[start, upto)``, ascending."""

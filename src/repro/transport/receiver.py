@@ -318,8 +318,7 @@ class TransportReceiver:
         cum_ack = self.intervals.first_missing(self.delivered_ptr)
         sack: list[tuple[int, int]] = []
         if max_sack_blocks > 0:
-            above = [r for r in self.intervals.ranges() if r[1] > cum_ack]
-            sack = above[-max_sack_blocks:]
+            sack = self.intervals.last_ranges(max_sack_blocks, above=cum_ack)
         unacked: list[tuple[int, int]] = []
         if max_unacked_blocks > 0:
             # Clip gaps to [cum_ack, ...): everything below cum_ack was

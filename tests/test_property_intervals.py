@@ -95,3 +95,38 @@ def test_idempotent_re_add(ranges):
     for start, end in ranges:
         assert s.add(start, end) == 0
     assert s.ranges() == snapshot
+
+
+# An op is ("add", start, end) -- empty and inverted ranges included --
+# or ("remove_below", bound); bounds land below, inside, between and
+# above the ranges.
+ops_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 200), st.integers(-5, 30)).map(
+            lambda t: (t[0], t[1], t[1] + t[2])),
+        st.tuples(st.just("remove_below"), st.integers(0, 240)),
+    ),
+    max_size=40,
+)
+
+
+@given(ops_strategy)
+def test_covered_counter_tracks_every_mutation(ops):
+    s = IntervalSet()
+    expected = set()
+    for op in ops:
+        if op[0] == "add":
+            s.add(op[1], op[2])
+            expected.update(range(op[1], op[2]))
+        else:
+            s.remove_below(op[1])
+            expected = {v for v in expected if v >= op[1]}
+        assert s.covered() == sum(e - b for b, e in s.ranges())
+        assert brute_force_set(s.ranges()) == expected
+
+
+@given(ranges_strategy, st.integers(0, 6), st.integers(0, 240))
+def test_last_ranges_is_the_filtered_tail(ranges, count, above):
+    s = IntervalSet(ranges)
+    reaching = [r for r in s.ranges() if r[1] > above]
+    assert s.last_ranges(count, above) == reaching[max(0, len(reaching) - count):]

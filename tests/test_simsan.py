@@ -211,6 +211,13 @@ class TestInvariantsTrip:
         with pytest.raises(InvariantViolation, match="stream_conservation"):
             sim.san.on_receiver_data(receiver)
 
+    def test_interval_count_counter_drift(self):
+        sim, conn = self.setup_conn()
+        receiver = conn.receiver
+        receiver.intervals._covered += MSS  # corrupt: counter ahead of ranges
+        with pytest.raises(InvariantViolation, match="interval_count"):
+            sim.san.on_receiver_data(receiver)
+
     def test_receiver_delivered_ptr_monotone(self):
         sim, conn = self.setup_conn()
         receiver = conn.receiver
