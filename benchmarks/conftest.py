@@ -3,69 +3,16 @@
 Each bench wraps one experiment from :mod:`repro.experiments`.  The
 resulting tables are printed and written to ``benchmarks/results/`` so
 the regenerated figures survive pytest's output capture.
-
-Setting ``REPRO_BENCH_CACHE=1`` lets benches reuse the campaign
-runner's on-disk result cache (``benchmarks/.cache``) via
-:func:`cached_experiment`: an experiment whose code and parameters are
-unchanged is replayed from disk instead of re-simulated.  Timing
-assertions should not run against cached replays — the cache is for
-iterating on table *shape* checks, not for measuring.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.runner.cache import BENCH_CACHE_ENV, cached_call
-
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-CACHE_DIR = os.path.join(os.path.dirname(__file__), ".cache")
-HISTORY_DIR = os.path.join(RESULTS_DIR, "history")
-CACHE_ENV = BENCH_CACHE_ENV  # single source of truth: repro.runner.cache
 
 
 def record_table(table, name: str) -> None:
     """Print and persist an experiment table."""
     table.show()
     table.save(os.path.join(RESULTS_DIR, f"{name}.txt"))
-
-
-def cached_experiment(name: str, fn, **kwargs):
-    """Run *fn(**kwargs)*, optionally through the runner's result cache.
-
-    Thin wrapper over :func:`repro.runner.cache.cached_call` bound to
-    ``benchmarks/.cache``: with ``REPRO_BENCH_CACHE`` unset this is a
-    plain call; with it set, the result is replayed from disk when the
-    experiment's parameters and the ``repro`` source tree are
-    unchanged, and stored there after a miss.
-    """
-    return cached_call(CACHE_DIR, name, fn, **kwargs)
-
-
-def record_bench_history(bench: str, metrics: dict, config=None,
-                         ungated=()) -> None:
-    """Append every numeric metric of a bench run as a BenchRecord.
-
-    Wall-clock metrics land in ``benchmarks/results/history/`` where
-    ``python -m repro.profile gate`` compares them against the trailing
-    window (see :mod:`repro.bench`).  Metrics named in *ungated* are
-    recorded with no improvement direction — kept as context, exempt
-    from the regression gate (e.g. raw per-mode wall times whose
-    paired-ratio counterparts are the real signal).
-    """
-    from repro.bench import BenchRecord, append_records
-    from repro.profile.cli import infer_better
-
-    meta = {"config": config} if config else {}
-    records = [
-        BenchRecord.make(bench, metric, float(value),
-                         "1/s" if metric.endswith("_per_s") else
-                         ("s" if metric.endswith("_s") else
-                          ("pct" if metric.endswith("_pct") else "")),
-                         better=(None if metric in ungated
-                                 else infer_better(metric)),
-                         meta=meta)
-        for metric, value in sorted(metrics.items())
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    ]
-    append_records(HISTORY_DIR, records)

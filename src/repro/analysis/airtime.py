@@ -21,8 +21,7 @@ from repro.wlan.phy import PhyProfile
 
 def txop_airtime_s(phy: PhyProfile, frame_bytes: int, n_frames: int = 1) -> float:
     """Full cost of one TXOP: DIFS + mean backoff + PPDU + SIFS + ACK."""
-    total = n_frames * phy.mpdu_bytes(frame_bytes)
-    return phy.difs_s + phy.mean_backoff_s() + phy.exchange_airtime(total)
+    return phy.dcf_exchange_s(n_frames * phy.mpdu_bytes(frame_bytes))
 
 
 def ideal_goodput_bps(

@@ -645,7 +645,14 @@ class DiagnosisEngine:
         return {str(fid): rep for fid, rep in sorted(self._done.items())}
 
     def report(self) -> Dict[str, Any]:
-        """The full diagnosis report with its canonical digest."""
+        """The full diagnosis report with its canonical digest.
+
+        Raises ``RuntimeError`` while any flow is still open: its
+        report would silently lack that flow (call :meth:`finalize`)."""
+        if self._flows:
+            raise RuntimeError(
+                f"report() before finalize(): flows {sorted(self._flows)} "
+                "are still open")
         flows = self.flows()
         return {
             "schema": REPORT_SCHEMA,

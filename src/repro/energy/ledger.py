@@ -122,9 +122,7 @@ class EnergyLedger:
         mean backoff + PPDU + SIFS + link-ACK (cached per size)."""
         a = self._airtime_cache.get(size_bytes)
         if a is None:
-            phy = self.phy
-            a = (phy.difs_s + phy.mean_backoff_s()
-                 + phy.exchange_airtime(phy.mpdu_bytes(size_bytes)))
+            a = self.phy.dcf_exchange_s(self.phy.mpdu_bytes(size_bytes))
             self._airtime_cache[size_bytes] = a
         return a
 

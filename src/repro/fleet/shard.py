@@ -276,8 +276,7 @@ class _ShardRun:
         ack_airtime_s = en["ack_airtime_s"]
         per_ack_airtime_s = (
             ack_airtime_s / en["ack_pkts"] if en["ack_pkts"]
-            else phy.difs_s + phy.mean_backoff_s()
-            + phy.exchange_airtime(phy.mpdu_bytes(64)))
+            else phy.dcf_exchange_s(phy.mpdu_bytes(64)))
 
         return {
             "shard_id": spec.shard_id,

@@ -28,7 +28,6 @@ DEFAULT_EXEMPT = (
     "*/repro/telemetry/cli.py",
     "*/repro/telemetry/__main__.py",
     "*/repro/profile/*",
-    "*/repro/bench/*",
     # fleet host plumbing: campaign orchestration, durable manifest
     # I/O, aggregation, CLI.  The *generators* (workload.py, shard.py)
     # are NOT here — they are simulation code and stay under the
@@ -93,9 +92,8 @@ DEFAULT_TELEMETRY_HOST_FILES = ("cli.py", "__main__.py", "convert.py")
 
 #: Simulation-side packages covered by REP007 (profiler isolation) and
 #: REP008 (no hard-coded RNG seeds): they may hold the null-guard
-#: profiler hook but must not import ``repro.profile`` /
-#: ``repro.bench``, touch a profiler reference unguarded, or bake a
-#: literal seed into an RNG.
+#: profiler hook but must not import ``repro.profile``, touch a
+#: profiler reference unguarded, or bake a literal seed into an RNG.
 DEFAULT_SIM_PACKAGES = (
     "netsim",
     "transport",

@@ -314,7 +314,7 @@ def rep006_telemetry_sim_clock(tree: ast.AST, path: str, config: LintConfig) -> 
 # REP007 — profiler isolation in simulation code
 # ----------------------------------------------------------------------
 
-_PROFILE_PACKAGES = ("repro.profile", "repro.bench")
+_PROFILE_PACKAGES = ("repro.profile",)
 
 
 def _is_profiler_leaf(leaf: str) -> bool:
@@ -343,8 +343,8 @@ def rep007_profiler_isolation(tree: ast.AST, path: str, config: LintConfig) -> L
     """Simulation code may *hold* a profiler but never depend on it.
 
     The host-side fence has two halves: sim packages must not import
-    ``repro.profile`` / ``repro.bench`` (the profiler arrives by
-    injection, keeping the wall clock out of the dependency graph),
+    ``repro.profile`` (the profiler arrives by injection, keeping the
+    wall clock out of the dependency graph),
     and every method call on a profiler reference (``self.profiler``,
     ``prof``, ``*_prof``) must sit inside an ``... is not None`` guard
     on that same name — otherwise a disabled simulation would reach
@@ -368,7 +368,7 @@ def rep007_profiler_isolation(tree: ast.AST, path: str, config: LintConfig) -> L
                     "REP007",
                     f"simulation code imports `{mod}`; profilers are "
                     "injected by the host (hold the reference, never "
-                    "import repro.profile/repro.bench)",
+                    "import repro.profile)",
                     path, node.lineno, node.col_offset,
                 ))
 
@@ -470,7 +470,7 @@ RULE_SUMMARIES: Dict[str, str] = {
     "REP005": "no mutable default arguments",
     "REP006": "sim-side telemetry must stamp events from the sim clock",
     "REP007": "sim code must hold profilers behind `is not None` guards, "
-              "never import repro.profile/repro.bench",
+              "never import repro.profile",
     "REP008": "no hard-coded RNG seeds (`random.Random(<literal>)`) in "
               "simulation code",
 }

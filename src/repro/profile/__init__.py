@@ -21,9 +21,8 @@ None`` guards (reprolint REP007 keeps sim-side modules from importing
 this package or touching the profiler unguarded), so a simulation
 without a profiler pays one attribute test per hook site.
 
-The CLI (``python -m repro.profile``) adds ``top`` (profile a canned
-workload and print the hottest handlers) plus the benchmark-history
-commands ``record | compare | gate`` backed by :mod:`repro.bench`.
+The CLI (``python -m repro.profile top``) profiles a canned workload
+and prints the hottest handlers.
 """
 
 from repro.profile.profiler import Profiler

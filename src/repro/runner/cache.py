@@ -25,36 +25,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.runner.task import Task, task_signature
 
-#: Environment flag that opts ad-hoc callers (the benchmark suite) into
-#: cached replays.  Shared with ``benchmarks/conftest.py`` so the bench
-#: harness and the runner can never drift apart on the switch name.
-BENCH_CACHE_ENV = "REPRO_BENCH_CACHE"
-
-
-def cached_call(cache_dir: str, name: str, fn, *,
-                env: Optional[str] = BENCH_CACHE_ENV, **kwargs) -> Any:
-    """Run ``fn(**kwargs)`` through the result cache, gated by *env*.
-
-    This is the one-call version of the campaign cache for callers
-    outside a :class:`~repro.runner.campaign.Campaign` (benchmarks,
-    scripts).  With the *env* variable unset the call is a plain
-    ``fn(**kwargs)``; with it set, the value is served from
-    *cache_dir* when the parameters and the ``repro`` source tree are
-    unchanged (same content-hash key the campaign runner uses) and
-    stored there after a miss.  Pass ``env=None`` to cache
-    unconditionally.
-    """
-    if env is not None and not os.environ.get(env):
-        return fn(**kwargs)
-    cache = ResultCache(cache_dir, code_fingerprint())
-    key = cache.key_for(Task(name, fn, kwargs=kwargs))
-    hit, value = cache.load(key)
-    if hit:
-        return value
-    value = fn(**kwargs)
-    cache.store(key, value)
-    return value
-
 
 def code_fingerprint(package: str = "repro") -> str:
     """sha256 over every ``.py`` source file of *package*.

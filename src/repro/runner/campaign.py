@@ -22,7 +22,6 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.bench.record import file_sha256
 from repro.runner.cache import ResultCache, code_fingerprint
 from repro.telemetry.trace_io import trace_digest
 from repro.runner.manifest import build_manifest, write_manifest
@@ -72,29 +71,22 @@ class Campaign:
 
     def add(self, name: str, fn: Callable[..., Any],
             seed: Optional[int] = None, trace_path: Optional[str] = None,
-            profile_path: Optional[str] = None,
             **kwargs: Any) -> Task:
         """Append a task; its seed defaults to ``derive_seed(base, name)``.
 
         Passing *trace_path* opts the task into telemetry capture: the
         path is forwarded to *fn* as a ``trace_path`` keyword and the
         finished trace's sha256 lands in the manifest (see
-        :class:`repro.runner.task.Task`).  *profile_path* works the
-        same way for host-side profiling: *fn* receives it as a
-        ``profile_path`` keyword, writes the ``repro.profile`` JSON
-        report there, and the artifact is digested into the manifest.
+        :class:`repro.runner.task.Task`).
         """
         if name in self._names:
             raise ValueError(f"duplicate task name {name!r}")
         if trace_path is not None:
             kwargs["trace_path"] = trace_path
-        if profile_path is not None:
-            kwargs["profile_path"] = profile_path
         task = Task(name=name, fn=fn, kwargs=kwargs,
                     seed=derive_seed(self.base_seed, name)
                     if seed is None else seed,
-                    trace_path=trace_path,
-                    profile_path=profile_path)
+                    trace_path=trace_path)
         self._names.add(name)
         self.tasks.append(task)
         return task
@@ -131,10 +123,9 @@ class Campaign:
         misses: List[Task] = []
         keys: Dict[str, str] = {}
         for task in self.tasks:
-            if (cache is None or task.trace_path is not None
-                    or task.profile_path is not None):
-                # Traced/profiled tasks bypass the cache: a hit would
-                # return the table without regenerating the artifact.
+            if cache is None or task.trace_path is not None:
+                # Traced tasks bypass the cache: a hit would return
+                # the table without regenerating the trace.
                 misses.append(task)
                 continue
             key = cache.key_for(task)
@@ -155,8 +146,7 @@ class Campaign:
 
         def settle(result: TaskResult) -> None:
             task = next(t for t in self.tasks if t.name == result.name)
-            if (cache is not None and task.trace_path is None
-                    and task.profile_path is None):
+            if cache is not None and task.trace_path is None:
                 result.cache = "miss"
                 if result.ok:
                     cache.store(
@@ -172,12 +162,6 @@ class Campaign:
                 result.trace = {
                     "path": task.trace_path,
                     "sha256": trace_digest(task.trace_path),
-                }
-            if (task.profile_path is not None and result.ok
-                    and os.path.isfile(task.profile_path)):
-                result.profile = {
-                    "path": task.profile_path,
-                    "sha256": file_sha256(task.profile_path),
                 }
             results[result.name] = result
             if on_result is not None:

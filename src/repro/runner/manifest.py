@@ -21,8 +21,7 @@ reproduce the run.  Schema (version 1)::
         {"name": ..., "status": "ok"|"failed", "failure": null|"error"|
          "timeout"|"crashed", "cache": "hit"|"miss"|"off",
          "attempts": 1, "wall_time_s": 0.8, "seed": 123, "error": null,
-         "trace": null|{"path": ..., "sha256": "..."},
-         "profile": null|{"path": ..., "sha256": "..."}},
+         "trace": null|{"path": ..., "sha256": "..."}},
         ...
       ]
     }
@@ -69,7 +68,6 @@ def build_manifest(campaign: str, results: Sequence[TaskResult], *,
         "seed": r.seed,
         "error": r.error,
         "trace": r.trace,
-        "profile": r.profile,
     } for r in results]
     return {
         "schema_version": SCHEMA_VERSION,

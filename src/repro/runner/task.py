@@ -39,12 +39,6 @@ class Task:
     finished trace is digested into the run manifest.  Traced tasks
     always execute (the result cache is bypassed) — a cache hit would
     return the table without regenerating the trace file.
-
-    ``profile_path`` does the same for host-side profiling
-    (:mod:`repro.profile`): the callable receives it as a
-    ``profile_path`` keyword, writes the profiler's JSON report there,
-    and the manifest records the artifact path plus its sha256.  Like
-    traced tasks, profiled tasks bypass the result cache.
     """
 
     name: str
@@ -52,7 +46,6 @@ class Task:
     kwargs: Dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
     trace_path: Optional[str] = None
-    profile_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not callable(self.fn):
@@ -103,7 +96,6 @@ class TaskResult:
     cache: str = "off"              # "hit" | "miss" | "off"
     seed: Optional[int] = None
     trace: Optional[Dict[str, Any]] = None  # {"path", "sha256"} if traced
-    profile: Optional[Dict[str, Any]] = None  # {"path", "sha256"} if profiled
 
     @property
     def ok(self) -> bool:

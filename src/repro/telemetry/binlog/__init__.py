@@ -15,10 +15,10 @@ profile that defines "always-on mode": a flight recorder, not an
 analysis trace.  The per-packet firehose categories keep sparse
 counter-based 1-in-N spans, the per-feedback categories (ack / cc)
 denser ones, and the rare categories (chaos) everything — chosen so
-the whole mode stays under the enforced <10% overhead budget of
-``bench_telemetry_overhead``.  Because sampling lives in the
-collector (not the sink), a JSONL and a binary trace of the same
-seeded run keep the *same* events.
+the whole mode is cheap enough to leave on (``telemetry.overhead_pct``
+in ``benchmarks/perf/planes.py`` measures it).  Because sampling
+lives in the collector (not the sink), a JSONL and a binary trace of
+the same seeded run keep the *same* events.
 """
 
 from repro.telemetry.binlog.convert import (

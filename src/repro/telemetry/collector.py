@@ -128,9 +128,9 @@ class TraceCollector:
             if tel is not None and tel.gate("netsim"):
                 tel.emit_kept("netsim", "delivered", fid, nbytes=...)
 
-        That kwargs-construction skip is what brings always-on binary
-        tracing under its overhead budget (see
-        ``bench_telemetry_overhead``).
+        That kwargs-construction skip is what keeps always-on binary
+        tracing cheap (``telemetry.overhead_pct`` in
+        ``benchmarks/perf/planes.py`` measures it).
         """
         if self._categories is not None and category not in self._categories:
             self.events_dropped += 1

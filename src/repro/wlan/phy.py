@@ -99,6 +99,12 @@ class PhyProfile:
         PPDU + SIFS + (block-)ACK."""
         return self.ppdu_airtime(total_mpdu_bytes, rate_bps) + self.sifs_s + self.ack_s
 
+    def dcf_exchange_s(self, total_mpdu_bytes: int) -> float:
+        """Full cost of one uncontended DCF exchange at the top rate:
+        DIFS + mean initial backoff + PPDU + SIFS + (block-)ACK."""
+        return (self.difs_s + self.mean_backoff_s()
+                + self.exchange_airtime(total_mpdu_bytes))
+
     def rate_table(self) -> list[float]:
         """Descending MCS rates for rate adaptation (a simplified
         4-step ladder anchored at the profile's top rate)."""
@@ -123,8 +129,7 @@ class PhyProfile:
         """
         n = self.aggregate_limit(wire_bytes)
         total = n * self.mpdu_bytes(wire_bytes)
-        cycle = self.difs_s + self.mean_backoff_s() + self.exchange_airtime(total)
-        return n * payload_bytes * 8.0 / cycle
+        return n * payload_bytes * 8.0 / self.dcf_exchange_s(total)
 
     def aggregate_limit(self, wire_bytes: int) -> int:
         """Max MPDUs of ``wire_bytes`` that fit one A-MPDU."""

@@ -204,13 +204,24 @@ class TestRingSink:
             ring.append(TraceEvent(0.0, "transport", "blob", 0,
                                    {"nested": {"note": "y" * 4096}}))
 
-    def test_always_on_collector_samples_into_ring(self):
+    def test_always_on_collector_samples_into_ring(self, tmp_path):
         collector = always_on_collector()
         delivered = _seeded_run(collector)
         assert delivered > 0
         assert isinstance(collector.sink, BinaryRingSink)
         assert 0 < collector.events_emitted
         assert collector.sink.appended == collector.events_emitted
+        # Sampled, not silent — and no sink perturbs the run or thins
+        # what a full-fidelity collector keeps.
+        full = [TraceCollector(sink) for sink in (
+            MemorySink(), BinaryRingSink(),
+            JsonlSink(str(tmp_path / "t.jsonl")),
+            BinaryFileSink(str(tmp_path / "t.rtb")))]
+        assert {_seeded_run(c) for c in [None, *full]} == {delivered}
+        assert len({c.events_emitted for c in full}) == 1
+        assert collector.events_emitted < full[0].events_emitted
+        for c in full:
+            c.close()
 
 
 class TestTruncationAndCli:

@@ -135,6 +135,14 @@ class TestStateMachine:
         drive(b, noisy)
         assert a.report()["digest"] == b.report()["digest"]
 
+    def test_report_before_finalize_raises_naming_open_flows(self):
+        engine = DiagnosisEngine()
+        drive(engine, basic_lifetime()[:-1])      # no close event
+        with pytest.raises(RuntimeError, match=r"flows \[0\]"):
+            engine.report()
+        engine.finalize()
+        assert list(engine.report()["flows"]) == ["0"]
+
 
 class TestAnomalies:
     def test_ack_starvation_episode_split(self):

@@ -16,7 +16,8 @@ reach the planes must reproduce each one exactly:
   the digest of its live diagnosis report (which the offline replay of
   that trace must equal);
 * planes: attaching any subset of telemetry / diagnosis / energy /
-  simsan leaves ``events_fired`` and delivered bytes untouched.
+  simsan / profiler leaves ``events_fired`` and delivered bytes
+  untouched.
 
 Legacy scoreboard
 -----------------
@@ -64,6 +65,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.loss import PatternLoss
 from repro.netsim.packet import PacketType
 from repro.netsim.paths import wired_path
+from repro.profile import Profiler
 from repro.telemetry import TraceCollector, trace_digest
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -71,7 +73,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CHAOS_SCENARIOS = ("blackout", "ack-path-loss", "route-change",
                    "adv-optimistic-acker")
 CHAOS_SCHEMES = ("tcp-tack", "tcp-bbr")
-PLANES = ("telemetry", "diagnosis", "energy", "simsan")
+PLANES = ("telemetry", "diagnosis", "energy", "simsan", "profiler")
 
 LEGACY_SCENARIOS = ("burst-loss", "jitter-reorder", "dup-corrupt",
                     "kitchen-sink")
@@ -116,7 +118,8 @@ def plane_run(attached: tuple) -> tuple:
         seed=5, simsan="simsan" in attached,
         telemetry=TraceCollector() if "telemetry" in attached else None,
         diagnosis=FlowDoctor() if "diagnosis" in attached else None,
-        energy=EnergyLedger() if "energy" in attached else None)
+        energy=EnergyLedger() if "energy" in attached else None,
+        profiler=Profiler() if "profiler" in attached else None)
     path = wired_path(sim, rate_bps=20e6, rtt_s=0.04, data_loss=0.01)
     conn = make_connection(sim, "tcp-tack", initial_rtt_s=0.04)
     conn.wire(path.forward, path.reverse)

@@ -25,6 +25,8 @@ from repro.transport.guard import AWND_MAX, GuardConfig, resolve_strict
 from repro.telemetry import TraceCollector
 from repro.transport.sender import SACKED, TransportSender
 
+from conftest import build_wired_connection, run_bulk
+
 
 class StubPort:
     def __init__(self):
@@ -120,6 +122,7 @@ class TestWireFormHardening:
         sender, _ = established_sender(
             sim, guard=GuardConfig(enabled=False))
         assert sender.guard is None
+        assert sender._wd_timer is None       # watchdog never armed
         sender.set_total(4 * MSS)
         sim.run(until=0.05)
         bad = fb_for(MSS)
@@ -127,6 +130,21 @@ class TestWireFormHardening:
         feed(sender, bad)
         assert sender.cum_acked == 0
         assert sender.stats.feedback_rejected == 1
+
+    def test_guard_is_observe_only_on_a_clean_flow(self):
+        def connection_second(guard):
+            sim = Simulator(seed=2)
+            conn, _ = build_wired_connection(sim, "tcp-tack", rate_bps=50e6,
+                                             rtt_s=0.04, guard=guard)
+            return run_bulk(sim, conn, 1.0)
+
+        on = connection_second(None)
+        off = connection_second(GuardConfig(enabled=False))
+        assert off.sender.guard is None
+        assert on.sender.guard.frames > 50     # every frame admitted...
+        assert on.sender.guard.total == 0      # ...none a violation
+        assert (on.receiver.stats.bytes_delivered
+                == off.receiver.stats.bytes_delivered > 2e6)
 
 
 class TestCumAckRule:

@@ -72,7 +72,8 @@ def test_doctor_only_run_builds_no_trace_only_events(scheme):
 
 
 def test_nothing_attached_leaves_no_bus():
-    assert Simulator(seed=1).probes is None
+    sim = Simulator(seed=1)
+    assert sim.probes is None and sim.telemetry is None
 
 
 def test_no_second_set_of_doctor_hooks():

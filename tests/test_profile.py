@@ -1,5 +1,5 @@
 """repro.profile: the profiler, engine/endpoint instrumentation,
-collapsed-stack export, campaign integration, and the `top` CLI."""
+collapsed-stack export, and the `top` CLI."""
 
 import json
 import os
@@ -128,7 +128,8 @@ class TestEngineInstrumentation:
         assert prof.events_fired == 1
 
     def test_profiling_does_not_perturb_simulation(self):
-        prof, conn = profiled_connection_second()
+        _, conn = profiled_connection_second()
+        _, lean = profiled_connection_second(histogram=False)
         sim2 = Simulator(seed=1)
         path2 = wired_path(sim2, 50e6, 0.04)
         conn2 = make_connection(sim2, "tcp-tack", initial_rtt_s=0.04)
@@ -136,6 +137,7 @@ class TestEngineInstrumentation:
         conn2.start_bulk()
         sim2.run(until=0.25)
         assert (conn.receiver.stats.bytes_delivered
+                == lean.receiver.stats.bytes_delivered
                 == conn2.receiver.stats.bytes_delivered)
 
     def test_disabled_mode_leaves_methods_unbound(self):
@@ -214,61 +216,6 @@ class TestReportAndExport:
         assert report["memory"] is not None
         assert report["memory"]["peak_bytes"] > 0
         assert report["memory"]["top"]
-
-
-class TestCampaignIntegration:
-    def test_profile_path_forwarded_and_digested(self, tmp_path):
-        from repro.bench.record import file_sha256
-        from repro.runner import Campaign
-
-        out = str(tmp_path / "task.profile.json")
-        campaign = Campaign("profiled", base_seed=7)
-        campaign.add("profiled-run", _profiled_task, profile_path=out,
-                     duration_s=0.05)
-        result = campaign.run().result("profiled-run")
-        assert result.ok
-        assert result.profile["path"] == out
-        assert result.profile["sha256"] == file_sha256(out)
-        manifest_task = [t for t in campaign.run().manifest["tasks"]
-                         if t["name"] == "profiled-run"][0]
-        assert manifest_task["profile"]["path"] == out
-
-    def test_profiled_task_bypasses_cache(self, tmp_path):
-        from repro.runner import Campaign
-
-        out = str(tmp_path / "p.json")
-        for _ in range(2):
-            campaign = Campaign("profiled", base_seed=7)
-            campaign.add("run", _profiled_task, profile_path=out,
-                         duration_s=0.05)
-            result = campaign.run(
-                cache_dir=str(tmp_path / "cache")).result("run")
-            assert result.cache == "off"  # never hit, never stored
-            assert result.ok
-
-    def test_unprofiled_tasks_unaffected(self, tmp_path):
-        from repro.runner import Campaign
-        campaign = Campaign("plain", base_seed=7)
-        campaign.add("plain", _plain_task)
-        result = campaign.run().result("plain")
-        assert result.ok and result.profile is None
-
-
-def _profiled_task(seed=0, duration_s=0.05, profile_path=None):
-    prof = Profiler(label="task")
-    sim = Simulator(seed=seed or 1, profiler=prof)
-    path = wired_path(sim, 20e6, 0.02)
-    conn = make_connection(sim, "tcp-tack", initial_rtt_s=0.02)
-    conn.wire(path.forward, path.reverse)
-    conn.start_bulk()
-    sim.run(until=duration_s)
-    if profile_path is not None:
-        prof.write_json(profile_path)
-    return conn.receiver.stats.bytes_delivered
-
-
-def _plain_task(seed=0):
-    return seed
 
 
 class TestTopCli:

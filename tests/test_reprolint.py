@@ -130,7 +130,7 @@ class TestRuleFiring:
 
     def test_rep007_import_of_profile_packages(self):
         assert codes("from repro.profile import Profiler\n") == ["REP007"]
-        assert codes("import repro.bench\n") == ["REP007"]
+        assert codes("import repro.profile\n") == ["REP007"]
         assert codes("from repro.profile.profiler import Profiler\n") == \
             ["REP007"]
 
