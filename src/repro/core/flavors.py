@@ -55,7 +55,6 @@ def _tack_scheme(cc_factory: Callable[[], CongestionController],
             cc._initial_rtt_s = initial_rtt_s
         config = ConnectionConfig(
             receiver_driven=True,
-            use_receiver_rate=True,
             timing_mode=tack_params.timing_mode,
             rcv_buffer_bytes=rcv_buffer,
             flow_id=flow_id,
@@ -75,7 +74,6 @@ def _legacy_scheme(cc_factory: Callable[[], CongestionController],
             cc._initial_rtt_s = initial_rtt_s
         config = ConnectionConfig(
             receiver_driven=False,
-            use_receiver_rate=False,
             rcv_buffer_bytes=rcv_buffer,
             flow_id=flow_id,
             guard=guard,

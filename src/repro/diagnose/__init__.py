@@ -4,8 +4,8 @@ The package classifies every instant of a flow's lifetime into one of
 the exclusive send-limit states of :mod:`repro.diagnose.states`, either
 **live** (a :class:`FlowDoctor` subscribed to the simulator's probe
 bus, the stream the telemetry trace records) or **offline** (replaying
-any schema-v1 trace, JSONL or binary, through the same reducer).  Both
-paths observe the very same events, so their reports — and the report
+any schema-v1 JSONL trace through the same reducer).  Both paths
+observe the very same events, so their reports — and the report
 digests — are byte-identical.
 
 Layering:

@@ -25,9 +25,9 @@ from repro.diagnose.offline import diagnose_trace
 __all__ = ["main"]
 
 
-def _load_report(path: str, allow_truncated: bool) -> Dict[str, Any]:
+def _load_report(path: str) -> Dict[str, Any]:
     try:
-        return diagnose_trace(path, allow_truncated=allow_truncated)
+        return diagnose_trace(path)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
 
@@ -70,7 +70,7 @@ def _print_report(report: Dict[str, Any], path: str) -> None:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    report = _load_report(args.trace, args.allow_truncated)
+    report = _load_report(args.trace)
     if args.json:
         json.dump(report, sys.stdout, indent=None if args.compact else 2,
                   sort_keys=True)
@@ -85,7 +85,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    report = _load_report(args.trace, args.allow_truncated)
+    report = _load_report(args.trace)
     flows = report["flows"]
     if args.flow is not None:
         flows = {k: v for k, v in flows.items() if k == str(args.flow)}
@@ -120,8 +120,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    report_a = _load_report(args.trace_a, args.allow_truncated)
-    report_b = _load_report(args.trace_b, args.allow_truncated)
+    report_a = _load_report(args.trace_a)
+    report_b = _load_report(args.trace_b)
     result = explain_reports(report_a, report_b,
                              label_a=args.label_a, label_b=args.label_b)
     if args.json:
@@ -156,8 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="single-line JSON (implies --json)")
     p_report.add_argument("--save", metavar="PATH",
                           help="also write the JSON report to PATH")
-    p_report.add_argument("--allow-truncated", action="store_true",
-                          help="accept a binary trace missing its trailer")
     p_report.set_defaults(fn=cmd_report)
 
     p_check = sub.add_parser(
@@ -169,7 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--flow", type=int, default=None,
                          help="check only this flow id")
     p_check.add_argument("--max-anomalies", type=int, default=None)
-    p_check.add_argument("--allow-truncated", action="store_true")
     p_check.set_defaults(fn=cmd_check)
 
     p_explain = sub.add_parser(
@@ -180,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--label-b", default="B")
     p_explain.add_argument("--json", action="store_true")
     p_explain.add_argument("--save", metavar="PATH")
-    p_explain.add_argument("--allow-truncated", action="store_true")
     p_explain.set_defaults(fn=cmd_explain)
     return parser
 

@@ -16,7 +16,7 @@ from repro.diagnose.live import FlowDoctor
 from repro.experiments.table import Table
 from repro.netsim.engine import Simulator
 from repro.netsim.paths import wired_path, wlan_path
-from repro.telemetry import BinaryFileSink, JsonlSink, TraceCollector
+from repro.telemetry import JsonlSink, TraceCollector
 from repro.wlan.phy import PHY_PROFILES
 
 # Effective transport-level bandwidths (paper Fig. 7 UDP baselines).
@@ -72,20 +72,15 @@ def run_measured(rtt_s: float = 0.08, duration_s: float = 5.0,
 
 def run_traced(trace_path: Optional[str] = None, rate_bps: float = 20e6,
                rtt_s: float = 0.04, duration_s: float = 6.0,
-               warmup_s: float = 2.0, seed: int = 7,
-               binary: bool = False) -> Table:
+               warmup_s: float = 2.0, seed: int = 7) -> Table:
     """Fig. 8-style single-link run with full telemetry capture.
 
     A bulk TCP-TACK flow over a wired bottleneck, traced end to end:
     the trace written to *trace_path* carries every ``ack`` event with
     its emission reason, so the Eq. (3) frequency can be re-derived
     offline from the trace alone (``python -m repro.telemetry
-    summarize``).  With ``binary=True`` the trace is written through a
-    :class:`BinaryFileSink` instead of JSONL; run ``python -m
-    repro.telemetry convert`` on it to get the byte-identical JSONL a
-    live ``JsonlSink`` would have produced.  Returns the same
-    analytic-vs-measured table as :func:`run_measured` for the one
-    link.
+    summarize``).  Returns the same analytic-vs-measured table as
+    :func:`run_measured` for the one link.
 
     A live flow doctor rides along: when a trace is written, the
     diagnosis report lands next to it at ``<trace_path>.diagnosis.json``
@@ -97,12 +92,7 @@ def run_traced(trace_path: Optional[str] = None, rate_bps: float = 20e6,
         "rtt_s": rtt_s, "duration_s": duration_s,
         "warmup_s": warmup_s, "seed": seed,
     }
-    if trace_path is None:
-        sink = None
-    elif binary:
-        sink = BinaryFileSink(trace_path, meta=meta)
-    else:
-        sink = JsonlSink(trace_path, meta=meta)
+    sink = JsonlSink(trace_path, meta=meta) if trace_path is not None else None
     collector = TraceCollector(sink=sink)
     doctor = FlowDoctor()
     sim = Simulator(seed=seed, telemetry=collector, diagnosis=doctor)

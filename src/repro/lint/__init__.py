@@ -18,10 +18,8 @@ REP101-105  unit/dimension dataflow analysis (``--units``); see
 ==========  =====================================================
 
 Run ``python -m repro.lint src/`` (or the ``reprolint`` entry point);
-``--units`` adds the inter-procedural unit checker, ``--jobs N``
-parallelizes across files.  Suppress individual findings with
-``# reprolint: disable=REPxxx``; pre-existing unit findings live in
-the committed baseline (``reprolint-units.baseline.json``).
+``--units`` adds the inter-procedural unit checker.  Suppress
+individual findings with ``# reprolint: disable=REPxxx``.
 Configuration lives in ``[tool.reprolint]`` / ``[tool.reprolint.units]``
 in ``pyproject.toml``.
 """

@@ -1,7 +1,6 @@
 """Command-line front end: ``python -m repro.lint`` / ``reprolint``.
 
-Exit codes: 0 clean, 1 findings reported (or stale baseline under
-``--check-baseline``), 2 usage/configuration error.
+Exit codes: 0 clean, 1 findings reported, 2 usage/configuration error.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ from typing import Optional, Sequence
 from repro.lint.config import find_pyproject, load_config
 from repro.lint.engine import LintResult, lint_paths
 from repro.lint.rules import RULE_SUMMARIES
-from repro.lint.units import UNIT_RULE_SUMMARIES, Baseline
+from repro.lint.units import UNIT_RULE_SUMMARIES
 
 #: JSON report schema version; bump on incompatible change.
-#: v2 added baseline/stale-baseline accounting and the units rules.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 #: REP009 has no rule function; it is emitted by the pragma engine.
 ENGINE_SUMMARIES = {
@@ -43,25 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None,
                         help="pyproject.toml with a [tool.reprolint] table "
                              "(default: discovered upward from the first path)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="lint files on N worker processes "
-                             "(default: 1; output is identical)")
     parser.add_argument("--units", action="store_true",
                         help="run the inter-procedural unit/dimension "
                              "checker (REP101-REP105)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline file of accepted findings (default: "
-                             "[tool.reprolint.units].baseline next to the "
-                             "pyproject, when it exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any configured baseline")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write the current findings to the baseline "
-                             "file and exit 0")
-    parser.add_argument("--check-baseline", action="store_true",
-                        help="also fail (exit 1) when the baseline holds "
-                             "stale entries that no finding matches — the "
-                             "ratchet: regenerate with --write-baseline")
     parser.add_argument("--report-unused-pragmas", action="store_true",
                         help="report pragmas that suppress nothing (REP009)")
     parser.add_argument("--list-rules", action="store_true",
@@ -73,22 +55,12 @@ def _report_text(result: LintResult) -> str:
     findings, checked = result.findings, result.files_checked
     lines = [f.render() for f in findings]
     counts = Counter(f.code for f in findings)
-    for entry in result.stale_baseline:
-        lines.append(f"stale baseline entry: {entry.path}: {entry.code} "
-                     f"{entry.message} (x{entry.count})")
-    tail = []
-    if result.baselined:
-        tail.append(f"{result.baselined} baselined")
-    if result.stale_baseline:
-        tail.append(f"{len(result.stale_baseline)} stale baseline entr"
-                    f"{'y' if len(result.stale_baseline) == 1 else 'ies'}")
-    suffix = f" [{', '.join(tail)}]" if tail else ""
     if findings:
         summary = ", ".join(f"{code}: {n}" for code, n in sorted(counts.items()))
         lines.append(f"{len(findings)} finding(s) in {checked} file(s) "
-                     f"({summary}){suffix}")
+                     f"({summary})")
     else:
-        lines.append(f"clean: {checked} file(s), 0 findings{suffix}")
+        lines.append(f"clean: {checked} file(s), 0 findings")
     return "\n".join(lines)
 
 
@@ -99,29 +71,8 @@ def _report_json(result: LintResult) -> str:
         "files_checked": result.files_checked,
         "findings": [f.to_dict() for f in findings],
         "counts": dict(sorted(Counter(f.code for f in findings).items())),
-        "baselined": result.baselined,
-        "stale_baseline": [
-            {"path": e.path, "code": e.code, "message": e.message,
-             "count": e.count}
-            for e in result.stale_baseline
-        ],
     }
     return json.dumps(payload, indent=2)
-
-
-def _resolve_baseline_path(args, pyproject: Optional[Path],
-                           config) -> Optional[Path]:
-    """The baseline file to use, or None when none applies."""
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return args.baseline
-    if pyproject is None:
-        return None
-    candidate = pyproject.parent / config.units.baseline
-    if candidate.is_file() or args.write_baseline:
-        return candidate
-    return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -131,9 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                               **UNIT_RULE_SUMMARIES}.items():
             print(f"{code}  {summary}")
         return 0
-    if args.jobs < 1:
-        print("reprolint: --jobs must be >= 1", file=sys.stderr)
-        return 2
 
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
@@ -147,33 +95,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     config = load_config(pyproject)
 
-    baseline_path = _resolve_baseline_path(args, pyproject, config)
-
-    if args.write_baseline:
-        if baseline_path is None:
-            print("reprolint: --write-baseline needs --baseline or a "
-                  "pyproject.toml to anchor the file", file=sys.stderr)
-            return 2
-        result = lint_paths(paths, config, jobs=args.jobs, units=args.units,
-                            report_unused_pragmas=args.report_unused_pragmas)
-        baseline = Baseline.from_findings(result.findings,
-                                          baseline_path.parent)
-        baseline.save(baseline_path)
-        print(f"wrote {baseline.size} entr"
-              f"{'y' if baseline.size == 1 else 'ies'} to {baseline_path}")
-        return 0
-
-    baseline = Baseline.load(baseline_path) if baseline_path else None
-    result = lint_paths(paths, config, jobs=args.jobs, units=args.units,
-                        report_unused_pragmas=args.report_unused_pragmas,
-                        baseline=baseline)
+    result = lint_paths(paths, config, units=args.units,
+                        report_unused_pragmas=args.report_unused_pragmas)
     report = (_report_json if args.format == "json" else _report_text)(result)
     print(report)
-    if result.findings:
-        return 1
-    if args.check_baseline and result.stale_baseline:
-        return 1
-    return 0
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

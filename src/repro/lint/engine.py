@@ -1,4 +1,4 @@
-"""reprolint driver: file discovery, pragmas, rule dispatch, parallelism.
+"""reprolint driver: file discovery, pragmas, rule dispatch.
 
 Pragmas
 -------
@@ -21,12 +21,6 @@ comment sits.  A pragma on a line of its own covers only that line.
 Unused pragmas rot as rules and code evolve; ``--report-unused-pragmas``
 (ruff ``RUF100``-style) reports every pragma code that suppressed
 nothing as REP009.
-
-Parallelism
------------
-``lint_paths(..., jobs=N)`` fans the per-file phases out over a
-``multiprocessing`` pool.  Ordering stays deterministic: results are
-merged in input order and sorted, so ``--jobs`` never changes output.
 """
 
 from __future__ import annotations
@@ -41,15 +35,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.lint.config import LintConfig
 from repro.lint.rules import DETERMINISM_RULES, RULES, Finding
-from repro.lint.units.baseline import Baseline, BaselineEntry
-from repro.lint.units.checker import (
-    UNIT_RULE_SUMMARIES,
-    build_summary,
-    check_module,
-    infer_returns,
-    resolve_index,
-)
-from repro.lint.units.model import ModuleSummary, UnitIndex
+from repro.lint.units.checker import UNIT_RULE_SUMMARIES, analyze_units
 
 _PRAGMA_RE = re.compile(
     r"#\s*reprolint:\s*(disable(?:-file)?)\s*(?:=\s*([A-Z0-9,\s]+))?"
@@ -284,7 +270,7 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 
 
 # ----------------------------------------------------------------------
-# multi-file driver (optionally parallel, optionally units-checking)
+# multi-file driver (optionally units-checking)
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -297,209 +283,55 @@ class LintResult:
 
     findings: List[Finding]
     files_checked: int
-    baselined: int = 0
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
 
     def __iter__(self):
         return iter((self.findings, self.files_checked))
 
 
-def _phase_rules(task: Tuple[str, bool]) -> Tuple[str, List[dict], Optional[ModuleSummary]]:
-    """Worker: parse one file, run per-file rules (+ summary when units on)."""
-    path, units = task
-    config = _WORKER["config"]
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        finding = Finding("REP000", f"syntax error: {exc.msg}", path,
-                          exc.lineno or 1, (exc.offset or 1) - 1)
-        return path, [finding.to_dict()], None
-    except OSError as exc:
-        finding = Finding("REP000", f"unreadable file: {exc}", path, 1, 0)
-        return path, [finding.to_dict()], None
-    findings = _rule_findings(tree, path, config)
-    summary = build_summary(tree, path, config.units) if units else None
-    return path, [f.to_dict() for f in findings], summary
-
-
-def _phase_infer(path: str) -> List[Tuple[str, Optional[str], str, tuple]]:
-    """Worker: silent inference round; returns learned return units."""
-    config = _WORKER["config"]
-    index = _WORKER["index"]
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=path)
-    except (SyntaxError, OSError):
-        return []
-    infer_returns(tree, path, index, config.units)
-    summary = index.modules.get(_module_of(index, path))
-    if summary is None:
-        return []
-    learned = []
-    for name, fn in summary.functions.items():
-        if fn.inferred_return is not None:
-            learned.append((summary.module, None, name,
-                            fn.inferred_return.dims))
-    for cls_name, cls in summary.classes.items():
-        for name, fn in cls.methods.items():
-            if fn.inferred_return is not None:
-                learned.append((summary.module, cls_name, name,
-                                fn.inferred_return.dims))
-    return learned
-
-
-def _phase_check(path: str) -> List[dict]:
-    """Worker: emitting units round for one file."""
-    config = _WORKER["config"]
-    index = _WORKER["index"]
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=path)
-    except (SyntaxError, OSError):
-        return []
-    return [f.to_dict() for f in check_module(tree, path, index,
-                                              config.units)]
-
-
-def _module_of(index: UnitIndex, path: str) -> str:
-    from repro.lint.units.model import module_name_for
-    return module_name_for(path)
-
-
-#: Per-process state for pool workers (set by the initializer).
-_WORKER: dict = {}
-
-
-def _init_worker(config: LintConfig, index: Optional[UnitIndex]) -> None:
-    _WORKER["config"] = config
-    _WORKER["index"] = index
-
-
-def _apply_learned(index: UnitIndex,
-                   learned: Iterable[Tuple[str, Optional[str], str, tuple]]) -> None:
-    from repro.lint.units.algebra import Unit
-    for module, cls_name, fn_name, dims in learned:
-        summary = index.modules.get(module)
-        if summary is None:
-            continue
-        if cls_name is None:
-            fn = summary.functions.get(fn_name)
-        else:
-            cls = summary.classes.get(cls_name)
-            fn = cls.methods.get(fn_name) if cls else None
-        if fn is not None and fn.declared_return is None:
-            fn.inferred_return = Unit(tuple(dims))
-
-
-def _pool_map(pool, fn, tasks):
-    if pool is None:
-        return [fn(task) for task in tasks]
-    return pool.map(fn, tasks, chunksize=max(1, len(tasks) // 32 or 1))
-
-
 def lint_paths(paths: Iterable[Path],
                config: Optional[LintConfig] = None,
                *,
-               jobs: int = 1,
                units: bool = False,
-               report_unused_pragmas: bool = False,
-               baseline: Optional[Baseline] = None) -> LintResult:
+               report_unused_pragmas: bool = False) -> LintResult:
     """Lint every ``.py`` under *paths*.
 
-    Phases: (1) per-file rules [parallel]; with ``units=True`` also
-    module summaries, then (2) a silent cross-module inference round
-    [parallel] and (3) the emitting units round [parallel].  Pragma
-    suppression, baseline filtering, and unused-pragma reporting run in
-    the parent so bookkeeping stays exact.  Output is independent of
-    ``jobs``.
+    Per-file rules first; with ``units=True`` the whole-program unit
+    analysis (:func:`analyze_units`) then runs over every file that
+    could be read.  Pragma suppression and unused-pragma reporting
+    come last, over the merged findings of both.
     """
     config = config or LintConfig()
     files = [str(p) for p in iter_python_files(paths)
              if not config.is_excluded(str(p))]
-    pool = None
-    try:
-        if jobs > 1 and len(files) > 1:
-            import multiprocessing
-            pool = multiprocessing.Pool(
-                min(jobs, len(files)), initializer=_init_worker,
-                initargs=(config, None))
-        _init_worker(config, None)
-
-        tasks = [(path, units) for path in files]
-        phase1 = _pool_map(pool, _phase_rules, tasks)
-
-        per_file: Dict[str, List[Finding]] = {
-            path: [Finding(**raw) for raw in raw_findings]
-            for path, raw_findings, _summary in phase1
-        }
-
-        if units:
-            summaries = [s for _p, _f, s in phase1 if s is not None]
-            index = resolve_index(summaries)
-            if pool is not None:
-                # Re-seed workers with the built index (fresh pool so the
-                # initializer runs again with the real index).
-                pool.close()
-                pool.join()
-                import multiprocessing
-                pool = multiprocessing.Pool(
-                    min(jobs, len(files)), initializer=_init_worker,
-                    initargs=(config, index))
-            _init_worker(config, index)
-            learned = _pool_map(pool, _phase_infer, files)
-            for batch in learned:
-                _apply_learned(index, batch)
-            if pool is not None:
-                pool.close()
-                pool.join()
-                import multiprocessing
-                pool = multiprocessing.Pool(
-                    min(jobs, len(files)), initializer=_init_worker,
-                    initargs=(config, index))
-            _init_worker(config, index)
-            unit_findings = _pool_map(pool, _phase_check, files)
-            for path, raw_findings in zip(files, unit_findings):
-                per_file.setdefault(path, []).extend(
-                    Finding(**raw) for raw in raw_findings)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    sources: Dict[str, str] = {}
+    per_file: Dict[str, List[Finding]] = {}
+    for path in files:
+        try:
+            source = sources[path] = Path(path).read_text(encoding="utf-8")
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            per_file[path] = [Finding(
+                "REP000", f"syntax error: {exc.msg}", path,
+                exc.lineno or 1, (exc.offset or 1) - 1)]
+        except OSError as exc:
+            per_file[path] = [Finding(
+                "REP000", f"unreadable file: {exc}", path, 1, 0)]
+        else:
+            per_file[path] = _rule_findings(tree, path, config)
+    if units:
+        for finding in analyze_units(list(sources.items()), config.units):
+            per_file[finding.path].append(finding)
 
     active = active_rule_codes(config, units)
     findings: List[Finding] = []
-    baselined = 0
     for path in files:
-        raw = per_file.get(path, [])
+        raw = per_file[path]
         if not raw and not report_unused_pragmas:
             continue
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-        except OSError:
-            source = ""
-        pragmas = PragmaSet(source)
-        kept = [f for f in raw if not pragmas.suppresses(f)]
+        pragmas = PragmaSet(sources.get(path, ""))
+        findings.extend(f for f in raw if not pragmas.suppresses(f))
         if report_unused_pragmas:
-            kept.extend(pragmas.unused(path, active))
-        if baseline is not None:
-            surviving = []
-            for f in sorted(kept, key=lambda f: (f.line, f.col, f.code)):
-                if baseline.suppresses(f):
-                    baselined += 1
-                else:
-                    surviving.append(f)
-            kept = surviving
-        findings.extend(kept)
+            findings.extend(pragmas.unused(path, active))
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    # A baseline entry is only "stale" when its rule actually ran this
-    # pass — a plain run must not flag the units baseline as rotten.
-    stale = [entry for entry in baseline.stale_entries()
-             if entry.code in active] if baseline is not None else []
-    return LintResult(
-        findings=findings,
-        files_checked=len(files),
-        baselined=baselined,
-        stale_baseline=stale,
-    )
+    return LintResult(findings=findings, files_checked=len(files))

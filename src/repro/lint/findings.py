@@ -1,6 +1,6 @@
 """The Finding record — leaf module so every lint layer can import it.
 
-Rules, the units checker, the baseline, and the engine all produce or
+Rules, the units checker, and the engine all produce or
 consume findings; keeping the dataclass dependency-free avoids import
 cycles between them (config depends on the units catalog, rules depend
 on config).

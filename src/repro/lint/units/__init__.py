@@ -15,9 +15,8 @@ REP105      unsuffixed parameter flowing into unit-sensitive
             arithmetic in simulation scope
 ==========  ========================================================
 
-Run it with ``python -m repro.lint --units src/repro``.  Pre-existing
-findings live in a committed baseline (``reprolint-units.baseline.json``)
-that only ratchets down; see DESIGN.md §14.
+Run it with ``python -m repro.lint --units src/repro``; see DESIGN.md
+§14.
 """
 
 from repro.lint.units.algebra import (
@@ -31,7 +30,6 @@ from repro.lint.units.algebra import (
     UnitError,
     parse_unit,
 )
-from repro.lint.units.baseline import Baseline, BaselineEntry
 from repro.lint.units.catalog import UnitsConfig
 from repro.lint.units.checker import (
     UNIT_RULE_SUMMARIES,
@@ -46,8 +44,6 @@ from repro.lint.units.checker import (
 __all__ = [
     "BPS",
     "BYTES",
-    "Baseline",
-    "BaselineEntry",
     "DIMENSIONLESS",
     "HZ",
     "PKTS",

@@ -134,10 +134,6 @@ DEFAULT_STRICT_PATHS = (
     "*/repro/wlan/*",
 )
 
-#: Default committed-baseline filename, resolved against the pyproject
-#: directory.
-DEFAULT_BASELINE = "reprolint-units.baseline.json"
-
 
 @dataclass
 class UnitsConfig:
@@ -153,7 +149,6 @@ class UnitsConfig:
         default_factory=lambda: dict(DEFAULT_SIGNATURES))
     dimensionless_names: Sequence[str] = DEFAULT_DIMENSIONLESS_NAMES
     strict_paths: Sequence[str] = DEFAULT_STRICT_PATHS
-    baseline: str = DEFAULT_BASELINE
     disabled: Sequence[str] = ()
 
     # ------------------------------------------------------------------
@@ -245,9 +240,6 @@ def load_units_table(table: Mapping) -> UnitsConfig:
     strict = table.get("strict-paths")
     if isinstance(strict, list):
         config.strict_paths = tuple(str(v) for v in strict)
-    baseline = table.get("baseline")
-    if isinstance(baseline, str):
-        config.baseline = baseline
     disabled = table.get("disable")
     if isinstance(disabled, list):
         config.disabled = tuple(str(v) for v in disabled)

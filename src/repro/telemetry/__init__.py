@@ -1,4 +1,4 @@
-"""repro.telemetry: opt-in qlog-style event tracing and flow metrics.
+"""repro.telemetry: opt-in qlog-style event tracing.
 
 Quickstart::
 
@@ -16,16 +16,11 @@ Then inspect the trace::
     python -m repro.telemetry diff tack.jsonl per-packet-ack.jsonl
 """
 
-from repro.telemetry.binlog import (
+from repro.telemetry.collector import (
     ALWAYS_ON_SAMPLING,
-    BinaryFileSink,
-    BinaryFormatError,
-    BinaryRingSink,
+    TraceCollector,
     always_on_collector,
-    convert_binary_trace,
-    read_binary_trace,
 )
-from repro.telemetry.collector import TraceCollector
 from repro.telemetry.events import (
     CAT_ACK,
     CAT_CC,
@@ -37,7 +32,6 @@ from repro.telemetry.events import (
     SCHEMA_VERSION,
     TraceEvent,
 )
-from repro.telemetry.metrics import METRICS, MetricsRegistry
 from repro.telemetry.sinks import JsonlSink, MemorySink, TraceSink
 from repro.telemetry.trace_io import (
     TraceFormatError,
@@ -54,15 +48,8 @@ __all__ = [
     "TraceSink",
     "MemorySink",
     "JsonlSink",
-    "BinaryRingSink",
-    "BinaryFileSink",
-    "BinaryFormatError",
     "ALWAYS_ON_SAMPLING",
     "always_on_collector",
-    "convert_binary_trace",
-    "read_binary_trace",
-    "MetricsRegistry",
-    "METRICS",
     "TraceFormatError",
     "read_trace",
     "read_header",

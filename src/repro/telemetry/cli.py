@@ -1,4 +1,4 @@
-"""Trace CLI: ``python -m repro.telemetry <summarize|filter|diff|convert>``.
+"""Trace CLI: ``python -m repro.telemetry <summarize|filter|diff>``.
 
 This module is *host-side* telemetry code: it runs after (or outside)
 a simulation, so wall-clock reads for default output file naming are
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
@@ -271,28 +270,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 1 if changes else 0
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
-    from repro.telemetry.binlog import BinaryFormatError, convert_binary_trace
-
-    out = args.out
-    if out is None:
-        stem = args.trace[:-4] if args.trace.endswith(".rtb") else args.trace
-        out = f"{stem}.jsonl"
-    if os.path.abspath(out) == os.path.abspath(args.trace):
-        raise SystemExit2(
-            f"error: refusing to overwrite the input trace; pass an "
-            f"explicit output path (got {out!r})")
-    try:
-        stats = convert_binary_trace(
-            args.trace, out, require_trailer=not args.allow_truncated)
-    except FileNotFoundError:
-        raise SystemExit2(f"error: no such trace file: {args.trace}")
-    except BinaryFormatError as exc:
-        raise SystemExit2(f"error: {args.trace}: {exc}")
-    print(f"{out}: {stats['events']} events  sha256={stats['digest']}")
-    return 0
-
-
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
@@ -331,17 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace_b")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_diff)
-
-    p = sub.add_parser(
-        "convert",
-        help="convert a binary (.rtb) trace to schema-v1 JSONL")
-    p.add_argument("trace", help="binary trace written by BinaryFileSink")
-    p.add_argument("out", nargs="?", default=None,
-                   help="output path (default: <trace stem>.jsonl)")
-    p.add_argument("--allow-truncated", action="store_true",
-                   help="salvage a trace whose digest trailer is missing "
-                        "(writer crashed before close)")
-    p.set_defaults(fn=cmd_convert)
     return parser
 
 

@@ -14,8 +14,7 @@ Those sites call :meth:`TraceCollector.emit`, which
    same events),
 3. stamps the current *simulated* time (the collector caches
    ``sim.clock.now`` at attach time; it never reads the wall clock),
-4. appends the event to the sink and notifies live listeners (e.g. a
-   :class:`~repro.telemetry.metrics.MetricsRegistry`).
+4. appends the event to the sink.
 
 Usage::
 
@@ -68,7 +67,6 @@ class TraceCollector:
             cat: [0, step] for cat, step in self._sampling.items()
             if step is not None and step > 1}
         self._now: Optional[Callable[[], float]] = None
-        self._listeners: List[Callable[[TraceEvent], None]] = []
         self.events_emitted = 0
         self.events_dropped = 0
 
@@ -101,20 +99,16 @@ class TraceCollector:
                     self._tel_n = n
 
         A dropped event then costs integer arithmetic on the
-        component, not a collector call — the difference between the
-        always-on ring fitting its <10% budget and not.  Site-local
-        counters keep the same 1-in-N density as collector-side
-        sampling and stay fully deterministic; they just phase the
-        kept set per site instead of per category.
+        component, not a collector call — the decisive lever on what
+        always-on tracing costs.  Site-local counters keep the same
+        1-in-N density as collector-side sampling and stay fully
+        deterministic; they just phase the kept set per site instead
+        of per category.
         """
         if self._categories is not None and category not in self._categories:
             return 0
         step = self._sampling.get(category)
         return step if step is not None and step > 1 else 1
-
-    def add_listener(self, fn: Callable[[TraceEvent], None]) -> None:
-        """Register a live consumer called for every kept event."""
-        self._listeners.append(fn)
 
     # ------------------------------------------------------------------
     def gate(self, category: str) -> bool:
@@ -128,8 +122,8 @@ class TraceCollector:
             if tel is not None and tel.gate("netsim"):
                 tel.emit_kept("netsim", "delivered", fid, nbytes=...)
 
-        That kwargs-construction skip is what keeps always-on binary
-        tracing cheap (``telemetry.overhead_pct`` in
+        That kwargs-construction skip is what keeps always-on tracing
+        cheap (``telemetry.overhead_pct`` in
         ``benchmarks/perf/planes.py`` measures it).
         """
         if self._categories is not None and category not in self._categories:
@@ -156,9 +150,6 @@ class TraceCollector:
         """Keep an already-stamped event that passed :meth:`gate`."""
         self.events_emitted += 1
         self.sink.append(event)
-        if self._listeners:
-            for fn in self._listeners:
-                fn(event)
 
     def emit(self, category: str, name: str, flow_id: int = 0,
              **fields) -> Optional[TraceEvent]:
@@ -184,3 +175,30 @@ class TraceCollector:
         return (f"TraceCollector(emitted={self.events_emitted}, "
                 f"dropped={self.events_dropped}, "
                 f"sink={type(self.sink).__name__})")
+
+
+#: "Always-on mode" is a flight recorder, not an analysis trace: keep
+#: 1 in N per category, counter-based (no RNG), so the kept-event set
+#: is a pure function of the run.  The per-packet firehose categories
+#: keep sparse spans, the per-feedback ones (ack / cc) denser ones,
+#: and unlisted rare categories (e.g. ``chaos``) everything.
+ALWAYS_ON_SAMPLING = {
+    "netsim": 64,
+    "transport": 32,
+    "ack": 4,
+    "cc": 4,
+    "timing": 2,
+}
+
+#: Ring bound of the always-on collector: a 50 Mbit/s tcp-tack flow
+#: emits ~680 sampled events per simulated second, so the ring holds
+#: the last ~6 s of it.
+ALWAYS_ON_RING_EVENTS = 4096
+
+
+def always_on_collector() -> TraceCollector:
+    """A :class:`TraceCollector` configured for always-on tracing: the
+    :data:`ALWAYS_ON_SAMPLING` spans into a bounded
+    :class:`MemorySink` ring."""
+    return TraceCollector(sink=MemorySink(max_events=ALWAYS_ON_RING_EVENTS),
+                          sampling=ALWAYS_ON_SAMPLING)

@@ -74,12 +74,7 @@ SCHEMA_NAME = "repro-telemetry"
 
 
 def format_header_line(meta: Optional[Dict[str, Any]] = None) -> str:
-    """The schema-v1 JSONL header line (with trailing newline).
-
-    Single source of truth shared by :class:`~repro.telemetry.sinks.
-    JsonlSink` and the binary sinks/converter, so a converted binary
-    trace reproduces the live JSONL header byte-for-byte.
-    """
+    """The schema-v1 JSONL header line (with trailing newline)."""
     header: Dict[str, Any] = {"schema": SCHEMA_NAME,
                               "version": SCHEMA_VERSION}
     if meta is not None:

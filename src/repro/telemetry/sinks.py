@@ -2,9 +2,9 @@
 
 Two sinks cover the two use cases:
 
-* :class:`MemorySink` — an in-process ring buffer for tests and live
-  metrics; ``max_events`` bounds memory on long runs (oldest events
-  are evicted first).
+* :class:`MemorySink` — an in-process ring buffer for tests and the
+  always-on collector; ``max_events`` bounds memory on long runs
+  (oldest events are evicted first).
 * :class:`JsonlSink` — streaming JSONL writer for post-run analysis
   with the ``python -m repro.telemetry`` CLI.  The file starts with a
   schema header line and the sink accumulates a SHA-256 digest of the
@@ -40,9 +40,7 @@ class TraceSink:
 class MemorySink(TraceSink):
     """Bounded (or unbounded) in-memory ring buffer of events.
 
-    Ring-bound contract (shared with
-    :class:`~repro.telemetry.binlog.BinaryRingSink`, so manifest /
-    runner code is sink-agnostic):
+    Ring-bound contract:
 
     * ``appended`` counts every event ever offered to the sink, even
       those since pushed out — it never decreases.

@@ -14,36 +14,6 @@ class TraceFormatError(ValueError):
     """The file is not a valid repro-telemetry trace."""
 
 
-def _check_readable_text(path: str) -> None:
-    """Reject binary input up front with an actionable message.
-
-    The JSONL readers must never dump a traceback on a binary trace:
-    a file starting with the binlog magic gets a "run convert first"
-    error, and any other non-UTF-8 junk a clear format error.
-    """
-    from repro.telemetry.binlog.format import is_binary_preamble
-
-    with open(path, "rb") as fh:
-        head = fh.read(64)
-    if is_binary_preamble(head):
-        raise TraceFormatError(
-            f"{path}: this is a binary trace; run "
-            f"`python -m repro.telemetry convert {path}` first, then "
-            "point this command at the converted .jsonl file")
-    try:
-        head.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # A decode error within 4 bytes of the sample's end may just
-        # be a multi-byte character split by the 64-byte sample; real
-        # garbage fails earlier (or again in the line reader below).
-        if exc.start < len(head) - 4:
-            raise TraceFormatError(
-                f"{path}: not a text trace (binary garbage at byte "
-                f"{exc.start}); if this was meant to be a binary trace "
-                "it is corrupt — otherwise run `python -m "
-                "repro.telemetry convert` on the original") from exc
-
-
 def _parse_header(line: str, path: str) -> Dict[str, Any]:
     try:
         header = json.loads(line)
@@ -57,7 +27,6 @@ def _parse_header(line: str, path: str) -> Dict[str, Any]:
 
 def read_header(path: str) -> Dict[str, Any]:
     """Parse and validate just the header line of a trace file."""
-    _check_readable_text(path)
     with open(path) as fh:
         try:
             first = fh.readline()
@@ -71,7 +40,6 @@ def read_header(path: str) -> Dict[str, Any]:
 
 def iter_events(path: str) -> Iterator[TraceEvent]:
     """Stream events from a trace file (header skipped/validated)."""
-    _check_readable_text(path)
     with open(path) as fh:
         try:
             first = fh.readline()

@@ -28,7 +28,6 @@ class ConnectionConfig:
         mss: int = MSS,
         rcv_buffer_bytes: int = 4 * 1024 * 1024,
         receiver_driven: bool = False,
-        use_receiver_rate: bool = False,
         timing_mode: str = "legacy",
         auto_drain: bool = True,
         flow_id: int = 0,
@@ -42,7 +41,6 @@ class ConnectionConfig:
         self.mss = mss
         self.rcv_buffer_bytes = rcv_buffer_bytes
         self.receiver_driven = receiver_driven
-        self.use_receiver_rate = use_receiver_rate
         self.timing_mode = timing_mode
         self.auto_drain = auto_drain
         self.flow_id = flow_id
@@ -93,17 +91,16 @@ class Connection:
             # Must happen before the endpoints are built: they cache
             # the sanitizer reference at construction time.
             sim.enable_sanitizer()
-        receiver_timing = (
-            cfg.timing_mode
-            if cfg.timing_mode in ("advanced", "naive", "per-packet")
-            else "advanced"
-        )
+        # "legacy" (sender-side RTT sampling) leaves the receiver's OWD
+        # tracker on its default; any other name is the tracker's to
+        # accept or reject.
+        receiver_timing = ("advanced" if cfg.timing_mode == "legacy"
+                           else cfg.timing_mode)
         self.sender = TransportSender(
             sim,
             cc,
             mss=cfg.mss,
             receiver_driven=cfg.receiver_driven,
-            use_receiver_rate=cfg.use_receiver_rate,
             flow_id=cfg.flow_id,
             initial_rto_s=cfg.initial_rto_s,
             max_syn_retries=cfg.max_syn_retries,

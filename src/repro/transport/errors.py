@@ -60,12 +60,11 @@ class FeedbackFormatError(ValueError):
     Raised by :func:`repro.transport.feedback.check_wire_form` when an
     ``AckFeedback`` pulled out of ``Packet.meta`` has the wrong shape —
     a non-int ``cum_ack``, a SACK list that is not a list of 2-tuples,
-    a NaN delay, and so on.  Mirrors the binlog's ``BinaryFormatError``:
-    a *structured* decode failure carrying the offending field, instead
-    of a bare ``TypeError``/``IndexError`` leaking from the middle of
-    ``_on_feedback``.  The sender never lets it propagate into the
-    event loop; the feedback guard counts it under the ``format`` rule
-    and drops the frame.
+    a NaN delay, and so on.  A *structured* decode failure carrying
+    the offending field, instead of a bare ``TypeError``/``IndexError``
+    leaking from the middle of ``_on_feedback``.  The sender never
+    lets it propagate into the event loop; the feedback guard counts
+    it under the ``format`` rule and drops the frame.
     """
 
     def __init__(self, field: str, detail: str):

@@ -49,8 +49,8 @@ per rule and the offending *field* is clamped or dropped so the frame's
 remaining information is still used (a single bad block must not stall
 recovery); the first ``trace_limit`` violations per rule emit a
 ``guard``/``violation`` telemetry event, later ones only count (a
-mangling peer cannot blow up the trace or the binlog ring) and the
-final totals go out in one ``guard``/``summary`` event at close.  When
+mangling peer cannot blow up the trace) and the final totals go out
+in one ``guard``/``summary`` event at close.  When
 one rule's count reaches ``escalate_after`` (or the total reaches
 ``escalate_total``) the guard escalates and the sender aborts with the
 structured reason ``misbehaving_peer`` — observable, classifiable,

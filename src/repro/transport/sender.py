@@ -111,8 +111,6 @@ class TransportSender:
         cc: CongestionController,
         mss: int = MSS,
         receiver_driven: bool = False,
-        use_receiver_rate: bool = False,
-        sync_rtt_min: bool = False,
         flow_id: int = 0,
         initial_rto_s: float = 1.0,
         min_rtt_window_s: float = 10.0,
@@ -125,8 +123,6 @@ class TransportSender:
         self.cc = cc
         self.mss = mss
         self.receiver_driven = receiver_driven
-        self.use_receiver_rate = use_receiver_rate
-        self.sync_rtt_min = sync_rtt_min or receiver_driven
         self.flow_id = flow_id
         self._port = None
         # sequencing
@@ -575,7 +571,7 @@ class TransportSender:
             self._note_recovery("pull")
 
         # --- rate sample to the controller --------------------------
-        if self.use_receiver_rate and fb.delivery_rate_bps is not None:
+        if self.receiver_driven and fb.delivery_rate_bps is not None:
             rate_sample_bps = fb.delivery_rate_bps
         # A sample is "application limited" when something other than
         # cwnd throttled the flow: the app ran dry, or the receiver's
@@ -698,7 +694,7 @@ class TransportSender:
 
     def _legacy_rate_sample(self, rec: SendRecord, now: float) -> Optional[float]:
         """BBR-style delivery-rate sample from a newly acked record."""
-        if self.use_receiver_rate:
+        if self.receiver_driven:
             return None
         elapsed = now - rec.delivered_time
         if elapsed <= 0:
@@ -962,7 +958,7 @@ class TransportSender:
             self.guard.on_data_sent(now, rec.length)
         if self._san is not None:
             self._san.on_data_sent(self, rec)
-        if self.sync_rtt_min:
+        if self.receiver_driven:
             rtt_min = self.current_rtt_min()
             pkt.meta["rtt_min"] = rtt_min
             # rho' sync for the Eq. (6) adaptive block budget: the

@@ -18,6 +18,11 @@ class TestConnectionConfig:
         assert not cfg.receiver_driven
         assert cfg.auto_drain
 
+    def test_unknown_timing_mode_rejected(self, sim):
+        config = ConnectionConfig(timing_mode="advnaced")
+        with pytest.raises(ValueError, match="unknown timing mode"):
+            Connection(sim, NewReno(), DelayedAck(), config)
+
     def test_wire_after_construction(self, sim):
         path = wired_path(sim, 10e6, 0.02)
         conn = Connection(sim, NewReno(), DelayedAck())

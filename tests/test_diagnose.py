@@ -20,13 +20,7 @@ from repro.diagnose import (
     explain_reports,
 )
 from repro.diagnose.cli import main as diagnose_main
-from repro.telemetry import (
-    BinaryFileSink,
-    JsonlSink,
-    TraceCollector,
-    TraceEvent,
-)
-from repro.telemetry.cli import main as telemetry_main
+from repro.telemetry import JsonlSink, TraceCollector, TraceEvent
 
 MSS = 1448
 
@@ -257,10 +251,9 @@ class TestByteAttribution:
         assert flow["goodput_bps"] == pytest.approx(100 * MSS * 8.0 / 1.0)
 
 
-def run_traced_scenario(tmp_path, scheme, binary=False, name="blackout"):
-    path = tmp_path / ("t.rtb" if binary else "t.jsonl")
-    sink = BinaryFileSink(str(path)) if binary else JsonlSink(str(path))
-    collector = TraceCollector(sink)
+def run_traced_scenario(tmp_path, scheme, name="blackout"):
+    path = tmp_path / "t.jsonl"
+    collector = TraceCollector(JsonlSink(str(path)))
     result = run_scenario(get_scenario(name), scheme=scheme, seed=1,
                           simsan=True, telemetry=collector)
     collector.close()
@@ -269,8 +262,7 @@ def run_traced_scenario(tmp_path, scheme, binary=False, name="blackout"):
 
 class TestLiveOfflineIdentity:
     """Satellite: the live doctor and the offline trace replay must
-    produce byte-identical reports across every scheme, for JSONL,
-    converted-binlog, and directly-read binary traces."""
+    produce byte-identical reports across every scheme."""
 
     @pytest.mark.parametrize(
         "scheme", ("tcp-tack", "tcp-bbr-perpacket", "tcp-bbr", "tcp-cubic"))
@@ -279,17 +271,6 @@ class TestLiveOfflineIdentity:
         offline = diagnose_trace(str(path))
         assert offline["digest"] == result.diagnosis["digest"]
         assert offline["flows"] == result.diagnosis["flows"]
-
-    def test_binary_direct_and_converted_match_live(self, tmp_path):
-        result, rtb = run_traced_scenario(tmp_path, "tcp-tack", binary=True)
-        # direct .rtb read
-        direct = diagnose_trace(str(rtb))
-        assert direct["digest"] == result.diagnosis["digest"]
-        # via telemetry convert
-        out = tmp_path / "converted.jsonl"
-        assert telemetry_main(["convert", str(rtb), str(out)]) == 0
-        converted = diagnose_trace(str(out))
-        assert converted["digest"] == result.diagnosis["digest"]
 
 
 class TestExplain:
@@ -360,6 +341,17 @@ class TestCli:
         saved = json.loads(out.read_text())
         assert "headline" in saved and "attribution" in saved
 
-    def test_missing_trace_is_usage_error(self, capsys):
+    def test_missing_trace_is_usage_error(self, tmp_path, capsys):
         assert diagnose_main(["report", "/nonexistent/trace.jsonl"]) == 2
         assert "error" in capsys.readouterr().err
+        # unreadable input of any kind is the same one-line error:
+        # non-UTF-8 junk, the removed binary format's magic, an empty
+        # file, a file without the schema header
+        bad = tmp_path / "bad.jsonl"
+        for raw in (b"\x00\xff\x80garbage" * 16,
+                    b"\x93RTB\r\n\x1a\n\x01\x00" + bytes(32),
+                    b"", b'{"t": 0.0}\n'):
+            bad.write_bytes(raw)
+            assert diagnose_main(["report", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1

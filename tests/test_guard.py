@@ -56,8 +56,7 @@ def established_sender(sim, cc=None, **kwargs):
 
 def tack_sender(sim, **kwargs):
     return established_sender(sim, cc=BBR(initial_rtt_s=0.01),
-                              receiver_driven=True, use_receiver_rate=True,
-                              **kwargs)
+                              receiver_driven=True, **kwargs)
 
 
 def feed(sender, fb, kind=PacketType.ACK):

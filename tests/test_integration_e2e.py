@@ -154,7 +154,6 @@ class TestFlavors:
         from repro.core.flavors import make_connection
         conn = make_connection(sim, "tcp-tack")
         assert conn.sender.receiver_driven
-        assert conn.sender.use_receiver_rate
         assert conn.receiver.policy.name == "tack"
 
     def test_scheme_composition_legacy(self, sim):

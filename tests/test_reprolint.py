@@ -335,6 +335,14 @@ class TestCli:
         assert main([str(f)]) == 1
         out = capsys.readouterr().out
         assert "REP005" in out and "bad.py" in out
+        # a units finding fails the run just the same — only with --units
+        u = self.write(tmp_path, "units.py",
+                       "def f(rtt_s, queue_bytes):\n"
+                       "    return rtt_s + queue_bytes\n")
+        assert main([str(u)]) == 0
+        capsys.readouterr()
+        assert main([str(u), "--units"]) == 1
+        assert "REP101" in capsys.readouterr().out
 
     def test_exit_two_on_missing_path(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2

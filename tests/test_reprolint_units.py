@@ -1,8 +1,7 @@
 """Tests for the unit/dimension checker (REP101-REP105): the unit
 algebra, the catalog, golden-file fixtures, the inter-procedural call
-graph, the ratchet baseline, and the parallel engine."""
+graph, and the engine."""
 
-import json
 import re
 from pathlib import Path
 
@@ -18,7 +17,6 @@ from repro.lint.units import (
     HZ,
     PKTS,
     SECONDS,
-    Baseline,
     UnitError,
     UnitsConfig,
     analyze_units,
@@ -164,57 +162,6 @@ class TestGoldenFixtures:
 
 
 # ----------------------------------------------------------------------
-# baseline ratchet
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def _finding(self, path="src/mod.py", code="REP104", msg="m",
-                 line=3):
-        return Finding(code=code, message=msg, path=path, line=line,
-                       col=0)
-
-    def test_suppresses_with_multiplicity(self, tmp_path):
-        base = Baseline.from_findings(
-            [self._finding(line=1), self._finding(line=9)], tmp_path)
-        fresh = Baseline.load(tmp_path / "missing.json")
-        assert fresh.size == 0
-        assert base.suppresses(self._finding(line=4))
-        assert base.suppresses(self._finding(line=8))
-        # Multiplicity exhausted: a third identical finding is new.
-        assert not base.suppresses(self._finding(line=12))
-
-    def test_line_moves_do_not_invalidate(self, tmp_path):
-        base = Baseline.from_findings([self._finding(line=10)], tmp_path)
-        assert base.suppresses(self._finding(line=999))
-        assert base.stale_entries() == []
-
-    def test_stale_entries_ratchet(self, tmp_path):
-        base = Baseline.from_findings(
-            [self._finding(), self._finding(msg="other")], tmp_path)
-        base.suppresses(self._finding())
-        stale = base.stale_entries()
-        assert len(stale) == 1
-        assert stale[0].message == "other"
-
-    def test_save_load_roundtrip(self, tmp_path):
-        out = tmp_path / "units.baseline.json"
-        base = Baseline.from_findings(
-            [self._finding(), self._finding(), self._finding(msg="b")],
-            tmp_path)
-        base.save(out)
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "reprolint-baseline"
-        loaded = Baseline.load(out)
-        assert loaded.entries == base.entries
-        assert loaded.size == 3
-
-    def test_paths_relative_to_baseline_dir(self, tmp_path):
-        f = self._finding(path=str(tmp_path / "pkg" / "mod.py"))
-        base = Baseline.from_findings([f], tmp_path)
-        (key,) = base.entries
-        assert key[0] == "pkg/mod.py"
-
-
-# ----------------------------------------------------------------------
 # pragma engine rework
 # ----------------------------------------------------------------------
 class TestPragmaEngine:
@@ -292,22 +239,9 @@ class TestPragmaEngine:
 
 
 # ----------------------------------------------------------------------
-# engine integration: parallelism, exclusion, the tree itself
+# engine integration: exclusion, the tree itself
 # ----------------------------------------------------------------------
 class TestEngineIntegration:
-    def test_jobs_output_identical(self, tmp_path):
-        for i in range(6):
-            (tmp_path / f"m{i}.py").write_text(
-                "def f(queue_bytes):\n"
-                f"    timeout_s = queue_bytes  # site {i}\n"
-                "    return timeout_s\n"
-            )
-        serial = lint_paths([tmp_path], LintConfig(), units=True, jobs=1)
-        parallel = lint_paths([tmp_path], LintConfig(), units=True, jobs=3)
-        assert [f.to_dict() for f in serial.findings] == \
-            [f.to_dict() for f in parallel.findings]
-        assert len(serial.findings) == 6
-
     def test_exclude_globs_skip_files(self, tmp_path):
         fixtures = tmp_path / "tests" / "fixtures" / "units"
         fixtures.mkdir(parents=True)
@@ -317,40 +251,9 @@ class TestEngineIntegration:
         assert result.findings == []
         assert result.files_checked == 0
 
-    def test_baseline_consumed_through_lint_paths(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(
-            "def f(queue_bytes):\n"
-            "    timeout_s = queue_bytes\n"
-            "    return timeout_s\n"
-        )
-        first = lint_paths([mod], LintConfig(), units=True)
-        assert len(first.findings) == 1
-        baseline = Baseline.from_findings(first.findings, tmp_path)
-        second = lint_paths([mod], LintConfig(), units=True,
-                            baseline=baseline)
-        assert second.findings == []
-        assert second.baselined == 1
-        assert second.stale_baseline == []
-
-    def test_stale_baseline_surfaces(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text("x = 1\n")
-        ghost = Finding(code="REP104", message="gone", path=str(mod),
-                        line=1, col=0)
-        baseline = Baseline.from_findings([ghost], tmp_path)
-        result = lint_paths([mod], LintConfig(), units=True,
-                            baseline=baseline)
-        assert result.findings == []
-        assert len(result.stale_baseline) == 1
-
-    def test_tree_clean_modulo_baseline(self):
-        """The whole simulator passes the unit checker with only the
-        committed baseline's entries suppressed."""
+    def test_tree_clean(self):
+        """The whole simulator passes the unit checker."""
         root = Path(__file__).resolve().parents[1]
         config = load_config(root / "pyproject.toml")
-        baseline = Baseline.load(root / "reprolint-units.baseline.json")
-        result = lint_paths([root / "src"], config, units=True,
-                            jobs=2, baseline=baseline)
+        result = lint_paths([root / "src"], config, units=True)
         assert result.findings == []
-        assert result.stale_baseline == []

@@ -281,8 +281,7 @@ class TestScoreboardCost:
 class TestReceiverDrivenPull:
     def make_tack_sender(self, sim):
         sender, port = None, None
-        s = TransportSender(sim, BBR(initial_rtt_s=0.01), receiver_driven=True,
-                            use_receiver_rate=True)
+        s = TransportSender(sim, BBR(initial_rtt_s=0.01), receiver_driven=True)
         p = StubPort()
         s.connect(p)
         s.start()

@@ -1,4 +1,4 @@
-"""Tests for the repro.telemetry subsystem (collector, sinks, metrics)."""
+"""Tests for the repro.telemetry subsystem (collector, sinks)."""
 
 import sys
 
@@ -13,13 +13,14 @@ from repro.telemetry import (  # noqa: E402
     CATEGORIES,
     JsonlSink,
     MemorySink,
-    MetricsRegistry,
     TraceCollector,
     TraceEvent,
+    always_on_collector,
     read_header,
     read_trace,
     trace_digest,
 )
+from repro.telemetry.collector import ALWAYS_ON_RING_EVENTS  # noqa: E402
 
 
 def _traced_run(tmp_path=None, seed=42, duration=2.0, **conn_kwargs):
@@ -32,6 +33,15 @@ def _traced_run(tmp_path=None, seed=42, duration=2.0, **conn_kwargs):
     run_bulk(sim, conn, duration)
     collector.close()
     return collector, conn
+
+
+def _delivered(collector, duration=0.4):
+    """Bytes a seeded bulk tcp-tack run delivers with *collector*
+    (``None``: telemetry off) attached."""
+    sim = Simulator(seed=11, telemetry=collector)
+    conn, _ = build_wired_connection(sim, "tcp-tack", rtt_s=0.04)
+    run_bulk(sim, conn, duration)
+    return conn.receiver.stats.bytes_delivered
 
 
 class TestTraceEvent:
@@ -65,13 +75,6 @@ class TestCollector:
         # ...and the kept ones are deterministic: every 4th, from the first.
         assert [e is not None for e in kept[:4]] == [True, False, False, False]
 
-    def test_listener_sees_every_kept_event(self):
-        seen = []
-        collector = TraceCollector()
-        collector.add_listener(seen.append)
-        collector.emit("cc", "update", 1, cwnd_bytes=10)
-        assert len(seen) == 1 and seen[0].fields["cwnd_bytes"] == 10
-
     def test_unattached_collector_stamps_zero(self):
         collector = TraceCollector()
         assert collector.emit("cc", "update").time == 0.0
@@ -91,6 +94,15 @@ class TestMemorySink:
         assert len(sink) == 3
         assert sink.evicted == 2
         assert [e.time for e in sink.events()] == [2.0, 3.0, 4.0]
+        # the always-on ring, on a flow long enough to wrap it
+        collector = always_on_collector()
+        _delivered(collector, duration=20.0)
+        last = collector.emit("chaos", "end-of-run")
+        sink = collector.sink
+        assert len(sink) == ALWAYS_ON_RING_EVENTS
+        assert sink.appended == collector.events_emitted
+        assert sink.evicted == sink.appended - ALWAYS_ON_RING_EVENTS > 0
+        assert sink.events()[-1] is last
 
 
 class TestJsonlSink:
@@ -187,44 +199,23 @@ class TestLiveRun:
         assert drops
         assert {e.fields["reason"] for e in drops} <= {"loss", "queue"}
 
-
-class TestMetricsRegistry:
-    def test_live_and_offline_agree(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        sink = JsonlSink(path)
-        collector = TraceCollector(sink=sink)
-        live = MetricsRegistry(cadence_s=0.25).attach(collector)
-        sim = Simulator(seed=5, telemetry=collector)
-        conn, _ = build_wired_connection(sim, "tcp-tack")
-        run_bulk(sim, conn, 2.0)
-        collector.close()
-
-        offline = MetricsRegistry.from_trace(path, cadence_s=0.25)
-        assert live.flows() == offline.flows()
-        flow = live.flows()[0]
-        for metric in ("goodput_bps", "ack_hz", "inflight_bytes", "srtt_s"):
-            assert live.series(flow, metric) == offline.series(flow, metric)
-        assert live.summary(flow) == offline.summary(flow)
-
-    def test_goodput_matches_receiver_stats(self):
-        collector = TraceCollector()
-        registry = MetricsRegistry(cadence_s=0.5).attach(collector)
-        sim = Simulator(seed=5, telemetry=collector)
-        conn, _ = build_wired_connection(sim, "tcp-tack")
-        run_bulk(sim, conn, 2.0)
-        flow = registry.flows()[0]
-        assert (registry.summary(flow)["bytes_delivered"]
-                == conn.receiver.stats.bytes_delivered)
-
-    def test_unknown_metric_raises(self):
-        registry = MetricsRegistry()
-        registry.feed(TraceEvent(0.0, "ack", "tack", 1))
-        with pytest.raises(KeyError):
-            registry.series(1, "nope")
-
-    def test_bad_cadence_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(cadence_s=0.0)
+    def test_always_on_collector_samples_into_ring(self, tmp_path):
+        collector = always_on_collector()
+        delivered = _delivered(collector)
+        assert delivered > 0
+        assert isinstance(collector.sink, MemorySink)
+        assert collector.sink.max_events == ALWAYS_ON_RING_EVENTS
+        assert 0 < collector.events_emitted == collector.sink.appended
+        # Sampled, not silent — and no sink perturbs the run or thins
+        # what a full-fidelity collector keeps.
+        full = [TraceCollector(sink) for sink in (
+            MemorySink(), MemorySink(max_events=ALWAYS_ON_RING_EVENTS),
+            JsonlSink(str(tmp_path / "t.jsonl")))]
+        assert {_delivered(c) for c in [None, *full]} == {delivered}
+        assert len({c.events_emitted for c in full}) == 1
+        assert collector.events_emitted < full[0].events_emitted
+        for c in full:
+            c.close()
 
 
 class TestTraceIo:

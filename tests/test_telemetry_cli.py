@@ -100,6 +100,16 @@ class TestSummarize:
         bogus.write_text("not json\n")
         assert main(["summarize", str(bogus)]) == 2
 
+    def test_jsonl_commands_reject_garbage(self, tmp_path, capsys):
+        gp = tmp_path / "garbage.jsonl"
+        # non-UTF-8 junk, then a file in the removed binary format
+        for raw in (b"\x00\xff\x80garbage" * 16,
+                    b"\x93RTB\r\n\x1a\n\x01\x00" + bytes(32)):
+            gp.write_bytes(raw)
+            assert main(["summarize", str(gp)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "not a text trace" in err
+
     def test_usage_error_exits_2(self, capsys):
         assert main(["summarize"]) == 2  # missing positional
         assert main(["no-such-command"]) == 2

@@ -21,7 +21,7 @@ def build_custom_connection(sim, rate_bps=20e6, rtt_s=0.04, **cfg_kwargs):
     path = wired_path(sim, rate_bps, rtt_s)
     cc = BBR()
     cc._initial_rtt_s = rtt_s
-    config = ConnectionConfig(receiver_driven=True, use_receiver_rate=True,
+    config = ConnectionConfig(receiver_driven=True,
                               timing_mode="advanced", **cfg_kwargs)
     conn = Connection(sim, cc, TackPolicy(TackParams()), config)
     conn.wire(path.forward, path.reverse)
