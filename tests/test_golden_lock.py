@@ -35,11 +35,30 @@ per-ACK baselines on their recovery paths.
   every DATA emission (``seq``, ``pkt_seq``, departure time) — the
   retransmission order itself, not only its count.
 
+Transmit path
+-------------
+``tests/golden/transmit_path.json`` was recorded at the commit *before*
+the per-packet transmit -> pipe -> receive path was flattened: the
+paced TACK sender, one emission per send-timer event.
+
+* wlan: 1 s of a ``tcp-tack`` bulk flow over an 802.11n hop with 80 ms
+  of extra RTT (delay pipes, A-MPDUs, one feedback per ~80 packets);
+* finite: a ``tcp-tack`` transfer whose last segment is partial, over a
+  wired path that drops data and feedback (pulls, RTO-free recovery,
+  the rho' sync, completion);
+
+each pinned by a sha256 over every DATA emission at the forward port
+(``seq``, ``pkt_seq``, departure time and the ``rtt_min`` /
+``ack_loss_rate`` the packet carries), a sha256 over every arrival at
+the receiver's sink (arrival time, ``seq``, ``pkt_seq``),
+``events_fired``, ``sim.pending()`` at the end, and every sender and
+receiver counter.
+
 Regenerate (only for an *intended* behaviour change, with the diff
 shown in the PR); ``--regen`` takes an optional golden name and
 rewrites only that file::
 
-    PYTHONPATH=src python tests/test_golden_lock.py --regen [probe_bus|legacy_scoreboard]
+    PYTHONPATH=src python tests/test_golden_lock.py --regen [probe_bus|legacy_scoreboard|transmit_path]
 """
 
 from __future__ import annotations
@@ -64,7 +83,7 @@ from repro.fleet import FleetConfig, WorkloadConfig, campaign_report, run_fleet
 from repro.netsim.engine import Simulator
 from repro.netsim.loss import PatternLoss
 from repro.netsim.packet import PacketType
-from repro.netsim.paths import wired_path
+from repro.netsim.paths import wired_path, wlan_path
 from repro.profile import Profiler
 from repro.telemetry import TraceCollector, trace_digest
 
@@ -149,16 +168,20 @@ def legacy_cell(scenario: str, scheme: str) -> dict:
 
 
 class _EmissionLog:
-    """Forward-port proxy hashing every DATA packet the sender emits."""
+    """Forward-port proxy hashing every DATA packet the sender emits,
+    with the *meta_keys* annotations it carries."""
 
-    def __init__(self, port):
+    def __init__(self, port, meta_keys=()):
         self._port = port
+        self._meta_keys = meta_keys
         self.sha = hashlib.sha256()
 
     def send(self, packet):
         if packet.kind is PacketType.DATA:
+            carried = "".join(f",{packet.meta.get(key)!r}"
+                              for key in self._meta_keys)
             self.sha.update(f"{packet.seq},{packet.pkt_seq},"
-                            f"{packet.sent_at!r}\n".encode())
+                            f"{packet.sent_at!r}{carried}\n".encode())
         return self._port.send(packet)
 
 
@@ -188,6 +211,56 @@ def legacy_bulk() -> dict:
             "emissions_sha256": log.sha.hexdigest()}
 
 
+TRANSMIT_FINITE_BYTES = 600_777      # not a multiple of the MSS
+
+
+def transmit_flow(sim, path, conn, start, until_s: float) -> dict:
+    """Run one wired-up flow with every DATA emission and every arrival
+    at the receiver's sink hashed on the way through."""
+    conn.wire(path.forward, path.reverse)
+    emissions = _EmissionLog(path.forward, ("rtt_min", "ack_loss_rate"))
+    conn.sender.connect(emissions)
+    arrivals = hashlib.sha256()
+
+    def sink(packet):
+        if packet.kind is PacketType.DATA:
+            arrivals.update(f"{sim.now()!r},{packet.seq},"
+                            f"{packet.pkt_seq}\n".encode())
+        conn.receiver.on_packet(packet)
+
+    path.forward.connect(sink)
+    start()
+    sim.run(until=until_s)
+    return {"events_fired": sim.events_fired,
+            "pending": sim.pending(),
+            "completed_at": conn.sender.completed_at,
+            "cum_acked": conn.sender.cum_acked,
+            "sender": vars(conn.sender.stats),
+            "receiver": vars(conn.receiver.stats),
+            "emissions_sha256": emissions.sha.hexdigest(),
+            "arrivals_sha256": arrivals.hexdigest()}
+
+
+def transmit_wlan() -> dict:
+    """The headline case: a paced tcp-tack bulk flow over 802.11n."""
+    sim = Simulator(seed=1)
+    path = wlan_path(sim, "802.11n", extra_rtt_s=0.08)
+    conn = make_connection(sim, "tcp-tack", initial_rtt_s=0.08)
+    return transmit_flow(sim, path, conn, conn.start_bulk, 1.0)
+
+
+def transmit_finite() -> dict:
+    """A finite tcp-tack transfer, partial last segment, over a wired
+    path losing 2 % of the data and 5 % of the feedback."""
+    sim = Simulator(seed=3)
+    path = wired_path(sim, rate_bps=20e6, rtt_s=0.04, data_loss=0.02,
+                      ack_loss=0.05)
+    conn = make_connection(sim, "tcp-tack", initial_rtt_s=0.04)
+    return transmit_flow(
+        sim, path, conn,
+        lambda: conn.start_transfer(TRANSMIT_FINITE_BYTES), 10.0)
+
+
 def record_probe_bus() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {
@@ -207,8 +280,13 @@ def record_legacy_scoreboard() -> dict:
     }
 
 
+def record_transmit_path() -> dict:
+    return {"wlan": transmit_wlan(), "finite": transmit_finite()}
+
+
 RECORDERS = {"probe_bus": record_probe_bus,
-             "legacy_scoreboard": record_legacy_scoreboard}
+             "legacy_scoreboard": record_legacy_scoreboard,
+             "transmit_path": record_transmit_path}
 
 
 def _load(name: str) -> dict:
@@ -263,6 +341,22 @@ def test_legacy_bulk_flow_matches_golden_across_compaction(legacy_golden):
     assert bulk["data_packets_sent"] > 8192 + 1000
     assert bulk["retransmissions"] >= 10
     assert bulk == legacy_golden["bulk"]
+
+
+def test_transmit_path_matches_golden():
+    golden = _load("transmit_path")
+    wlan, finite = transmit_wlan(), transmit_finite()
+    # The lock only means something if the paced path carries real
+    # traffic and the finite transfer recovers from loss and ends on
+    # its partial segment.
+    assert wlan["sender"]["data_packets_sent"] > 5000
+    assert (wlan["sender"]["feedback_received"] * 20
+            < wlan["sender"]["data_packets_sent"])
+    assert finite["sender"]["retransmissions"] > 0
+    assert finite["cum_acked"] == TRANSMIT_FINITE_BYTES
+    assert finite["completed_at"] is not None
+    assert wlan == golden["wlan"]
+    assert finite == golden["finite"]
 
 
 if __name__ == "__main__":
