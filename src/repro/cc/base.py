@@ -111,6 +111,9 @@ class CongestionController:
         raise NotImplementedError
 
     def cwnd_bytes(self) -> int:
+        """Congestion window in bytes: a pure read of state that only
+        :meth:`on_feedback` and :meth:`on_rto` change, so the sender
+        reads it once per ``_try_send`` call, not once per packet."""
         raise NotImplementedError
 
     def pacing_rate_bps(self) -> float:

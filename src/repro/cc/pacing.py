@@ -11,14 +11,16 @@ from __future__ import annotations
 
 
 class Pacer:
-    """Spaces transmissions at a target bit rate."""
+    """Spaces transmissions at a target bit rate: the next packet may
+    leave once ``now >= release_at``."""
 
-    def __init__(self, rate_bps: float = 1e6, burst_bytes: int = 0):
+    __slots__ = ("_rate_bps", "release_at")
+
+    def __init__(self, rate_bps: float = 1e6):
         if rate_bps <= 0:
             raise ValueError(f"pacing rate must be positive, got {rate_bps}")
         self._rate_bps = rate_bps
-        self.burst_bytes = burst_bytes
-        self._next_send = 0.0
+        self.release_at = 0.0
 
     @property
     def rate_bps(self) -> float:
@@ -28,24 +30,16 @@ class Pacer:
         if rate_bps > 0:
             self._rate_bps = rate_bps
 
-    def next_send_time(self, now: float) -> float:
-        """Earliest time the next packet may leave."""
-        return max(self._next_send, now)
-
-    def can_send(self, now: float) -> bool:
-        return now >= self._next_send
-
     def on_sent(self, size_bytes: int, now: float) -> None:
         """Charge one transmission against the budget."""
-        base = max(self._next_send, now)
-        self._next_send = base + size_bytes * 8.0 / self._rate_bps
-
-    def reset(self, now: float) -> None:
-        self._next_send = now
+        base = self.release_at
+        if base < now:
+            base = now
+        self.release_at = base + size_bytes * 8.0 / self._rate_bps
 
     def forgive(self, now: float, size_bytes: int) -> None:
         """Cap outstanding debt at one *size_bytes* transmission at
         the current rate: whatever exceeds that was charged at a rate
         that has since been replaced."""
-        self._next_send = min(self._next_send,
+        self.release_at = min(self.release_at,
                               now + size_bytes * 8.0 / self._rate_bps)

@@ -77,16 +77,23 @@ class ReceiverOwdTracker:
             self.smoothed_owd = owd
         else:
             self.smoothed_owd += self.ewma_gain * (owd - self.smoothed_owd)
-        sample = OwdSample(departure_ts, arrival_ts, owd)
-        if self._interval_first is None:
-            self._interval_first = sample
-        if self._interval_best is None or owd < self._interval_best.owd:
-            self._interval_best = sample
-        if self.mode == "per-packet":
-            if len(self._interval_all) < self.MAX_PER_PACKET_ENTRIES:
-                self._interval_all.append(sample)
-            else:
-                self.per_packet_overflow += 1
+        # Only a packet something keeps gets a sample object: the
+        # interval's first (there is no best yet either: the two are
+        # reset together), a new best, any in per-packet mode.
+        best = self._interval_best
+        is_best = best is None or owd < best.owd
+        per_packet = self.mode == "per-packet"
+        if is_best or per_packet:
+            sample = OwdSample(departure_ts, arrival_ts, owd)
+            if best is None:
+                self._interval_first = sample
+            if is_best:
+                self._interval_best = sample
+            if per_packet:
+                if len(self._interval_all) < self.MAX_PER_PACKET_ENTRIES:
+                    self._interval_all.append(sample)
+                else:
+                    self.per_packet_overflow += 1
         return owd
 
     def take_reference(self) -> Optional[OwdSample]:

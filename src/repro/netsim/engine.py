@@ -37,8 +37,9 @@ class Event:
 
     It rides as the third element of its ``(time, seq, event)`` heap
     entry and is never compared (``seq`` is unique, see the module
-    docstring), so it deliberately has no ``__lt__``; ``time`` and
-    ``seq`` are kept on it for ``repr`` and debugging only.
+    docstring), so it deliberately has no ``__lt__``; ``seq`` is kept
+    on it for ``repr`` and debugging only, ``time`` also for a holder
+    deciding whether re-arming would move the event at all.
     """
 
     __slots__ = ("time", "seq", "fn", "cancelled")

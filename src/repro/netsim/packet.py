@@ -102,32 +102,11 @@ class Packet:
         """True for every acknowledgment flavor (ACK, TACK, IACK)."""
         return self.kind in (PacketType.ACK, PacketType.TACK, PacketType.IACK)
 
-    def is_data(self) -> bool:
-        """True for byte-stream data segments."""
-        return self.kind is PacketType.DATA
-
     def end_seq(self) -> int:
         """Sequence number one past the last payload byte."""
         if self.seq is None:
             raise ValueError("packet has no sequence number")
         return self.seq + self.payload_len
-
-    def copy_for_retransmit(self, new_pkt_seq: int) -> "Packet":
-        """Clone this segment for retransmission.
-
-        The payload and ``seq`` stay identical while ``pkt_seq`` is
-        replaced, exactly as S5.1 of the paper prescribes.
-        """
-        clone = Packet(
-            self.kind,
-            self.size,
-            seq=self.seq,
-            pkt_seq=new_pkt_seq,
-            payload_len=self.payload_len,
-            flow_id=self.flow_id,
-        )
-        clone.meta = dict(self.meta)
-        return clone
 
     def __repr__(self) -> str:
         parts = [f"{self.kind.value}", f"size={self.size}"]

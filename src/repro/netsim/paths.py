@@ -30,33 +30,30 @@ from repro.wlan.station import Station
 
 
 class WirelessHop:
-    """Port over one WLAN hop: transmit from ``tx``, deliver at ``rx``."""
+    """Port over one WLAN hop: transmit from ``tx`` (``send`` is the
+    transmitting station's own ``send``), deliver at ``rx``."""
 
     def __init__(self, tx: Station, rx: Station):
         self.tx = tx
         self.rx = rx
-
-    def send(self, packet: Packet) -> bool:
-        return self.tx.send(packet)
+        self.send = tx.send
 
     def connect(self, sink) -> None:
         self.rx.connect(sink)
 
 
 class ChainPort:
-    """Ports composed in series: ``send`` enters the first stage, each
-    stage's delivery feeds the next stage's ``send``, and ``connect``
-    binds the final sink."""
+    """Ports composed in series: ``send`` is the first stage's own
+    ``send``, each stage's delivery feeds the next stage's ``send``,
+    and ``connect`` binds the final sink."""
 
     def __init__(self, *stages):
         if not stages:
             raise ValueError("a chain needs at least one stage")
         self.stages = stages
+        self.send = stages[0].send
         for upstream, downstream in zip(stages, stages[1:]):
             upstream.connect(downstream.send)
-
-    def send(self, packet: Packet) -> bool:
-        return self.stages[0].send(packet)
 
     def connect(self, sink) -> None:
         self.stages[-1].connect(sink)

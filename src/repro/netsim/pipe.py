@@ -6,10 +6,11 @@ to model intra-host handoff between layers.
 
 from __future__ import annotations
 
+import collections
 from typing import Callable, Optional
 
 from repro.netsim.engine import Simulator
-from repro.netsim.loss import LossModel, NoLoss
+from repro.netsim.loss import LossModel
 from repro.netsim.packet import Packet
 
 
@@ -18,10 +19,13 @@ class Pipe:
 
     Optionally applies a loss model, so protocol tests can inject exact
     drop patterns without configuring a full link.
+
+    ``delay_s`` is read-only after construction, so packets leave in
+    the order they entered: one FIFO serves every delivery event.
     """
 
-    __slots__ = ("sim", "delay_s", "sink", "loss", "packets_sent",
-                 "packets_lost", "packets_delivered")
+    __slots__ = ("sim", "_delay_s", "sink", "loss", "packets_sent",
+                 "packets_lost", "packets_delivered", "_in_transit")
 
     def __init__(
         self,
@@ -30,28 +34,36 @@ class Pipe:
         sink: Optional[Callable[[Packet], None]] = None,
         loss: Optional[LossModel] = None,
     ):
-        if delay_s < 0:
+        if not delay_s >= 0:  # also rejects NaN
             raise ValueError(f"negative delay: {delay_s}")
         self.sim = sim
-        self.delay_s = delay_s
+        self._delay_s = delay_s
         self.sink = sink
-        self.loss = loss or NoLoss()
+        self.loss = loss
         self.packets_sent = 0
         self.packets_lost = 0
         self.packets_delivered = 0
+        self._in_transit: collections.deque[Packet] = collections.deque()
+
+    @property
+    def delay_s(self) -> float:
+        return self._delay_s
 
     def connect(self, sink: Callable[[Packet], None]) -> None:
         self.sink = sink
 
     def send(self, packet: Packet) -> bool:
         self.packets_sent += 1
-        if self.loss.should_drop(packet, self.sim.now()):
+        sim, loss = self.sim, self.loss
+        if loss is not None and loss.should_drop(packet, sim.now()):
             self.packets_lost += 1
             return False
-        self.sim.call_in(self.delay_s, lambda p=packet: self._deliver(p))
+        self._in_transit.append(packet)
+        sim.call_at(sim.now() + self._delay_s, self._deliver_next)
         return True
 
-    def _deliver(self, packet: Packet) -> None:
+    def _deliver_next(self) -> None:
+        packet = self._in_transit.popleft()
         self.packets_delivered += 1
         packet.hops += 1
         if self.sink is not None:

@@ -33,7 +33,18 @@ class IntervalSet:
         added (0 when fully overlapping existing ranges)."""
         if end <= start:
             return 0
-        i = bisect.bisect_left(self._ends, start)
+        ends = self._ends
+        if not ends or start >= ends[-1]:
+            # At or beyond the tail (every in-order arrival): extend
+            # the last range or append a new one, nothing to search.
+            if ends and start == ends[-1]:
+                ends[-1] = end
+            else:
+                self._starts.append(start)
+                ends.append(end)
+            self._covered += end - start
+            return end - start
+        i = bisect.bisect_left(ends, start)
         # Ranges [i, j) overlap or touch the new range.
         j = i
         new_start, new_end = start, end

@@ -25,6 +25,9 @@ from repro.netsim.packet import Packet, PacketType
 from repro.transport.feedback import AckFeedback, make_feedback_packet
 from repro.transport.intervals import IntervalSet
 
+#: The advertised window counts as closed below two full-sized packets.
+LOW_WINDOW_BYTES = 2 * 1500
+
 
 class ReceiverStats:
     """Counters published by the receiver."""
@@ -104,7 +107,6 @@ class TransportReceiver:
         self._gap_first_seen: dict[int, float] = {}
         self._closed = False
         self._on_deliver: Optional[Callable[[int, float], None]] = None
-        self._arrival_log: Optional[list] = None
         # simsan: one None-check per data packet when disabled.
         self._san = sim.san
         if self._san is not None:
@@ -143,11 +145,6 @@ class TransportReceiver:
         in-order data is handed up."""
         self._on_deliver = callback
 
-    def enable_arrival_log(self) -> list:
-        """Record ``(time, seq, pkt_seq)`` for every data arrival."""
-        self._arrival_log = []
-        return self._arrival_log
-
     # ------------------------------------------------------------------
     # ingress
     # ------------------------------------------------------------------
@@ -155,11 +152,12 @@ class TransportReceiver:
         """Entry point for everything arriving on the forward path."""
         if self._closed:
             return
-        if packet.kind is PacketType.SYN:
-            self._handle_syn(packet)
-        elif packet.kind is PacketType.DATA:
+        kind = packet.kind
+        if kind is PacketType.DATA:
             self._handle_data(packet)
-        elif packet.kind is PacketType.FIN:
+        elif kind is PacketType.SYN:
+            self._handle_syn(packet)
+        elif kind is PacketType.FIN:
             self.policy.on_close()
         # Anything else (stray feedback) is ignored.
 
@@ -172,37 +170,40 @@ class TransportReceiver:
 
     def _handle_data(self, packet: Packet) -> None:
         now = self.sim.now()
-        assert packet.seq is not None and packet.pkt_seq is not None
-        if "rtt_min" in packet.meta:
-            self.peer_rtt_min = packet.meta["rtt_min"]
-        if "ack_loss_rate" in packet.meta:
-            self.peer_ack_loss_rate = packet.meta["ack_loss_rate"]
-        if self._arrival_log is not None:
-            self._arrival_log.append((now, packet.seq, packet.pkt_seq))
+        seq, pkt_seq = packet.seq, packet.pkt_seq
+        assert seq is not None and pkt_seq is not None
+        meta = packet.meta
+        if "rtt_min" in meta:
+            self.peer_rtt_min = meta["rtt_min"]
+        if "ack_loss_rate" in meta:
+            self.peer_ack_loss_rate = meta["ack_loss_rate"]
         # Timing and rate trackers see every arrival, duplicates included.
         if packet.sent_at is not None:
             self.owd.on_packet(packet.sent_at, now)
-        gap = self.pkt_tracker.on_packet(packet.pkt_seq)
+        gap = self.pkt_tracker.on_packet(pkt_seq)
         # Clip below the consumption point: bytes the app already read
         # were removed from the interval set, so a stale retransmission
         # must not re-enter it (it would corrupt buffer accounting).
-        clip_start = max(packet.seq, self.delivered_ptr)
-        if clip_start < packet.end_seq():
-            added = self.intervals.add(clip_start, packet.end_seq())
-        else:
-            added = 0
-        self.stats.data_packets += 1
+        intervals, stats = self.intervals, self.stats
+        delivered_ptr = self.delivered_ptr
+        clip_start = seq if seq > delivered_ptr else delivered_ptr
+        end_seq = seq + packet.payload_len
+        added = intervals.add(clip_start, end_seq) if clip_start < end_seq else 0
+        stats.data_packets += 1
         if added == 0:
-            self.stats.duplicate_packets += 1
+            stats.duplicate_packets += 1
         else:
-            self.stats.bytes_received += added
+            stats.bytes_received += added
             self.rate.on_data(added, now)
         in_order = False
-        if self.intervals.first_missing(self.delivered_ptr) > self.delivered_ptr:
-            in_order = packet.seq <= self.delivered_ptr
+        ready_upto = intervals.first_missing(delivered_ptr)
+        if ready_upto > delivered_ptr:
+            in_order = seq <= delivered_ptr
             if self.auto_drain:
-                self._drain()
-        self._track_buffer_peak()
+                self._consume(ready_upto - delivered_ptr)
+        buffered = intervals.covered()
+        if buffered > stats.peak_buffered_bytes:
+            stats.peak_buffered_bytes = buffered
         # Site-local stride counter: one event per data packet makes
         # this the receiver's hottest telemetry site, so dropped
         # events must not pay for a collector call.
@@ -211,12 +212,11 @@ class TransportReceiver:
             if n >= self._tel_stride:
                 self._tel_n = 0
                 self._tel.emit_kept("transport", "recv", self.flow_id,
-                                    seq=packet.seq, pkt_seq=packet.pkt_seq,
-                                    added=added)
+                                    seq=seq, pkt_seq=pkt_seq, added=added)
             else:
                 self._tel_n = n
         if gap is not None:
-            self.stats.gap_events += 1
+            stats.gap_events += 1
             if self._tel is not None:
                 lo, hi = gap.missing_range()
                 self._tel.emit("transport", "gap", self.flow_id,
@@ -225,7 +225,10 @@ class TransportReceiver:
         if self._san is not None:
             self._san.on_receiver_data(self)
         self.policy.on_data(packet, in_order)
-        self._check_window_events()
+        # A window that is open and was open has no event to raise.
+        if (self._window_was_low or self.rcv_buffer_bytes
+                - intervals.covered() < LOW_WINDOW_BYTES):
+            self._check_window_events()
 
     # ------------------------------------------------------------------
     # application read side
@@ -242,11 +245,6 @@ class TransportReceiver:
             self._consume(take)
             self._check_window_events()
         return take
-
-    def _drain(self) -> None:
-        ready = self.available_bytes()
-        if ready > 0:
-            self._consume(ready)
 
     def _consume(self, nbytes: int) -> None:
         self.delivered_ptr += nbytes
@@ -279,14 +277,9 @@ class TransportReceiver:
         """Advertised window: free receive-buffer space."""
         return max(0, self.rcv_buffer_bytes - self.intervals.covered())
 
-    def _track_buffer_peak(self) -> None:
-        buffered = self.intervals.covered()
-        if buffered > self.stats.peak_buffered_bytes:
-            self.stats.peak_buffered_bytes = buffered
-
     def _check_window_events(self) -> None:
         awnd = self.awnd()
-        low = awnd < 2 * 1500
+        low = awnd < LOW_WINDOW_BYTES
         if low and not self._window_was_low:
             self._window_was_low = True
             self.policy.on_window_event("zero_window")

@@ -452,7 +452,7 @@ class TransportSender:
         if self._rto_timer is not None:
             self._rto_timer.cancel()
             self._rto_timer = None
-        self.pacer.reset(now)
+        self.pacer.release_at = now
         self.pacer.set_rate(self.cc.pacing_rate_bps())
         self._last_fb_s = now
         self._wd_arm()
@@ -847,9 +847,6 @@ class TransportSender:
             return self.rtt_min_est.rtt_min(default=self.rtt.smoothed())
         return self.min_rtt_legacy.get(default=self.rtt.smoothed())
 
-    def effective_window(self) -> int:
-        return min(self.cc.cwnd_bytes(), self.awnd)
-
     def _has_retx(self) -> bool:
         while self.retx_queue:
             rec = self.records.get(self.retx_queue[0])
@@ -860,24 +857,29 @@ class TransportSender:
             return True
         return False
 
-    def _next_new_length(self) -> int:
-        if self.unlimited:
-            return self.mss
-        return min(self.mss, self.pending_bytes)
-
     def _try_send(self) -> None:
         if not self.established or self.closed or self._port is None:
             return
         now = self.sim.now()
+        # Read once per call: nothing below processes feedback or a
+        # timeout, and cwnd_bytes() is a pure state read (cc.base).
+        cwnd = self.cc.cwnd_bytes()
+        awnd = self.awnd
+        window = cwnd if cwnd < awnd else awnd
+        pacer = self.pacer
+        retx_queue = self.retx_queue
         limit: Optional[str] = None
         while True:
-            has_retx = self._has_retx()
-            new_len = self._next_new_length()
-            if not has_retx and new_len <= 0:
-                limit = "app"
-                break
-            size = (self.records[self.retx_queue[0]].length if has_retx else new_len)
-            window_blocked = self.in_flight + size > self.effective_window()
+            has_retx = bool(retx_queue) and self._has_retx()
+            if has_retx:
+                size = self.records[retx_queue[0]].length
+            else:
+                size = self.mss
+                if not self.unlimited and self.pending_bytes < size:
+                    size = self.pending_bytes
+                    if size <= 0:
+                        limit = "app"
+                        break
             # Pull/RACK repairs bypass cwnd (the hole itself is throttling
             # the window), but RTO recovery does not: a timeout marks
             # *everything* outstanding lost, so until the first post-RTO
@@ -885,26 +887,36 @@ class TransportSender:
             # window (as Linux's tcp_xmit_retransmit_queue does) — a
             # spurious timeout then costs one retransmission, not a
             # go-back-N storm of duplicates.
-            if window_blocked and (not has_retx or self._consecutive_rtos > 0):
-                limit = ("rwnd" if self.awnd < self.cc.cwnd_bytes()
-                         else "cwnd")
+            if (self.in_flight + size > window
+                    and (not has_retx or self._consecutive_rtos > 0)):
+                limit = "rwnd" if awnd < cwnd else "cwnd"
                 self._maybe_arm_persist()
                 break
-            if not self.pacer.can_send(now):
+            release_at = pacer.release_at
+            if now < release_at:
                 limit = "pacing"
-                self._arm_send_timer(self.pacer.next_send_time(now))
+                timer = self._send_timer
+                # An armed timer already due at the release time is
+                # kept, not cancelled and re-pushed.  Equality of one
+                # stored float with its own copy, not clock arithmetic:
+                if timer is None or timer.time != release_at:  # reprolint: disable=REP003
+                    if timer is not None:
+                        timer.cancel()
+                    self._send_timer = self.sim.call_at(
+                        release_at, self._on_send_timer)
                 break
             if has_retx:
-                self._transmit_retx(self.retx_queue.popleft(), now)
+                self._transmit_retx(retx_queue.popleft(), now)
             else:
-                self._transmit_new(new_len, now)
+                self._transmit_new(size, now)
         # Send-limit classification for the flow doctor: every break
         # above names what throttled the flow; only changes are worth
         # an event.
         if limit != self._limit:
             self._limit = limit
             self._obs("limited", limit=limit)
-        self._rearm_rto()
+        if self._rto_timer is None or self.in_flight <= 0:
+            self._rearm_rto()
 
     def _transmit_new(self, length_bytes: int, now: float) -> None:
         seq = self.next_seq
@@ -943,27 +955,30 @@ class TransportSender:
         self._emit(rec, now)
 
     def _emit(self, rec: SendRecord, now: float) -> None:
+        length = rec.length
         pkt = Packet(
             PacketType.DATA,
-            size=rec.length + HEADER_SIZE,
+            size=length + HEADER_SIZE,
             seq=rec.seq,
             pkt_seq=rec.pkt_seq,
-            payload_len=rec.length,
+            payload_len=length,
             flow_id=self.flow_id,
         )
         pkt.sent_at = now
-        if self.guard is not None and self.receiver_driven:
+        receiver_driven = self.receiver_driven
+        if receiver_driven and self.guard is not None:
             # Departure-stamp ground truth for the echo_ts rule: only
             # timestamps recorded here may come back in a TACK.
-            self.guard.on_data_sent(now, rec.length)
+            self.guard.on_data_sent(now, length)
         if self._san is not None:
             self._san.on_data_sent(self, rec)
-        if self.receiver_driven:
+        if receiver_driven:
             rtt_min = self.current_rtt_min()
-            pkt.meta["rtt_min"] = rtt_min
+            meta = pkt.meta
+            meta["rtt_min"] = rtt_min
             # rho' sync for the Eq. (6) adaptive block budget: the
             # sender measures ACK-path loss and tells the receiver.
-            pkt.meta["ack_loss_rate"] = self.ack_loss.loss_rate
+            meta["ack_loss_rate"] = self.ack_loss.loss_rate
             if self._tel is not None and rtt_min != self._tel_last_rtt_min:
                 # Value-change detection, not clock arithmetic: the
                 # sync rides every data packet, but only changes are
@@ -981,12 +996,13 @@ class TransportSender:
                 self._tel.emit_kept("transport",
                                     "retx" if rec.retx_count else "send",
                                     self.flow_id, seq=rec.seq,
-                                    pkt_seq=rec.pkt_seq, length=rec.length,
+                                    pkt_seq=rec.pkt_seq, length=length,
                                     in_flight=self.in_flight)
             else:
                 self._tel_n = n
-        self.stats.data_packets_sent += 1
-        self.stats.bytes_sent += rec.length
+        stats = self.stats
+        stats.data_packets_sent += 1
+        stats.bytes_sent += length
         self.pacer.on_sent(pkt.size, now)
         # The link's verdict feeds the watchdog: only *accepted* sends
         # count as "data still flowing" (a blacked-out link refuses at
@@ -997,12 +1013,6 @@ class TransportSender:
     # ------------------------------------------------------------------
     # timers
     # ------------------------------------------------------------------
-    def _arm_send_timer(self, at_s: float) -> None:
-        if self._send_timer is not None:
-            self._send_timer.cancel()
-        self._send_timer = self.sim.call_at(max(at_s, self.sim.now()),
-                                            self._on_send_timer)
-
     def _on_send_timer(self) -> None:
         self._send_timer = None
         self._try_send()
@@ -1104,8 +1114,9 @@ class TransportSender:
             self._mark_record_lost(rec, now)
             if self._has_retx():
                 self._transmit_retx(self.retx_queue.popleft(), now)
-        elif self._next_new_length() > 0:
-            self._transmit_new(self._next_new_length(), now)
+        elif self.unlimited or self.pending_bytes > 0:
+            self._transmit_new(self.mss if self.unlimited
+                               else min(self.mss, self.pending_bytes), now)
         self._maybe_arm_persist()
 
     # ------------------------------------------------------------------

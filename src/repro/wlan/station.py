@@ -126,20 +126,15 @@ class Station:
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet`` for transmission to the peer."""
-        if self._peer_map is not None:
-            dest = self.peer_for(packet)
-            key = id(dest)
-            queue = self._dest_queues.setdefault(key, collections.deque())
-            if self.queue_frames is not None and len(queue) >= self.queue_frames:
-                self.frames_dropped_queue += 1
-                return False
-            queue.append(packet)
-            self.medium.notify_backlog()
-            return True
-        if self.queue_frames is not None and len(self._queue) >= self.queue_frames:
+        if self._peer_map is None:
+            queue = self._queue
+        else:
+            queue = self._dest_queues.setdefault(
+                id(self.peer_for(packet)), collections.deque())
+        if self.queue_frames is not None and len(queue) >= self.queue_frames:
             self.frames_dropped_queue += 1
             return False
-        self._queue.append(packet)
+        queue.append(packet)
         self.medium.notify_backlog()
         return True
 
@@ -265,7 +260,6 @@ class Station:
             self.medium.notify_backlog()
 
     # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
     # rate adaptation
     # ------------------------------------------------------------------
     def current_rate_bps(self) -> float:
@@ -290,10 +284,6 @@ class Station:
             if self._consec_fail >= 2 and self._rate_index < len(self._rate_table) - 1:
                 self._rate_index += 1
                 self._consec_fail = 0
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
 
     def __repr__(self) -> str:
         return f"Station({self.name}, queued={len(self._queue)})"

@@ -161,6 +161,54 @@ class TestPipe:
         assert len(got) == 1
         assert pipe.packets_lost == 1
 
+    def test_delay_is_fixed_at_construction(self, sim):
+        """Delivery pairs events with packets by position, which only
+        holds while every packet waits the same time."""
+        pipe = Pipe(sim, delay_s=0.01)
+        assert pipe.delay_s == pytest.approx(0.01)
+        with pytest.raises(AttributeError):
+            pipe.delay_s = 0.5
+        with pytest.raises(ValueError):
+            Pipe(sim, delay_s=float("nan"))
+
+    def test_fifo_delivery_with_loss_model_and_counters(self, sim):
+        class EveryThird:
+            def __init__(self):
+                self.asked = []
+
+            def should_drop(self, packet, now):
+                self.asked.append((packet.uid, now))
+                return len(self.asked) % 3 == 0
+
+        loss = EveryThird()
+        pipe = Pipe(sim, delay_s=0.01, loss=loss)
+        got = []
+        pipe.connect(lambda p: got.append((p.uid, sim.now())))
+        sent = [make_ack_packet() for _ in range(9)]
+        verdicts = []
+        for k, packet in enumerate(sent):
+            sim.run(until=0.001 * k)
+            verdicts.append(pipe.send(packet))
+        assert verdicts == [True, True, False] * 3
+        sim.run()
+        # The model saw every packet, at its send time; survivors come
+        # out in order, each exactly one delay later, one hop older.
+        assert loss.asked == [(p.uid, pytest.approx(0.001 * k))
+                              for k, p in enumerate(sent)]
+        assert got == [(p.uid, pytest.approx(0.001 * k + 0.01))
+                       for k, p in enumerate(sent) if k % 3 != 2]
+        assert (pipe.packets_sent, pipe.packets_lost,
+                pipe.packets_delivered) == (9, 3, 6)
+        assert [p.hops for p in sent] == [1, 1, 0] * 3
+
+    def test_no_sink_is_tolerated(self, sim):
+        pipe = Pipe(sim, delay_s=0.01)
+        packet = make_ack_packet()
+        assert pipe.send(packet) is True
+        sim.run()
+        assert pipe.packets_delivered == 1 and packet.hops == 1
+        assert sim.pending() == 0
+
 
 class TestEmulatedPath:
     def test_rtt_split_between_directions(self, sim):

@@ -10,14 +10,12 @@ from repro.transport.rtt import MinRttTracker, RttEstimator
 class TestPacer:
     def test_first_send_allowed_immediately(self):
         p = Pacer(rate_bps=8e6)
-        assert p.can_send(0.0)
+        assert p.release_at <= 0.0
 
     def test_spacing_matches_rate(self):
         p = Pacer(rate_bps=8e6)  # 1000 bytes -> 1 ms
         p.on_sent(1000, 0.0)
-        assert p.next_send_time(0.0) == pytest.approx(0.001)
-        assert not p.can_send(0.0005)
-        assert p.can_send(0.001)
+        assert p.release_at == pytest.approx(0.001)
 
     def test_no_burst_after_idle(self):
         p = Pacer(rate_bps=8e6)
@@ -25,23 +23,23 @@ class TestPacer:
         # Long idle: the next send is charged from "now", not from the
         # stale credit point.
         p.on_sent(1000, 10.0)
-        assert p.next_send_time(10.0) == pytest.approx(10.001)
+        assert p.release_at == pytest.approx(10.001)
 
     def test_rate_change(self):
         p = Pacer(rate_bps=8e6)
         p.set_rate(16e6)
         p.on_sent(1000, 0.0)
-        assert p.next_send_time(0.0) == pytest.approx(0.0005)
+        assert p.release_at == pytest.approx(0.0005)
 
     def test_rate_never_exceeded(self):
         p = Pacer(rate_bps=8e6)
         sent_bytes = 0
         now = 0.0
         while now < 1.0:
-            if p.can_send(now):
+            if now >= p.release_at:
                 p.on_sent(1000, now)
                 sent_bytes += 1000
-            now = max(p.next_send_time(now), now + 1e-6)
+            now = max(p.release_at, now + 1e-6)
         assert sent_bytes * 8 <= 8e6 * 1.01
 
     def test_invalid_rate(self):

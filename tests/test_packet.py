@@ -67,22 +67,4 @@ class TestAckPackets:
 
     def test_data_not_ack_like(self):
         assert not make_data_packet(0, 1).is_ack_like()
-        assert make_data_packet(0, 1).is_data()
-
-
-class TestRetransmitClone:
-    def test_clone_keeps_seq_updates_pkt_seq(self):
-        original = make_data_packet(seq=1500, pkt_seq=2)
-        clone = original.copy_for_retransmit(new_pkt_seq=9)
-        assert clone.seq == original.seq
-        assert clone.payload_len == original.payload_len
-        assert clone.pkt_seq == 9
-        assert original.pkt_seq == 2
-
-    def test_clone_copies_meta_shallow(self):
-        original = make_data_packet(seq=0, pkt_seq=1)
-        original.meta["k"] = "v"
-        clone = original.copy_for_retransmit(5)
-        assert clone.meta["k"] == "v"
-        clone.meta["k"] = "other"
-        assert original.meta["k"] == "v"
+        assert make_data_packet(0, 1).kind is PacketType.DATA

@@ -55,6 +55,26 @@ def test_add_returns_new_count(ranges):
         assert s.add(start, end) == len(total) - before
 
 
+@given(ranges_strategy, st.lists(
+    st.tuples(st.integers(0, 12), st.integers(1, 30)), max_size=12))
+def test_tail_adds_match_brute_force(ranges, tail_adds):
+    """Ranges starting exactly at the last end (extend the tail) or
+    beyond it (append) skip the search; return value, ``ranges()`` and
+    ``covered()`` must not tell."""
+    s = IntervalSet(ranges)
+    expected = brute_force_set(ranges)
+    for gap, length in tail_adds:
+        start = s.max_end() + gap
+        before = len(expected)
+        expected.update(range(start, start + length))
+        assert s.add(start, start + length) == len(expected) - before
+        assert brute_force_set(s.ranges()) == expected
+        assert s.covered() == len(expected)
+        rs = s.ranges()
+        assert rs[-1][1] == start + length
+        assert all(e1 < s2 for (_, e1), (s2, _) in zip(rs, rs[1:]))
+
+
 @given(ranges_strategy, st.integers(0, 240))
 def test_first_missing_matches_brute_force(ranges, probe):
     s = IntervalSet(ranges)

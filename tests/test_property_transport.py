@@ -108,6 +108,66 @@ def test_owd_reference_is_interval_minimum(pairs):
     assert abs(ref.owd - best) < 1e-12
 
 
+class _EagerOwdTracker:
+    """Reference: one sample per packet, kept or not (what the tracker
+    did before it built samples lazily)."""
+
+    def __init__(self, mode):
+        self.mode = mode
+        self.samples = []
+        self.kept = []
+        self.overflow = 0
+
+    def on_packet(self, departure_ts, arrival_ts):
+        sample = (departure_ts, arrival_ts, arrival_ts - departure_ts)
+        self.samples.append(sample)
+        if self.mode == "per-packet":
+            if len(self.kept) < ReceiverOwdTracker.MAX_PER_PACKET_ENTRIES:
+                self.kept.append(sample)
+            else:
+                self.overflow += 1
+
+    def take_reference(self):
+        samples, self.samples = self.samples, []
+        if not samples:
+            return None
+        if self.mode == "naive":
+            return samples[0]
+        return min(samples, key=lambda sample: sample[2])  # first minimum
+
+    def take_all_samples(self, now):
+        kept, self.kept = self.kept, []
+        return [(departure, now - arrival) for departure, arrival, _ in kept]
+
+
+@given(st.sampled_from(["advanced", "naive", "per-packet"]),
+       st.lists(st.one_of(
+           st.tuples(st.floats(0, 10), st.sampled_from(
+               [0.001, 0.002, 0.005, 0.01, 0.3])),  # ties in OWD included
+           st.just("take")), max_size=60),
+       st.integers(0, 140))
+@settings(max_examples=150)
+def test_lazy_owd_tracker_matches_eager_reference(mode, steps, burst):
+    """Whatever is taken from the tracker equals what a tracker that
+    builds a sample for every packet would hand out — in every mode,
+    across interval boundaries and past the per-packet entry cap."""
+    tracker, eager = ReceiverOwdTracker(mode=mode), _EagerOwdTracker(mode)
+    steps = steps + [(1.0, 0.004)] * burst + ["take"]
+    for step in steps:
+        if step == "take":
+            ref, want = tracker.take_reference(), eager.take_reference()
+            assert (ref is None) == (want is None)
+            if ref is not None:
+                assert (ref.departure_ts, ref.arrival_ts, ref.owd) == want
+            assert tracker.take_all_samples(20.0) == eager.take_all_samples(20.0)
+        else:
+            departure, owd = step
+            for side in (tracker, eager):
+                side.on_packet(departure, departure + owd)
+    assert tracker.per_packet_overflow == eager.overflow
+    assert tracker.samples_seen == sum(step != "take" for step in steps)
+
+
 @given(st.integers(1, 40), st.integers(0, 39))
 @settings(max_examples=60, deadline=None)
 def test_single_drop_any_position_recovers(total_mss, drop_idx):

@@ -278,6 +278,132 @@ class TestScoreboardCost:
             assert lookups <= self.SLACK + 71
 
 
+class PushCountingSimulator(Simulator):
+    """Records the callback of every event pushed onto the heap."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.pushed = []
+
+    def call_at(self, t, fn):
+        self.pushed.append(fn)
+        return super().call_at(t, fn)
+
+    def dead_entries(self):
+        return len(self._queue) - self.pending()
+
+
+class CountingBBR(BBR):
+    cwnd_reads = 0
+
+    def cwnd_bytes(self):
+        self.cwnd_reads += 1
+        return super().cwnd_bytes()
+
+
+class TestTransmitCost:
+    """One emitted packet costs one heap push and one window read (a
+    paced sender is one send-timer event per packet, and a feedback
+    that finds the timer already armed for the release time used to
+    cancel it and push an identical one)."""
+
+    WINDOW = 450
+
+    @pytest.fixture
+    def sim(self):
+        return PushCountingSimulator(seed=42, simsan=False)
+
+    def count_try_send(self, sender):
+        calls = []
+        try_send = sender._try_send
+
+        def counted():
+            calls.append(sender.sim.now())
+            try_send()
+
+        sender._try_send = counted
+        return calls
+
+    def test_paced_tack_sender_one_push_one_window_read_per_packet(self, sim):
+        cc = CountingBBR(initial_rtt_s=0.01, initial_cwnd_mss=self.WINDOW)
+        sender, port = established_sender(sim, cc, receiver_driven=True)
+        calls = self.count_try_send(sender)
+        sender.set_unlimited()
+        assert sender._limit == "pacing"
+        for acked in (0, 150, 300):
+            if acked:
+                ack_for(sender, acked * MSS, kind=PacketType.TACK)
+            del sim.pushed[:], calls[:], port.sent[:]
+            cc.cwnd_reads = 0
+            sim.run(max_events=120)
+            # Nothing but send timers ran, and each did one thing.
+            assert len(port.sent) == len(calls) == cc.cwnd_reads == 120
+            assert sim.pushed == [sender._on_send_timer] * 120
+            assert sender._limit == "pacing"
+        assert sender.stats.retransmissions == sender.stats.rtos == 0
+
+    def test_feedback_at_a_pacing_blocked_sender_keeps_the_timer(self, sim):
+        sender, port = established_sender(
+            sim, NewReno(initial_cwnd_mss=self.WINDOW))
+        sender.set_unlimited()
+        sim.run(max_events=40)
+        ack_for(sender, 20 * MSS)
+        timer, dead = sender._send_timer, sim.dead_entries()
+        assert sender._limit == "pacing" and not timer.cancelled
+        del sim.pushed[:], port.sent[:]
+        fed = sender.stats.feedback_received
+        for _ in range(10):
+            # Late duplicates of older ACKs: no progress, no dupACK.
+            ack_for(sender, 10 * MSS)
+        assert sender.stats.feedback_received == fed + 10
+        assert sim.pushed == [] and port.sent == []
+        assert sender._send_timer is timer and not timer.cancelled
+        assert sim.dead_entries() == dead
+        sim.run(max_events=1)
+        assert [p.sent_at for p in port.sent] == [pytest.approx(timer.time)]
+
+    def test_kept_timer_follows_the_pacer_release_time(self, sim):
+        sender, port = established_sender(
+            sim, NewReno(initial_cwnd_mss=self.WINDOW))
+        sender.set_total(40 * MSS)
+        sim.run(max_events=5)
+        pacer, kept = sender.pacer, sender._send_timer
+        # A new rate does not move the release time: same timer.
+        pacer.set_rate(pacer.rate_bps / 3)
+        sender._try_send()
+        assert sender._send_timer is kept and not kept.cancelled
+        assert kept.time == pytest.approx(pacer.release_at)
+        # Debt at a replaced rate, then forgiven: the release time
+        # moves out and back in, and the timer with it, both times.
+        pacer.set_rate(10.0)
+        pacer.on_sent(MSS, sim.now())
+        sender._try_send()
+        far = sender._send_timer
+        assert kept.cancelled and far.time > sim.now() + 60.0
+        pacer.set_rate(20e6)
+        pacer.forgive(sim.now(), MSS)
+        sender._try_send()
+        near = sender._send_timer
+        assert far.cancelled and near.time == pytest.approx(pacer.release_at)
+        del port.sent[:]
+        sim.run(max_events=1)
+        assert [p.sent_at for p in port.sent] == [pytest.approx(near.time)]
+        # An RTO forgives the debt itself; its retransmissions leave on
+        # the timer armed for the forgiven release time.
+        pacer.set_rate(10.0)
+        pacer.on_sent(MSS, sim.now())
+        sender._try_send()
+        del port.sent[:]
+        while sender.stats.rtos == 0:
+            assert sim.step()
+        timer = sender._send_timer
+        assert timer.time == pytest.approx(pacer.release_at)
+        assert sim.now() < timer.time < sim.now() + 1.0 and port.sent == []
+        sim.run(until=timer.time)
+        assert [(p.seq, p.sent_at) for p in port.sent] == [
+            (0, pytest.approx(timer.time))]
+
+
 class TestReceiverDrivenPull:
     def make_tack_sender(self, sim):
         sender, port = None, None
@@ -370,7 +496,7 @@ class TestRto:
         sender.pacer.set_rate(10.0)
         sender.pacer.on_sent(MSS, sim.now())
         sender.pacer.set_rate(20e6)
-        assert not sender.pacer.can_send(sim.now() + 60.0)
+        assert sender.pacer.release_at > sim.now() + 60.0
         port.sent.clear()
         sim.run(until=3.0)  # no feedback at all
         assert sender.stats.rtos >= 1
