@@ -123,6 +123,3 @@ class CongestionController:
         rate-based controllers own it directly.
         """
         raise NotImplementedError
-
-    def initial_cwnd(self) -> int:
-        return 10 * self.mss

@@ -16,6 +16,7 @@ measures what it buys:
 from __future__ import annotations
 
 from repro.app.bulk import BulkFlow
+from repro.cc.pacing import Pacer
 from repro.core.params import TackParams
 from repro.experiments.table import Table
 from repro.netsim.engine import Simulator
@@ -49,6 +50,15 @@ def run_beta_l_sweep(duration_s: float = 5.0, warmup_s: float = 1.5,
     return table
 
 
+class _BurstPacer(Pacer):
+    """A pacer that runs far ahead of whatever rate it is given."""
+
+    __slots__ = ()
+
+    def set_rate(self, rate_bps: float) -> None:
+        super().set_rate(max(rate_bps * 50, 1e9))
+
+
 def run_pacing_ablation(rate_bps: float = 20e6, rtt_s: float = 0.1,
                         duration_s: float = 15.0, warmup_s: float = 5.0,
                         seed: int = 9) -> Table:
@@ -69,9 +79,8 @@ def run_pacing_ablation(rate_bps: float = 20e6, rtt_s: float = 0.1,
         path = wired_path(sim, rate_bps, rtt_s, queue_bytes=bdp // 4)
         flow = BulkFlow(sim, path, "tcp-tack", initial_rtt_s=rtt_s)
         if mode == "burst":
-            pacer = flow.conn.sender.pacer
-            real_set = pacer.set_rate
-            pacer.set_rate = lambda r: real_set(max(r * 50, 1e9))  # defeat pacing
+            sender = flow.conn.sender  # defeat pacing
+            sender.pacer = _BurstPacer(sender.pacer.rate_bps)
         flow.start()
         sim.run(until=duration_s)
         table.add_row(

@@ -67,9 +67,6 @@ class DropTailQueue:
     def bytes_queued(self) -> int:
         return self._bytes
 
-    def is_empty(self) -> bool:
-        return not self._queue
-
 
 class REDQueue(DropTailQueue):
     """Random Early Detection on top of the byte FIFO.

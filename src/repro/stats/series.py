@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.stats.percentile import percentile
 
@@ -30,12 +30,6 @@ class TimeSeries:
         i = bisect.bisect_left(self.times, start)
         j = bisect.bisect_right(self.times, end)
         return self.values[i:j]
-
-    def reduce(self, fn: Callable[[list[float]], float],
-               start: Optional[float] = None, end: Optional[float] = None) -> float:
-        lo = start if start is not None else (self.times[0] if self.times else 0.0)
-        hi = end if end is not None else (self.times[-1] if self.times else 0.0)
-        return fn(self.window(lo, hi))
 
     def mean(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
         vals = self.window(

@@ -71,6 +71,16 @@ class TestFastExperiments:
         b = fig17_freq_model.run_vs_rtt()
         assert len(a) > 5 and len(b) > 5
 
+    def test_pacing_ablation_runs_both_modes(self):
+        from repro.experiments.ablations import run_pacing_ablation
+        table = run_pacing_ablation(duration_s=2.0, warmup_s=0.5)
+        assert table.column("mode") == ["paced", "burst"]
+        paced, burst = table.column("goodput_mbps")
+        # paper S5.3: an unpaced TACK sender overruns a shallow buffer
+        assert burst < paced
+        paced_retx, burst_retx = table.column("retx")
+        assert burst_retx > paced_retx
+
     def test_fig09_doctor_compare_attributes_impairment(self):
         from repro.experiments.fig09_goodput_trend import (
             doctor_compare_table, run_doctor_compare)

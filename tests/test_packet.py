@@ -67,4 +67,3 @@ class TestAckPackets:
 
     def test_data_not_ack_like(self):
         assert not make_data_packet(0, 1).is_ack_like()
-        assert make_data_packet(0, 1).kind is PacketType.DATA
