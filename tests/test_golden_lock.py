@@ -54,11 +54,29 @@ the receiver's sink (arrival time, ``seq``, ``pkt_seq``),
 ``events_fired``, ``sim.pending()`` at the end, and every sender and
 receiver counter.
 
+Feedback path
+-------------
+``tests/golden/feedback_path.json`` was recorded at the commit *before*
+the legacy per-ACK feedback path (guard -> sender -> controller -> RTO
+re-arm) was flattened and the RTO became a moved event instead of a
+cancelled and re-pushed one.
+
+* one ``tcp-bbr`` and one ``tcp-cubic`` bulk flow over the wired path
+  of the legacy-scoreboard bulk case (a forward drop every 250
+  packets), with every 97th feedback dropped on the reverse path and
+  all of it for 300 ms (a spurious, backed-off RTO and the go-back-N
+  marking behind it);
+
+each pinned by a sha256 over every processed feedback (arrival time,
+``cum_acked``, ``in_flight``, ``cc.cwnd_bytes()``,
+``cc.pacing_rate_bps()`` and the armed RTO's deadline, or ``None``),
+``events_fired``, ``sim.pending()`` at the end and every sender counter.
+
 Regenerate (only for an *intended* behaviour change, with the diff
 shown in the PR); ``--regen`` takes an optional golden name and
 rewrites only that file::
 
-    PYTHONPATH=src python tests/test_golden_lock.py --regen [probe_bus|legacy_scoreboard|transmit_path]
+    PYTHONPATH=src python tests/test_golden_lock.py --regen [probe_bus|legacy_scoreboard|transmit_path|feedback_path]
 """
 
 from __future__ import annotations
@@ -81,7 +99,7 @@ from repro.energy import EnergyLedger
 from repro.experiments.fig08_ack_frequency import run_traced
 from repro.fleet import FleetConfig, WorkloadConfig, campaign_report, run_fleet
 from repro.netsim.engine import Simulator
-from repro.netsim.loss import PatternLoss
+from repro.netsim.loss import BurstLoss, LossModel, PatternLoss
 from repro.netsim.packet import PacketType
 from repro.netsim.paths import wired_path, wlan_path
 from repro.profile import Profiler
@@ -99,6 +117,10 @@ LEGACY_SCENARIOS = ("burst-loss", "jitter-reorder", "dup-corrupt",
 LEGACY_SCHEMES = ("tcp-bbr", "tcp-cubic", "tcp-bbr-perpacket")
 BULK_DROP_EVERY = 250
 BULK_UNTIL_S = 4.0
+
+FEEDBACK_SCHEMES = ("tcp-bbr", "tcp-cubic")
+FEEDBACK_DROP_EVERY = 97
+FEEDBACK_BLACKOUT = (2.0, 0.3)       # start, duration (s)
 
 
 def chaos_cell(scenario: str, scheme: str) -> dict:
@@ -185,16 +207,24 @@ class _EmissionLog:
         return self._port.send(packet)
 
 
-def legacy_bulk() -> dict:
-    """One tcp-bbr bulk flow with a forward drop every 250 packets."""
+def bulk_flow(scheme: str, reverse_loss=None):
+    """``(sim, path, conn)``: one wired-up legacy bulk flow with a
+    forward drop every 250 packets, not yet started."""
     sim = Simulator(seed=1)
     rate_bps, rtt_s = 50e6, 0.04
     drops = range(BULK_DROP_EVERY // 2, 40_000, BULK_DROP_EVERY)
     path = wired_path(sim, rate_bps, rtt_s,
                       queue_bytes=int(2 * rate_bps * rtt_s / 8),
-                      forward_loss=PatternLoss(drops))
-    conn = make_connection(sim, "tcp-bbr", initial_rtt_s=rtt_s)
+                      forward_loss=PatternLoss(drops),
+                      reverse_loss=reverse_loss)
+    conn = make_connection(sim, scheme, initial_rtt_s=rtt_s)
     conn.wire(path.forward, path.reverse)
+    return sim, path, conn
+
+
+def legacy_bulk() -> dict:
+    """One tcp-bbr bulk flow with a forward drop every 250 packets."""
+    sim, path, conn = bulk_flow("tcp-bbr")
     log = _EmissionLog(path.forward)
     conn.sender.connect(log)
     conn.start_bulk()
@@ -261,6 +291,44 @@ def transmit_finite() -> dict:
         lambda: conn.start_transfer(TRANSMIT_FINITE_BYTES), 10.0)
 
 
+class _EitherLoss(LossModel):
+    """Drops what any of *models* drops (each sees every packet)."""
+
+    def __init__(self, *models):
+        self._models = models
+
+    def should_drop(self, packet, now):
+        return any([m.should_drop(packet, now) for m in self._models])
+
+
+def feedback_flow(scheme: str) -> dict:
+    """One legacy bulk flow losing data and feedback, with the sender's
+    state hashed at the end of every feedback it processes."""
+    drops = range(FEEDBACK_DROP_EVERY // 2, 40_000, FEEDBACK_DROP_EVERY)
+    sim, _, conn = bulk_flow(scheme, reverse_loss=_EitherLoss(
+        PatternLoss(drops), BurstLoss([FEEDBACK_BLACKOUT])))
+    sender = conn.sender
+    feedbacks = hashlib.sha256()
+    on_feedback = sender._on_feedback
+
+    def hashed(fb, kind):
+        on_feedback(fb, kind)
+        rto = sender._rto_timer
+        feedbacks.update(
+            f"{sim.now()!r},{sender.cum_acked},{sender.in_flight},"
+            f"{sender.cc.cwnd_bytes()},{sender.cc.pacing_rate_bps()!r},"
+            f"{None if rto is None else rto.time!r}\n".encode())
+
+    sender._on_feedback = hashed
+    conn.start_bulk()
+    sim.run(until=BULK_UNTIL_S)
+    return {"events_fired": sim.events_fired,
+            "pending": sim.pending(),
+            "cum_acked": sender.cum_acked,
+            "sender": vars(sender.stats),
+            "feedbacks_sha256": feedbacks.hexdigest()}
+
+
 def record_probe_bus() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {
@@ -284,9 +352,14 @@ def record_transmit_path() -> dict:
     return {"wlan": transmit_wlan(), "finite": transmit_finite()}
 
 
+def record_feedback_path() -> dict:
+    return {scheme: feedback_flow(scheme) for scheme in FEEDBACK_SCHEMES}
+
+
 RECORDERS = {"probe_bus": record_probe_bus,
              "legacy_scoreboard": record_legacy_scoreboard,
-             "transmit_path": record_transmit_path}
+             "transmit_path": record_transmit_path,
+             "feedback_path": record_feedback_path}
 
 
 def _load(name: str) -> dict:
@@ -357,6 +430,20 @@ def test_transmit_path_matches_golden():
     assert finite["completed_at"] is not None
     assert wlan == golden["wlan"]
     assert finite == golden["finite"]
+
+
+@pytest.mark.parametrize("scheme", FEEDBACK_SCHEMES)
+def test_feedback_path_matches_golden(scheme):
+    flow = feedback_flow(scheme)
+    # The lock only means something if the flow is ACK-clocked (a
+    # feedback per packet or two) and goes through fast recovery and a
+    # timeout.
+    assert flow["sender"]["feedback_received"] > 1000
+    assert (flow["sender"]["feedback_received"] * 3
+            > flow["sender"]["data_packets_sent"])
+    assert flow["sender"]["fast_retransmits"] >= 5
+    assert flow["sender"]["rtos"] >= 1
+    assert flow == _load("feedback_path")[scheme]
 
 
 if __name__ == "__main__":
