@@ -97,7 +97,10 @@ class BBR(CongestionController):
         return value if value is not None else self._initial_rtt_s
 
     def bdp_bytes(self, gain: float = 1.0) -> int:
-        return max(int(gain * self.bw_estimate() * self.min_rtt() / 8.0), 4 * self.mss)
+        return self._bdp(gain, self.bw_estimate(), self.min_rtt())
+
+    def _bdp(self, gain: float, bw_bps: float, min_rtt_s: float) -> int:
+        return max(int(gain * bw_bps * min_rtt_s / 8.0), 4 * self.mss)
 
     # ------------------------------------------------------------------
     # feedback
@@ -116,30 +119,39 @@ class BBR(CongestionController):
             self._min_rtt.update(sample.min_rtt, now)
             if prior is None or sample.min_rtt <= prior:
                 self._min_rtt_stamp = now
-        if sample.delivery_rate_bps is not None and sample.delivery_rate_bps > 0:
-            if not sample.is_app_limited or sample.delivery_rate_bps > (self._btl_bw.get() or 0.0):
-                self._btl_bw.window = self.bw_window_rtts * self.min_rtt()
-                prior_bw = self._btl_bw.get() if self._tel is not None else None
-                self._btl_bw.update(sample.delivery_rate_bps, now)
-                if self._tel is not None:
-                    new_bw = self._btl_bw.get()
-                    # Value-change detection on the windowed max, not
-                    # clock arithmetic; most updates leave it unchanged.
-                    if new_bw != prior_bw:
-                        self._tel.emit("cc", "bw_filter", self._tel_flow,
-                                       bw_bps=new_bw)
+        # Read once per feedback: nothing below changes either filter
+        # again, and ``get()`` without a time expires nothing.
+        min_rtt_s = self.min_rtt()
+        btl_bw = self._btl_bw
+        bw_bps = btl_bw.get()
+        rate = sample.delivery_rate_bps
+        if rate is not None and rate > 0:
+            if not sample.is_app_limited or rate > (bw_bps or 0.0):
+                btl_bw.window = self.bw_window_rtts * min_rtt_s
+                btl_bw.update(rate, now)
+                prior_bw, bw_bps = bw_bps, btl_bw.get()
+                # Value-change detection on the windowed max, not
+                # clock arithmetic; most updates leave it unchanged.
+                if self._tel is not None and bw_bps != prior_bw:
+                    self._tel.emit("cc", "bw_filter", self._tel_flow,
+                                   bw_bps=bw_bps)
+        if bw_bps is None or bw_bps <= 0:
+            # Nothing measured yet (see bw_estimate); ``_cwnd`` is
+            # still the previous feedback's until _update_cwnd.
+            bw_bps = self._cwnd * 8.0 / min_rtt_s
         if self.aggregation_compensation and sample.newly_acked > 0:
-            self._update_extra_acked(sample.newly_acked, now)
-        self._update_rounds(now)
-        self._update_state(now)
-        self._update_cwnd()
+            self._update_extra_acked(sample.newly_acked, now, bw_bps,
+                                     min_rtt_s)
+        self._update_rounds(now, min_rtt_s)
+        self._update_state(now, bw_bps, min_rtt_s)
+        self._update_cwnd(bw_bps, min_rtt_s)
 
-    def _update_extra_acked(self, newly_acked: int, now: float) -> None:
-        bw_bytes_per_s = self.bw_estimate() / 8.0
+    def _update_extra_acked(self, newly_acked: int, now: float,
+                            bw_bps: float, min_rtt_s: float) -> None:
         if self._ack_epoch_start < 0:
             self._ack_epoch_start = now
             self._ack_epoch_acked = 0
-        expected = bw_bytes_per_s * (now - self._ack_epoch_start)
+        expected = bw_bps / 8.0 * (now - self._ack_epoch_start)
         self._ack_epoch_acked += newly_acked
         if self._ack_epoch_acked <= expected:
             # Credit stream fell behind the estimate: restart the epoch.
@@ -148,15 +160,15 @@ class BBR(CongestionController):
             return
         extra = self._ack_epoch_acked - expected
         extra = min(extra, self._cwnd)  # cap per the reference impl
-        self._extra_acked.window = self.bw_window_rtts * self.min_rtt()
+        self._extra_acked.window = self.bw_window_rtts * min_rtt_s
         self._extra_acked.update(extra, now)
 
     def extra_acked_bytes(self) -> int:
         value = self._extra_acked.get()
         return int(value) if value is not None else 0
 
-    def _update_rounds(self, now: float) -> None:
-        if now - self._round_start >= self.min_rtt():
+    def _update_rounds(self, now: float, min_rtt_s: float) -> None:
+        if now - self._round_start >= min_rtt_s:
             self._round_start = now
             if self.state == STARTUP:
                 self._check_full_pipe()
@@ -181,16 +193,24 @@ class BBR(CongestionController):
                            bw_bps=self.bw_estimate(),
                            min_rtt_s=self.min_rtt())
 
-    def _update_state(self, now: float) -> None:
+    def _update_state(self, now: float, bw_bps: float, min_rtt_s: float) -> None:
         if self.state == STARTUP and self.filled_pipe:
             self._set_state(DRAIN)
             self._pacing_gain = _DRAIN_GAIN
             self._cwnd_gain = _CWND_GAIN
-        if self.state == DRAIN and self._in_flight <= self.bdp_bytes():
+        if (self.state == DRAIN
+                and self._in_flight <= self._bdp(1.0, bw_bps, min_rtt_s)):
             self._enter_probe_bw(now)
         if self.state == PROBE_BW:
-            self._advance_cycle(now)
-            self._maybe_enter_probe_rtt(now)
+            if now - self._cycle_start >= min_rtt_s:
+                self._cycle_index = (self._cycle_index + 1) % len(_PROBE_BW_GAINS)
+                self._cycle_start = now
+                self._pacing_gain = _PROBE_BW_GAINS[self._cycle_index]
+            if now - self._min_rtt_stamp > self._min_rtt.window:
+                self._set_state(PROBE_RTT)
+                self._pacing_gain = 1.0
+                self._probe_rtt_done_at = now + max(_PROBE_RTT_DURATION,
+                                                    min_rtt_s)
         if self.state == PROBE_RTT and now >= self._probe_rtt_done_at:
             self._min_rtt_stamp = now
             if self.filled_pipe:
@@ -207,23 +227,11 @@ class BBR(CongestionController):
         self._cycle_start = now
         self._pacing_gain = _PROBE_BW_GAINS[self._cycle_index]
 
-    def _advance_cycle(self, now: float) -> None:
-        if now - self._cycle_start >= self.min_rtt():
-            self._cycle_index = (self._cycle_index + 1) % len(_PROBE_BW_GAINS)
-            self._cycle_start = now
-            self._pacing_gain = _PROBE_BW_GAINS[self._cycle_index]
-
-    def _maybe_enter_probe_rtt(self, now: float) -> None:
-        if now - self._min_rtt_stamp > self._min_rtt.window:
-            self._set_state(PROBE_RTT)
-            self._pacing_gain = 1.0
-            self._probe_rtt_done_at = now + max(_PROBE_RTT_DURATION, self.min_rtt())
-
-    def _update_cwnd(self) -> None:
+    def _update_cwnd(self, bw_bps: float, min_rtt_s: float) -> None:
         if self.state == PROBE_RTT:
             self._cwnd = 4 * self.mss
         else:
-            self._cwnd = self.bdp_bytes(self._cwnd_gain)
+            self._cwnd = self._bdp(self._cwnd_gain, bw_bps, min_rtt_s)
             if self.aggregation_compensation:
                 self._cwnd += self.extra_acked_bytes()
 

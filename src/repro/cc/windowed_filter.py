@@ -9,6 +9,7 @@ monotonic deque of (time, value) candidates — O(1) amortized updates.
 from __future__ import annotations
 
 import collections
+import operator
 from typing import Optional
 
 
@@ -21,21 +22,24 @@ class _WindowedExtremum:
         self.window = window
         self._samples: collections.deque[tuple[float, float]] = collections.deque()
 
-    def _better(self, a: float, b: float) -> bool:
+    @staticmethod
+    def _better(a: float, b: float) -> bool:
         raise NotImplementedError
 
     def update(self, value: float, now: float) -> None:
         """Insert a sample taken at time ``now``."""
+        samples, better = self._samples, self._better
         # Evict candidates dominated by the new value.
-        while self._samples and not self._better(self._samples[-1][1], value):
-            self._samples.pop()
-        self._samples.append((now, value))
+        while samples and not better(samples[-1][1], value):
+            samples.pop()
+        samples.append((now, value))
         self._expire(now)
 
     def _expire(self, now: float) -> None:
+        samples = self._samples
         horizon = now - self.window
-        while self._samples and self._samples[0][0] < horizon:
-            self._samples.popleft()
+        while samples and samples[0][0] < horizon:
+            samples.popleft()
 
     def get(self, now: Optional[float] = None) -> Optional[float]:
         """Current extremum, or ``None`` when no sample is in window.
@@ -55,12 +59,10 @@ class _WindowedExtremum:
 class WindowedMaxFilter(_WindowedExtremum):
     """Maximum over the trailing ``window`` seconds."""
 
-    def _better(self, a: float, b: float) -> bool:
-        return a > b
+    _better = staticmethod(operator.gt)
 
 
 class WindowedMinFilter(_WindowedExtremum):
     """Minimum over the trailing ``window`` seconds."""
 
-    def _better(self, a: float, b: float) -> bool:
-        return a < b
+    _better = staticmethod(operator.lt)

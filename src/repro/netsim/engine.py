@@ -15,8 +15,9 @@ The pending set is a binary heap (:mod:`heapq`) of
   A NaN time would compare false against everything and silently break
   the heap invariant, which is why :meth:`Simulator.call_at` rejects it.
 * **Cancellation** -- protocol timers (RTO, delayed-ACK, TACK period)
-  are rescheduled constantly; events carry a ``cancelled`` flag and the
-  queue skips dead entries lazily instead of paying for removal.
+  are rescheduled constantly; events carry a state and the queue skips
+  dead entries lazily instead of paying for removal.  A deadline that
+  only recedes (the RTO) is not even re-pushed: :meth:`Simulator.move`.
 """
 
 from __future__ import annotations
@@ -29,30 +30,40 @@ from typing import Callable, Optional
 from repro import sanitize
 from repro.netsim.clock import Clock
 
+#: ``Event._state``, what the run loop does with the heap entry it
+#: surfaces: fire it (falsy), drop it, or replace it with the event's
+#: current key (the entry is the one from before ``Simulator.move``).
+_LIVE, _CANCELLED, _MOVED = range(3)
+
 
 class Event:
     """A scheduled callback: the handle :meth:`Simulator.call_at` and
-    :meth:`Simulator.call_in` return, whose only operation is
-    :meth:`cancel`.
+    :meth:`Simulator.call_in` return, to :meth:`cancel` or to hand to
+    :meth:`Simulator.move`.
 
-    It rides as the third element of its ``(time, seq, event)`` heap
-    entry and is never compared (``seq`` is unique, see the module
-    docstring), so it deliberately has no ``__lt__``; ``seq`` is kept
-    on it for ``repr`` and debugging only, ``time`` also for a holder
-    deciding whether re-arming would move the event at all.
+    It rides as the third element of its one ``(time, seq, event)``
+    heap entry and is never compared (``seq`` is unique, see the module
+    docstring), so it deliberately has no ``__lt__``.  ``time`` and
+    ``seq`` are the key it fires under, which after a move is not yet
+    the key of the entry; a holder reads ``time`` to decide whether
+    re-arming would move the event at all.
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled")
+    __slots__ = ("time", "seq", "fn", "_state")
 
     def __init__(self, time: float, seq: int, fn: Callable[[], None]):
         self.time = time
         self.seq = seq
         self.fn = fn
-        self.cancelled = False
+        self._state = _LIVE
+
+    @property
+    def cancelled(self) -> bool:
+        return self._state == _CANCELLED
 
     def cancel(self) -> None:
         """Mark the event dead; the queue drops it when it surfaces."""
-        self.cancelled = True
+        self._state = _CANCELLED
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -162,6 +173,32 @@ class Simulator:
             raise ValueError(f"negative delay: {delay}")
         return self.call_at(self.now() + delay, fn)
 
+    def move(self, ev: Event, t: float) -> None:
+        """Move the pending event ``ev`` to time ``t``, not earlier
+        than the time it is due.
+
+        The outcome is that of ``ev.cancel()`` followed by
+        ``call_at(t, ev.fn)``, with the handle kept and nothing pushed:
+        ``ev`` takes the key ``(t, next seq)`` that pair would have
+        pushed -- one sequence number drawn, so equal-time ties against
+        every other event fall exactly as they would have -- and its
+        heap entry stays under the old key.  The old key is not above
+        the new one, so the entry surfaces before anything that must
+        fire after ``ev`` does, and :meth:`run` replaces it there.  An
+        earlier ``t`` would surface too late, which is why it is
+        rejected; ``ev`` must not have fired (its holder drops the
+        handle when it does).
+        """
+        if not t >= ev.time:  # also rejects NaN
+            raise ValueError(
+                f"cannot move an event earlier: {t} < {ev.time}"
+            )
+        if ev._state == _CANCELLED:
+            raise ValueError(f"cannot move a cancelled event: {ev!r}")
+        ev.time = t
+        ev.seq = next(self._seq)
+        ev._state = _MOVED
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -190,8 +227,12 @@ class Simulator:
         prof = self.profiler  # hoisted: attach happens before run()
         while queue:
             t, _, ev = queue[0]
-            if ev.cancelled:
-                heappop(queue)
+            if ev._state:
+                if ev._state == _MOVED:
+                    ev._state = _LIVE
+                    heapq.heapreplace(queue, (ev.time, ev.seq, ev))
+                else:
+                    heappop(queue)
                 continue
             if until is not None and t > until:
                 break
@@ -199,7 +240,7 @@ class Simulator:
                 break
             heappop(queue)
             if self.san is not None:
-                self.san.on_event(t)
+                self.san.on_event(t, ev)
             advance_to(t)
             self._events_fired += 1
             fired += 1
@@ -217,7 +258,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for _, _, ev in self._queue if not ev.cancelled)
+        return sum(1 for _, _, ev in self._queue if ev._state != _CANCELLED)
 
     def __repr__(self) -> str:
         return (

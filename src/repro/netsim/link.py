@@ -111,7 +111,7 @@ class Link:
     """
 
     __slots__ = ("sim", "config", "sink", "name", "queue", "_busy",
-                 "packets_sent", "packets_delivered", "packets_lost",
+                 "_on_wire", "packets_sent", "packets_delivered", "packets_lost",
                  "packets_duplicated", "packets_corrupted",
                  "packets_reordered", "bytes_delivered", "_tel",
                  "_tel_stride", "_tel_n", "_imp", "_en")
@@ -129,6 +129,10 @@ class Link:
         self.name = name
         self.queue = DropTailQueue(config.queue_bytes)
         self._busy = False
+        # The packet being clocked onto the wire while ``_busy``: the
+        # transmitter serializes one at a time, so its completion event
+        # needs no closure to know which.
+        self._on_wire: Optional[Packet] = None
         # counters
         self.packets_sent = 0
         self.packets_delivered = 0
@@ -258,6 +262,7 @@ class Link:
             if self._busy and self._tel_stride and self._tick():
                 self._tel.emit_kept("netsim", "idle", 0, link=self.name)
             self._busy = False
+            self._on_wire = None
             return
         self._busy = True
         if self._tel_stride:
@@ -271,10 +276,12 @@ class Link:
                 self._tel_n = n
         if self._en is not None:
             self._en.on_tx(packet)
-        tx_time = self.config.serialization_delay(packet.size)
-        self.sim.call_in(tx_time, lambda p=packet: self._finish_transmission(p))
+        self._on_wire = packet
+        self.sim.call_in(self.config.serialization_delay(packet.size),
+                         self._finish_transmission)
 
-    def _finish_transmission(self, packet: Packet) -> None:
+    def _finish_transmission(self) -> None:
+        packet = self._on_wire
         delay = self.config.delay_s
         if self._imp is not None:
             delay += self._propagation_impairment(packet)

@@ -4,8 +4,9 @@ The sanitizer validates, *while a simulation runs*, the invariants the
 paper's correctness rests on:
 
 ``event_clock``
-    Events fire in non-decreasing simulated time and never at a
-    negative or non-finite instant.
+    Events fire in non-decreasing simulated time, never at a negative
+    or non-finite instant, and under their own key: a moved event
+    (``Simulator.move``) never fires from the heap entry it left behind.
 ``pkt_seq_monotone``
     ``PKT.SEQ`` strictly increases per flow (paper S5.1 — this is what
     removes retransmission ambiguity for receiver-based loss
@@ -35,6 +36,12 @@ paper's correctness rests on:
     The windowed RTT_min estimate never exceeds the smallest raw RTT
     sample observed within the trailing tau window (S5.2: RTT_min is
     non-increasing until samples age out).
+``rto_armed``
+    At the end of every processed feedback an open sender with bytes in
+    flight or a retransmission queued has a pending retransmission
+    timeout, and after a feedback that made progress the timeout is due
+    one RTO from now (the deadline is moved, not re-created; a move
+    that was skipped or applied to a dead event shows here).
 
 Checks are wired through ``if self._san is not None`` guards at the
 hook sites, so a disabled sanitizer costs one attribute test per
@@ -151,9 +158,15 @@ class SimSanitizer:
     # ------------------------------------------------------------------
     # engine hooks
     # ------------------------------------------------------------------
-    def on_event(self, t: float) -> None:
-        """Called by the engine for every event about to fire."""
+    def on_event(self, t: float, ev=None) -> None:
+        """Called by the engine for every event about to fire, with the
+        time of the heap entry it surfaced under."""
         self.checks_run += 1
+        # The entry's key is a copy of the event's own, not arithmetic:
+        if ev is not None and ev.time != t:  # reprolint: disable=REP003
+            self._fail("event_clock", None,
+                       f"{ev!r} fires from a heap entry at {t!r} "
+                       "(moved, and the stale entry was not replaced)")
         if not math.isfinite(t) or t < 0.0:
             self._fail("event_clock", None, f"event time {t!r} is not a "
                        "finite non-negative instant")
@@ -188,8 +201,9 @@ class SimSanitizer:
         state = self._senders.setdefault(sender, _FlowState())
         state.push_rtt_sample(now, sample)
 
-    def on_sender_feedback(self, sender, fb) -> None:
-        """Called at the end of every processed acknowledgment."""
+    def on_sender_feedback(self, sender, fb, progress: bool = False) -> None:
+        """Called at the end of every processed acknowledgment;
+        ``progress`` says it newly acknowledged bytes."""
         self.checks_run += 1
         flow = sender.flow_id
         state = self._senders.setdefault(sender, _FlowState())
@@ -217,6 +231,7 @@ class SimSanitizer:
                        f"in_flight {sender.in_flight} < 0")
 
         self._check_rtt_min_window(sender, state, now)
+        self._check_rto_armed(sender, now, progress)
         if state.feedbacks_seen % LEDGER_CHECK_PERIOD == 0:
             self.check_sender_ledger(sender)
 
@@ -261,6 +276,33 @@ class SimSanitizer:
             self._fail("byte_conservation", flow,
                        f"in_flight counter {sender.in_flight} != "
                        f"{in_flight} summed from live records")
+
+    def _check_rto_armed(self, sender, now: float, progress: bool) -> None:
+        from repro.transport.sender import LOST
+        if sender.closed:
+            return
+        records = sender.records
+        if sender.in_flight <= 0 and not any(
+                seq in records and records[seq].state == LOST
+                for seq in sender.retx_queue):
+            return
+        timer = sender._rto_timer
+        if timer is None or timer.cancelled:
+            self._fail("rto_armed", sender.flow_id,
+                       f"in_flight={sender.in_flight}, "
+                       f"{len(sender.retx_queue)} retransmissions queued, "
+                       f"but the retransmission timeout is {timer!r}")
+        if timer.time < now:
+            self._fail("rto_armed", sender.flow_id,
+                       f"{timer!r} was due before now: it fired or was "
+                       "lost, and the sender still holds it")
+        # The sender's own expression on its own operands, so the same
+        # float to the last bit:
+        due = now + sender.rtt.rto()
+        if progress and timer.time != due:  # reprolint: disable=REP003
+            self._fail("rto_armed", sender.flow_id,
+                       f"progress at {now!r} with RTO {sender.rtt.rto()!r} "
+                       f"left the timeout due at {timer.time!r}")
 
     def _check_rtt_min_window(self, sender, state: _FlowState,
                               now: float) -> None:

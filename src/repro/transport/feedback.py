@@ -9,7 +9,7 @@ ACK *size*, never ACK *count*).
 
 from __future__ import annotations
 
-import math
+from math import isfinite
 from typing import Any, Optional
 
 from repro.transport.errors import FeedbackFormatError
@@ -175,7 +175,7 @@ def _require_int(field: str, value: Any) -> None:
 def _require_real(field: str, value: Any) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FeedbackFormatError(field, f"expected number, got {value!r}")
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise FeedbackFormatError(field, f"non-finite value {value!r}")
 
 
@@ -187,6 +187,16 @@ def _require_pair_list(field: str, value: Any, kind) -> None:
             raise FeedbackFormatError(field, f"expected 2-tuples, got {entry!r}")
         for part in entry:
             kind(field, part)
+
+
+def _plain_int_pairs(value: list) -> bool:
+    """True when every entry is an exact 2-tuple of exact ints: the
+    shape the receiver builds, which needs no second look."""
+    for entry in value:
+        if (type(entry) is not tuple or len(entry) != 2
+                or type(entry[0]) is not int or type(entry[1]) is not int):
+            return False
+    return True
 
 
 def check_wire_form(fb: Any) -> AckFeedback:
@@ -204,23 +214,33 @@ def check_wire_form(fb: Any) -> AckFeedback:
     """
     if not isinstance(fb, AckFeedback):
         raise FeedbackFormatError("fb", f"expected AckFeedback, got {type(fb).__name__}")
-    _require_int("cum_ack", fb.cum_ack)
-    _require_int("awnd", fb.awnd)
-    _require_pair_list("sack_blocks", fb.sack_blocks, _require_int)
-    _require_pair_list("unacked_blocks", fb.unacked_blocks, _require_int)
+    # A value of the exact built-in type (an empty list, a list of
+    # plain int pairs) has the declared shape and passes here; anything
+    # else -- a subclass, a bool, a tuple for a list -- is the helper's
+    # to accept or to reject naming the field, in the same field order.
+    if type(fb.cum_ack) is not int:
+        _require_int("cum_ack", fb.cum_ack)
+    if type(fb.awnd) is not int:
+        _require_int("awnd", fb.awnd)
+    for field in ("sack_blocks", "unacked_blocks"):
+        value = getattr(fb, field)
+        if type(value) is not list or (value and not _plain_int_pairs(value)):
+            _require_pair_list(field, value, _require_int)
     if fb.pull_pkt_range is not None:
         _require_pair_list("pull_pkt_range", [fb.pull_pkt_range], _require_int)
     for field in ("tack_delay", "echo_departure_ts", "delivery_rate_bps",
                   "rx_loss_rate"):
         value = getattr(fb, field)
-        if value is not None:
+        if value is not None and not (type(value) is float
+                                      and isfinite(value)):
             _require_real(field, value)
-    if fb.largest_pkt_seq is not None:
+    if fb.largest_pkt_seq is not None and type(fb.largest_pkt_seq) is not int:
         _require_int("largest_pkt_seq", fb.largest_pkt_seq)
-    _require_pair_list("packet_delays", fb.packet_delays, _require_real)
+    if type(fb.packet_delays) is not list or fb.packet_delays:
+        _require_pair_list("packet_delays", fb.packet_delays, _require_real)
     if fb.reason is not None and not isinstance(fb.reason, str):
         raise FeedbackFormatError("reason", f"expected str, got {fb.reason!r}")
-    if fb.fb_seq is not None:
+    if fb.fb_seq is not None and type(fb.fb_seq) is not int:
         _require_int("fb_seq", fb.fb_seq)
     return fb
 

@@ -211,6 +211,9 @@ class FeedbackValidator:
         # for the delivery-rate floor).
         self._first_sent_s: Optional[float] = None
         self._min_seg_bytes = 0
+        # The frame being admitted and what admit() will return for it.
+        self._frame: Optional[AckFeedback] = None
+        self._out: Optional[AckFeedback] = None
 
     # ------------------------------------------------------------------
     # bookkeeping fed by the sender
@@ -266,6 +269,8 @@ class FeedbackValidator:
         """Close one frame's accounting: advance the consecutive-run
         counter of every rule that fired, reset the ones that did not,
         and escalate on a run of ``escalate_consecutive`` frames."""
+        if not self._frame_rules and not self._consec:
+            return      # a clean frame after a clean frame
         for rule in list(self._consec):
             if rule not in self._frame_rules:
                 del self._consec[rule]
@@ -299,6 +304,25 @@ class FeedbackValidator:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
+    def _sanitized(self) -> AckFeedback:
+        """The frame corrections are written to: a clone of the one
+        being admitted, made at the first violation."""
+        if self._out is self._frame:
+            self._out = clone_feedback(self._frame)
+        return self._out
+
+    def _admit_blocks(self, attr: str, rule: str) -> None:
+        """Keep the blocks of one non-empty list that lie inside the
+        sent byte range; one violation of ``rule`` if any does not."""
+        blocks = getattr(self._frame, attr)
+        snd_nxt = self.sender.next_seq
+        for bad in blocks:
+            if not 0 <= bad[0] < bad[1] <= snd_nxt:
+                self.violate(rule, f"block {bad!r} outside [0, {snd_nxt})")
+                setattr(self._sanitized(), attr,
+                        [b for b in blocks if 0 <= b[0] < b[1] <= snd_nxt])
+                break
+
     def admit(self, fb: Any, now: float) -> Optional[AckFeedback]:
         """Validate one frame; returns a safe frame or ``None``."""
         self.frames += 1
@@ -311,13 +335,7 @@ class FeedbackValidator:
             self._end_frame()
             return None
 
-        out = fb
-
-        def sanitized() -> AckFeedback:
-            nonlocal out
-            if out is fb:
-                out = clone_feedback(fb)
-            return out
+        self._frame = self._out = fb
 
         # --- cumulative ACK against snd_nxt -------------------------
         if fb.cum_ack < 0 or fb.cum_ack > snd.next_seq:
@@ -325,12 +343,12 @@ class FeedbackValidator:
                          f"cum_ack={fb.cum_ack} outside [0, {snd.next_seq}]")
             # Reset to the last good value: an optimistic ACK must not
             # fake progress (clamping to snd_nxt would ack everything).
-            sanitized().cum_ack = snd.cum_acked
+            self._sanitized().cum_ack = snd.cum_acked
 
         # --- advertised window --------------------------------------
         if fb.awnd < 0 or fb.awnd > AWND_MAX:
             self.violate("awnd", f"awnd={fb.awnd}")
-            sanitized().awnd = min(max(snd.awnd, 0), AWND_MAX)
+            self._sanitized().awnd = min(max(snd.awnd, 0), AWND_MAX)
 
         # --- feedback sequence number -------------------------------
         # Peak feedback rate over >= 100 ms spans sizes the replay
@@ -360,17 +378,17 @@ class FeedbackValidator:
                 self._fb_seq_run = 1
             if fb.fb_seq < 0:
                 self.violate("fb_seq_replay", f"fb_seq={fb.fb_seq}")
-                sanitized().fb_seq = None
+                self._sanitized().fb_seq = None
             elif self._fb_seq_run > 8:
                 self.violate("fb_seq_replay",
                              f"fb_seq={fb.fb_seq} repeated "
                              f"{self._fb_seq_run} times")
-                sanitized().fb_seq = None
+                self._sanitized().fb_seq = None
             elif self._fb_seq_max >= 0 and (
                     fb.fb_seq < self._fb_seq_max - reorder_window):
                 self.violate("fb_seq_replay",
                              f"fb_seq={fb.fb_seq} << max={self._fb_seq_max}")
-                sanitized().fb_seq = None
+                self._sanitized().fb_seq = None
             elif self._fb_seq_max >= 0 and (
                     fb.fb_seq > self._fb_seq_max + self.cfg.fb_seq_max_skip):
                 # Do NOT advance the high-water mark: one absurd skip
@@ -378,22 +396,16 @@ class FeedbackValidator:
                 # "replay".
                 self.violate("fb_seq_skip",
                              f"fb_seq={fb.fb_seq} >> max={self._fb_seq_max}")
-                sanitized().fb_seq = None
+                self._sanitized().fb_seq = None
             else:
                 if fb.fb_seq > self._fb_seq_max:
                     self._fb_seq_max = fb.fb_seq
 
         # --- block lists against sent byte ranges -------------------
-        for attr, rule in (("sack_blocks", "sack_range"),
-                           ("unacked_blocks", "unacked_range")):
-            blocks = getattr(fb, attr)
-            good = [b for b in blocks
-                    if 0 <= b[0] < b[1] <= snd.next_seq]
-            if len(good) != len(blocks):
-                bad = next(b for b in blocks
-                           if not (0 <= b[0] < b[1] <= snd.next_seq))
-                self.violate(rule, f"block {bad!r} outside [0, {snd.next_seq})")
-                setattr(sanitized(), attr, good)
+        if fb.sack_blocks:
+            self._admit_blocks("sack_blocks", "sack_range")
+        if fb.unacked_blocks:
+            self._admit_blocks("unacked_blocks", "unacked_range")
 
         # --- PKT.SEQ-space claims -----------------------------------
         sent_top = snd.next_pkt_seq - 1
@@ -401,14 +413,14 @@ class FeedbackValidator:
                 0 <= fb.largest_pkt_seq <= sent_top):
             self.violate("pull_range",
                          f"largest_pkt_seq={fb.largest_pkt_seq} > {sent_top}")
-            sanitized().largest_pkt_seq = None
+            self._sanitized().largest_pkt_seq = None
         pull = fb.pull_pkt_range
         if pull is not None:
             lo, hi = pull
             if not (0 <= lo <= hi <= sent_top):
                 self.violate("pull_range",
                              f"pull {pull!r} outside [0, {sent_top}]")
-                sanitized().pull_pkt_range = None
+                self._sanitized().pull_pkt_range = None
             else:
                 # In-range pull: charge the per-RTT retransmission
                 # budget (a flood of valid-looking pulls would bypass
@@ -445,7 +457,7 @@ class FeedbackValidator:
                     self.violate("pull_flood",
                                  f"{self._pull_window_pkts} pulled pkts "
                                  f"in one rtt > budget {budget}")
-                    sanitized().pull_pkt_range = None
+                    self._sanitized().pull_pkt_range = None
 
         # --- echoed timing (TACK mode only: legacy senders never
         # consume these fields) ---------------------------------------
@@ -454,7 +466,7 @@ class FeedbackValidator:
             if echo is not None:
                 if echo not in self._stamps or echo > now + _EPS:
                     self.violate("echo_ts", f"echo_ts={echo!r} never stamped")
-                    s = sanitized()
+                    s = self._sanitized()
                     s.echo_departure_ts = None
                     s.tack_delay = None
                 elif fb.tack_delay is not None and not (
@@ -462,7 +474,7 @@ class FeedbackValidator:
                     self.violate("tack_delay",
                                  f"tack_delay={fb.tack_delay!r} outside "
                                  f"[0, {now - echo:.6f}]")
-                    s = sanitized()
+                    s = self._sanitized()
                     s.echo_departure_ts = None
                     s.tack_delay = None
             if fb.packet_delays:
@@ -474,7 +486,7 @@ class FeedbackValidator:
                     self.violate("echo_ts",
                                  f"{len(fb.packet_delays) - len(good_delays)} "
                                  "per-packet delay entries never stamped")
-                    sanitized().packet_delays = good_delays
+                    self._sanitized().packet_delays = good_delays
 
         # --- receiver-measured rates --------------------------------
         # Peak send rate over inter-feedback intervals (>= 1 ms): the
@@ -494,14 +506,14 @@ class FeedbackValidator:
         rate = fb.delivery_rate_bps
         if rate is not None and rate < 0:
             self.violate("rate", f"delivery_rate_bps={rate!r}")
-            sanitized().delivery_rate_bps = None
+            self._sanitized().delivery_rate_bps = None
         elif rate is not None:
             cap = max(self.cfg.rate_floor_bps,
                       self.cfg.rate_slack * self._peak_send_bps)
             if rate > cap:
                 self.violate("rate",
                              f"delivery_rate_bps={rate:.3g} > cap {cap:.3g}")
-                sanitized().delivery_rate_bps = None
+                self._sanitized().delivery_rate_bps = None
             elif self._first_sent_s is not None and now > self._first_sent_s:
                 # Floor: every receiver rate sample is >= one segment
                 # over an arrival span that cannot predate the first
@@ -512,10 +524,11 @@ class FeedbackValidator:
                 if rate < floor:
                     self.violate("rate", f"delivery_rate_bps={rate:.3g} "
                                          f"< floor {floor:.3g}")
-                    sanitized().delivery_rate_bps = None
+                    self._sanitized().delivery_rate_bps = None
         if fb.rx_loss_rate is not None and not (0.0 <= fb.rx_loss_rate <= 1.0):
             self.violate("rate", f"rx_loss_rate={fb.rx_loss_rate!r}")
-            sanitized().rx_loss_rate = min(max(fb.rx_loss_rate, 0.0), 1.0)
+            self._sanitized().rx_loss_rate = min(max(fb.rx_loss_rate, 0.0), 1.0)
 
         self._end_frame()
+        out, self._frame, self._out = self._out, None, None
         return out

@@ -160,7 +160,8 @@ class TransportSender:
         self.rack = RackState()
         self.governor = RetransmitGovernor()
         self.ack_loss = AckPathLossEstimator()
-        self.pacer = Pacer(rate_bps=cc.pacing_rate_bps() if self._safe_rate(cc) else 1e6)
+        rate = cc.pacing_rate_bps()
+        self.pacer = Pacer(rate_bps=rate if rate > 0 else 1e6)
         # legacy dupACK state
         self._dup_count = 0
         self._recovery_point = -1
@@ -244,13 +245,6 @@ class TransportSender:
         if mode != self._recovery_mode:
             self._recovery_mode = mode
             self._obs("recovery", mode=mode)
-
-    @staticmethod
-    def _safe_rate(cc: CongestionController) -> bool:
-        try:
-            return cc.pacing_rate_bps() > 0
-        except Exception:
-            return False
 
     # ------------------------------------------------------------------
     # wiring and app interface
@@ -414,12 +408,13 @@ class TransportSender:
                 # up rejecting — is liveness for the ACK-withholding
                 # watchdog: withholding means *silence*, mangling is
                 # the escalation counters' job.
-                self._last_fb_s = self.sim.now()
+                self._last_fb_s = now = self.sim.now()
                 self._wd_probes = 0
                 self._accepts_since_probe = 0
-                if self.guard is not None:
-                    fb = self.guard.admit(fb, self.sim.now())
-                    if self.guard.escalated:
+                guard = self.guard
+                if guard is not None:
+                    fb = guard.admit(fb, now)
+                    if guard.escalated:
                         self._guard_abort()
                         return
                     if fb is None:
@@ -462,18 +457,25 @@ class TransportSender:
     # feedback processing
     # ------------------------------------------------------------------
     def _on_feedback(self, fb: AckFeedback, kind: PacketType) -> None:
+        # Read once per feedback (DESIGN.md, transport): the clock, the
+        # controller and the paradigm; the RTO where the timeout is
+        # re-armed.
         now = self.sim.now()
-        self.stats.feedback_received += 1
+        cc = self.cc
+        receiver_driven = self.receiver_driven
+        stats = self.stats
+        stats.feedback_received += 1
         if kind is PacketType.IACK:
-            self.stats.iacks_received += 1
+            stats.iacks_received += 1
         elif kind is PacketType.TACK:
-            self.stats.tacks_received += 1
+            stats.tacks_received += 1
         else:
-            self.stats.acks_received += 1
+            stats.acks_received += 1
         # rho': every feedback flavor carries a shared sequence number;
         # holes in it are exactly the feedback the ACK path dropped.
         self.ack_loss.on_feedback(fb.fb_seq)
         self.awnd = fb.awnd
+        sack_blocks = fb.sack_blocks
         newly_acked = 0
         newly_lost = 0
         rtt_sample: Optional[float] = None
@@ -482,19 +484,23 @@ class TransportSender:
         # --- cumulative acknowledgment ------------------------------
         # Ignore acknowledgment of data never sent (RFC 9293: an ACK
         # above SND.NXT is discarded) — clamp rather than trust.
-        cum_ack = min(fb.cum_ack, self.next_seq)
+        cum_ack = fb.cum_ack
+        if cum_ack > self.next_seq:
+            cum_ack = self.next_seq
         if cum_ack > self.cum_acked:
             self.cum_acked = cum_ack
             self._dup_count = 0
-            while self._head < len(self._order):
-                seq = self._order[self._head]
-                rec = self.records.get(seq)
-                if rec is None or rec.end > cum_ack:
+            order, records = self._order, self.records
+            head = self._head
+            while head < len(order):
+                seq = order[head]
+                rec = records.get(seq)
+                if rec is None or rec.seq + rec.length > cum_ack:
                     break
-                self._head += 1
+                head += 1
                 if rec.state != SACKED:
                     newly_acked += self._settle_record(rec, now, sacked=False)
-                    if rec.retx_count == 0 and not self.receiver_driven:
+                    if rec.retx_count == 0 and not receiver_driven:
                         # Legacy RTT sampling from ACK arrival times
                         # (delay-biased, paper S4.3).  TACK mode times
                         # exclusively through the corrected TACK
@@ -503,40 +509,41 @@ class TransportSender:
                         self._take_rtt_sample(sample, now)
                         rtt_sample = sample
                         rate_sample_bps = self._legacy_rate_sample(rec, now)
-                del self.records[seq]
+                del records[seq]
                 self.pkt_map.pop(rec.pkt_seq, None)
                 self.governor.on_acked(seq)
+            self._head = head
             if self._sacked or self._holes:
                 # The scoreboard indexes live records only.
                 first_live = self._first_live_seq()
                 self._sacked.remove_below(first_live)
                 del self._holes[:bisect_left(self._holes, first_live)]
-            if self._head > 8192:
+            if head > 8192:
                 # Compact the send-order index so memory tracks the
                 # window, not the lifetime of the connection.
-                self._order = self._order[self._head:]
+                self._order = order[head:]
                 self._head = 0
-        elif fb.cum_ack == self.cum_acked and not self.receiver_driven:
-            if self.in_flight > 0 and not fb.sack_blocks:
-                self._dup_count += 1
-            elif fb.sack_blocks:
-                self._dup_count += 1
+        elif (fb.cum_ack == self.cum_acked and not receiver_driven
+              and (sack_blocks or self.in_flight > 0)):
+            self._dup_count += 1
 
         # --- selective acknowledgment (acked list) ------------------
-        if fb.sack_blocks:
+        if sack_blocks:
             first_live = self._first_live_seq()
-            for start, end in fb.sack_blocks:
+            gaps = self._sacked.gaps
+            for start, end in sack_blocks:
                 # A block that repeats what earlier feedback settled
                 # has no gap left: it costs this one bisect.
-                for gap_start, gap_end in self._sacked.gaps(
-                        end, start=max(start, first_live)):
+                for gap_start, gap_end in gaps(
+                        end, start if start > first_live else first_live):
                     acked, rate = self._sack_gap(gap_start, gap_end, end, now)
                     newly_acked += acked
                     if rate is not None:
-                        rate_sample_bps = max(rate_sample_bps or 0.0, rate)
+                        best = rate_sample_bps or 0.0
+                        rate_sample_bps = rate if rate > best else best
 
         # --- TACK timing --------------------------------------------
-        if self.receiver_driven:
+        if receiver_driven:
             sample = self.rtt_min_est.on_tack(now, fb.echo_departure_ts, fb.tack_delay)
             if sample is not None:
                 self.rtt.on_sample(sample)
@@ -554,7 +561,7 @@ class TransportSender:
             newly_lost += self._handle_pull(fb.pull_pkt_range, now)
         for start, end in fb.unacked_blocks:
             newly_lost += self._mark_range_lost(start, end, now)
-        if not self.receiver_driven:
+        if not receiver_driven:
             newly_lost += self._legacy_loss_detection(fb, now)
 
         # --- recovery-mode tracking (NewReno recovery-point rule) ---
@@ -571,7 +578,7 @@ class TransportSender:
             self._note_recovery("pull")
 
         # --- rate sample to the controller --------------------------
-        if self.receiver_driven and fb.delivery_rate_bps is not None:
+        if receiver_driven and fb.delivery_rate_bps is not None:
             rate_sample_bps = fb.delivery_rate_bps
         # A sample is "application limited" when something other than
         # cwnd throttled the flow: the app ran dry, or the receiver's
@@ -579,35 +586,27 @@ class TransportSender:
         # must not lower the bandwidth estimate (BBR rule).
         app_limited = (
             (not self.unlimited and self.pending_bytes == 0)
-            or self.awnd < self.cc.cwnd_bytes()
+            or self.awnd < cc.cwnd_bytes()
         )
-        sample = RateSample(
-            now=now,
-            newly_acked=newly_acked,
-            newly_lost=newly_lost,
-            rtt=rtt_sample,
-            delivery_rate_bps=rate_sample_bps,
-            in_flight=self.in_flight,
-            is_app_limited=app_limited,
-            min_rtt=self.current_rtt_min() if self.receiver_driven else None,
-        )
-        self.cc.on_feedback(sample)
-        self.pacer.set_rate(self.cc.pacing_rate_bps())
-        if self._san is not None:
-            self._san.on_sender_feedback(self, fb)
-        # fb_seq and the sender's rho' estimate ride the feedback
-        # event so the offline anomaly detector can compare the
-        # estimate against fb_seq ground truth from sender-side
-        # events alone.
-        self._obs("feedback",
-                  kind=kind.value, cum_ack=self.cum_acked,
-                  acked_bytes=newly_acked, lost_bytes=newly_lost,
-                  in_flight=self.in_flight, awnd=fb.awnd,
-                  fb_seq=fb.fb_seq, rho_est=self.ack_loss.loss_rate)
+        cc.on_feedback(RateSample(
+            now, newly_acked, newly_lost, rtt_sample, rate_sample_bps,
+            self.in_flight, app_limited,
+            self.current_rtt_min() if receiver_driven else None))
+        self.pacer.set_rate(cc.pacing_rate_bps())
+        if self._bus is not None:
+            # fb_seq and the sender's rho' estimate ride the feedback
+            # event so the offline anomaly detector can compare the
+            # estimate against fb_seq ground truth from sender-side
+            # events alone.
+            self._bus.emit("transport", "feedback", self.flow_id,
+                           kind=kind.value, cum_ack=self.cum_acked,
+                           acked_bytes=newly_acked, lost_bytes=newly_lost,
+                           in_flight=self.in_flight, awnd=fb.awnd,
+                           fb_seq=fb.fb_seq, rho_est=self.ack_loss.loss_rate)
         if self._tel is not None:
             self._tel.emit("cc", "update", self.flow_id,
-                           cwnd_bytes=self.cc.cwnd_bytes(),
-                           pacing_bps=self.cc.pacing_rate_bps())
+                           cwnd_bytes=cc.cwnd_bytes(),
+                           pacing_bps=cc.pacing_rate_bps())
 
         # --- completion / timers -------------------------------------
         if (
@@ -617,14 +616,17 @@ class TransportSender:
         ):
             self.completed_at = now
             self._obs("complete", total_bytes=self.total_bytes)
-        if newly_acked > 0:
+        progress = newly_acked > 0
+        if progress:
             # Forward progress resets the give-up counters: abort only
             # on *consecutive* unanswered timeouts/probes.
             self._consecutive_rtos = 0
         if fb.awnd > 0:
             self._persist_attempts = 0
-        self._rearm_rto(progress=newly_acked > 0)
+        self._rearm_rto(progress)
         self._try_send()
+        if self._san is not None:
+            self._san.on_sender_feedback(self, fb, progress)
 
     def _first_live_seq(self) -> int:
         """Start of the lowest record still on the scoreboard."""
@@ -801,8 +803,10 @@ class TransportSender:
         """
         lost = 0
         sack_top = 0
-        if fb.sack_blocks:
-            sack_top = max(end for _, end in fb.sack_blocks)
+        for _, end in fb.sack_blocks:
+            if end > sack_top:
+                sack_top = end
+        if sack_top > self._frontier:   # else nothing new to classify
             self._advance_frontier(sack_top)
         if self._dup_count >= 3 and self.cum_acked > self._recovery_point:
             rec = self._first_unacked_record()
@@ -1018,15 +1022,30 @@ class TransportSender:
         self._try_send()
 
     def _rearm_rto(self, progress: bool = False) -> None:
+        """One timeout per flow: armed while bytes are in flight or a
+        retransmission is queued, and due one RTO after the last
+        progress.  A deadline that recedes (every ACK that makes
+        progress, unless the RTO just shrank by more than the time
+        since the last one) moves the armed event; only an earlier one
+        costs a cancel and a push."""
         if self.closed:
             return
-        if self._rto_timer is not None:
-            if not progress and self.in_flight > 0:
-                return
-            self._rto_timer.cancel()
-            self._rto_timer = None
+        timer = self._rto_timer
+        if timer is not None and not progress and self.in_flight > 0:
+            return
         if self.in_flight > 0 or self._has_retx():
-            self._rto_timer = self.sim.call_in(self.rtt.rto(), self._on_rto)
+            sim = self.sim
+            deadline = sim.now() + self.rtt.rto()
+            if timer is None:
+                self._rto_timer = sim.call_at(deadline, self._on_rto)
+            elif deadline >= timer.time:
+                sim.move(timer, deadline)
+            else:
+                timer.cancel()
+                self._rto_timer = sim.call_at(deadline, self._on_rto)
+        elif timer is not None:
+            timer.cancel()
+            self._rto_timer = None
 
     def _on_rto(self) -> None:
         self._rto_timer = None

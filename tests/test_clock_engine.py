@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.clock import Clock
 from repro.netsim.engine import Event, Simulator
@@ -317,3 +319,188 @@ class TestDeterminism:
     def test_fork_rng_label_differs(self):
         s = Simulator(seed=7)
         assert s.fork_rng("x").random() != s.fork_rng("x").random()
+
+
+class _CancelAndPush(Simulator):
+    """``move`` as the cancel + ``call_at`` pair it replaces: the
+    reference for firing order, ``events_fired`` and ``pending()``.
+    Handles are boxes, because the pair returns a new event."""
+
+    def move(self, box, t):
+        box[0].cancel()
+        box[0] = self.call_at(t, box[0].fn)
+
+
+class _Moving(Simulator):
+    """The real ``move`` behind the same boxed-handle interface."""
+
+    def move(self, box, t):
+        super().move(box[0], t)
+
+
+#: Few distinct offsets, zero among them: equal-time ties everywhere.
+_OFFSETS = (0.0, 0.0, 0.25, 0.5, 1.0)
+
+_SCHEDULE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), st.sampled_from(_OFFSETS)),
+        st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("move"), st.integers(0, 1 << 16),
+                  st.sampled_from(_OFFSETS)),
+        # An event whose callback moves another one when it fires.
+        st.tuples(st.just("mover"), st.sampled_from(_OFFSETS),
+                  st.integers(0, 1 << 16), st.sampled_from(_OFFSETS)),
+        st.tuples(st.just("until"), st.sampled_from(_OFFSETS)),
+        st.tuples(st.just("step"), st.integers(1, 3)),
+    ),
+    max_size=60)
+
+
+def _drive(sim, ops):
+    """Apply *ops* to *sim*; returns every observation made on the way:
+    firing order with times, and ``events_fired`` / ``pending()`` after
+    every operation."""
+    log = []
+    boxes = []          # one per scheduled event, in scheduling order
+    fired = set()
+
+    def pending(k):
+        return k not in fired and not boxes[k][0].cancelled
+
+    def arm(dt, then=None):
+        k = len(boxes)
+
+        def fire():
+            fired.add(k)
+            log.append(("fire", k, sim.now()))
+            if then is not None:
+                then()
+
+        boxes.append([sim.call_at(sim.now() + dt, fire)])
+
+    def move(k, dt):
+        if boxes and pending(k % len(boxes)):
+            box = boxes[k % len(boxes)]
+            sim.move(box, box[0].time + dt)
+
+    for op in ops:
+        if op[0] == "at":
+            arm(op[1])
+        elif op[0] == "cancel" and boxes:
+            boxes[op[1] % len(boxes)][0].cancel()
+        elif op[0] == "move":
+            move(op[1], op[2])
+        elif op[0] == "mover":
+            arm(op[1], lambda k=op[2], dt=op[3]: move(k, dt))
+        elif op[0] == "until":
+            sim.run(until=sim.now() + op[1])
+        elif op[0] == "step":
+            sim.run(max_events=op[1])
+        log.append((sim.events_fired, sim.pending(), sim.now()))
+    sim.run()
+    log.append((sim.events_fired, sim.pending(), sim.now()))
+    return log
+
+
+class TestMove:
+    @settings(max_examples=300, deadline=None)
+    @given(_SCHEDULE_OPS)
+    def test_move_is_cancel_plus_call_at(self, ops):
+        assert _drive(_Moving(seed=1), ops) == _drive(_CancelAndPush(seed=1), ops)
+
+    def test_moved_event_fires_once_at_its_new_time(self, sim):
+        fired = []
+        ev = sim.call_at(1.0, lambda: fired.append(sim.now()))
+        sim.move(ev, 3.0)
+        assert ev.time == pytest.approx(3.0) and not ev.cancelled
+        assert "pending" in repr(ev) and "t=3.0" in repr(ev)
+        assert sim.pending() == 1
+        sim.run(until=2.0)          # the stale entry surfaces here
+        assert fired == [] and sim.pending() == 1
+        sim.run()
+        assert fired == [3.0] and sim.events_fired == 1
+
+    def test_move_draws_one_seq_so_ties_fall_behind_earlier_arrivals(self, sim):
+        fired = []
+        ev = sim.call_at(1.0, lambda: fired.append("moved"))
+        sim.call_at(2.0, lambda: fired.append("armed first"))
+        sim.move(ev, 2.0)
+        sim.call_at(2.0, lambda: fired.append("armed after the move"))
+        sim.run()
+        assert fired == ["armed first", "moved", "armed after the move"]
+
+    def test_move_to_the_same_time_still_goes_behind(self, sim):
+        fired = []
+        ev = sim.call_at(1.0, lambda: fired.append("moved"))
+        sim.call_at(1.0, lambda: fired.append("other"))
+        sim.move(ev, 1.0)
+        sim.run()
+        assert fired == ["other", "moved"]
+
+    def test_moved_twice_keeps_one_entry(self, sim):
+        fired = []
+        ev = sim.call_at(1.0, lambda: fired.append(sim.now()))
+        sim.move(ev, 2.0)
+        sim.move(ev, 5.0)
+        assert len(sim._queue) == 1 and sim.pending() == 1
+        sim.run(until=3.0)
+        sim.move(ev, 6.0)           # again, after the entry was replaced
+        assert len(sim._queue) == 1
+        sim.run()
+        assert fired == [6.0] and sim.events_fired == 1
+
+    def test_moved_then_cancelled_never_fires(self, sim):
+        fired = []
+        ev = sim.call_at(1.0, lambda: fired.append("x"))
+        sim.move(ev, 2.0)
+        ev.cancel()
+        assert ev.cancelled and sim.pending() == 0
+        assert sim.run() == 0.0
+        assert fired == [] and sim.events_fired == 0
+
+    def test_moved_across_an_until_boundary(self, sim):
+        fired = []
+        ev = sim.call_at(1.0, lambda: fired.append(sim.now()))
+        sim.call_at(1.5, lambda: sim.move(ev, 4.0))
+        sim.move(ev, 2.5)
+        assert sim.run(until=2.0) == 2.0
+        assert fired == [] and sim.pending() == 1
+        assert ev.time == pytest.approx(4.0)
+        assert sim.run(until=3.0) == 3.0
+        assert fired == []
+        sim.run()
+        assert fired == [4.0]
+
+    def test_max_events_does_not_count_a_replaced_entry(self, sim):
+        fired = []
+        ev = sim.call_at(1.0, lambda: fired.append("moved"))
+        sim.call_at(2.0, lambda: fired.append("other"))
+        sim.move(ev, 3.0)
+        sim.run(max_events=1)
+        assert fired == ["other"] and sim.pending() == 1
+
+    def test_earlier_time_and_nan_rejected(self, sim):
+        ev = sim.call_at(2.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.move(ev, 1.0)
+        with pytest.raises(ValueError):
+            sim.move(ev, NAN)
+        assert ev.time == pytest.approx(2.0) and sim.pending() == 1
+        sim.run()
+        assert sim.events_fired == 1
+
+    def test_cancelled_event_cannot_be_moved(self, sim):
+        ev = sim.call_at(2.0, lambda: None)
+        ev.cancel()
+        with pytest.raises(ValueError):
+            sim.move(ev, 3.0)
+        assert ev.cancelled and sim.pending() == 0
+
+    def test_sanitizer_catches_an_event_fired_from_its_stale_entry(self):
+        from repro.sanitize import InvariantViolation
+        sim = Simulator(seed=1, simsan=True)
+        ev = sim.call_at(1.0, lambda: None)
+        sim.move(ev, 2.0)
+        ev._state = 0       # corrupt: the move forgotten, the key kept
+        with pytest.raises(InvariantViolation, match="event_clock"):
+            sim.run()

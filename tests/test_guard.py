@@ -8,9 +8,14 @@ structured ``misbehaving_peer`` abort.
 """
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.adversary.fuzz import FeedbackFuzzer
+from repro.adversary.models import ADVERSARIES, GARBAGE, MUTABLE_FIELDS
 from repro.cc import BBR, NewReno
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import MSS, Packet, PacketType
@@ -26,6 +31,7 @@ from repro.telemetry import TraceCollector
 from repro.transport.sender import SACKED, TransportSender
 
 from conftest import build_wired_connection, run_bulk
+from wire_form_oracle import check_wire_form as oracle_check_wire_form
 
 
 class StubPort:
@@ -144,6 +150,143 @@ class TestWireFormHardening:
         assert on.sender.guard.total == 0      # ...none a violation
         assert (on.receiver.stats.bytes_delivered
                 == off.receiver.stats.bytes_delivered > 2e6)
+
+
+def wire_verdict(check, fb):
+    """``None`` for an accepted frame, else what rejected it: the
+    field and message of the format error, or (an int too large for
+    ``math.isfinite``) whatever else escaped."""
+    try:
+        assert check(fb) is fb
+    except FeedbackFormatError as err:
+        return err.field, str(err)
+    except Exception as err:
+        return type(err), str(err)
+    return None
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+class _Blocks(list):
+    pass
+
+
+_INTS = st.one_of(
+    st.integers(-5, 1 << 50), st.integers(0, 9).map(_Int), st.booleans(),
+    st.just(10 ** 400))
+_REALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0, 1).map(_Float), _INTS)
+_JUNK = st.sampled_from(GARBAGE)
+
+
+def _pair_lists(part):
+    pair = st.one_of(st.tuples(part, part), st.lists(part, max_size=3),
+                     st.tuples(part, part).map(_Pair), _JUNK)
+    entries = st.lists(pair, max_size=4)
+    return st.one_of(entries, entries.map(tuple), entries.map(_Blocks),
+                     st.none(), _JUNK)
+
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy, _JUNK)
+
+
+_FRAMES = st.fixed_dictionaries({
+    "cum_ack": st.one_of(_INTS, _JUNK),
+    "awnd": st.one_of(_INTS, _JUNK),
+    "sack_blocks": _pair_lists(_INTS),
+    "unacked_blocks": _pair_lists(_INTS),
+    "pull_pkt_range": _optional(st.one_of(st.tuples(_INTS, _INTS),
+                                          st.lists(_INTS, max_size=3))),
+    "tack_delay": _optional(_REALS),
+    "echo_departure_ts": _optional(_REALS),
+    "delivery_rate_bps": _optional(_REALS),
+    "rx_loss_rate": _optional(_REALS),
+    "largest_pkt_seq": _optional(_INTS),
+    "packet_delays": _pair_lists(_REALS),
+    "reason": _optional(st.sampled_from(["loss", "window"])),
+    "fb_seq": _optional(_INTS),
+})
+
+
+class TestWireFormOracle:
+    """``check_wire_form`` passes exact built-in types inline; the
+    helper-only version it replaced (``tests/wire_form_oracle.py``)
+    must give the same verdict on every frame: accepted, or rejected
+    naming the same field with the same detail."""
+
+    BASES = (
+        dict(cum_ack=3 * MSS, awnd=1 << 20, fb_seq=7, largest_pkt_seq=9,
+             sack_blocks=[(5 * MSS, 6 * MSS), (8 * MSS, 9 * MSS)]),
+        dict(cum_ack=3 * MSS, awnd=1 << 20, fb_seq=7, largest_pkt_seq=9,
+             unacked_blocks=[(3 * MSS, 4 * MSS)], pull_pkt_range=(4, 6),
+             tack_delay=0.002, echo_departure_ts=0.5,
+             delivery_rate_bps=2e7, rx_loss_rate=0.01,
+             packet_delays=[(0.5, 0.002)], reason="loss"),
+    )
+
+    def same(self, fb):
+        expected = wire_verdict(oracle_check_wire_form, fb)
+        assert wire_verdict(check_wire_form, fb) == expected
+        return expected
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_every_garbage_value_in_every_mutable_field(self, base):
+        assert self.same(AckFeedback(**base)) is None
+        rejected = 0
+        for field in MUTABLE_FIELDS + ("reason",):
+            for value in GARBAGE:
+                fb = AckFeedback(**base)
+                setattr(fb, field, value)
+                rejected += self.same(fb) is not None
+        assert rejected > 100
+
+    @pytest.mark.parametrize(
+        "model", sorted(ADVERSARIES.values(), key=lambda cls: cls.name)
+        + [FeedbackFuzzer], ids=lambda cls: cls.name)
+    def test_every_adversary_model_output(self, sim, model):
+        seen = []
+
+        class Capture:
+            def send(self, packet):
+                seen.append(packet.meta["fb"])
+                return True
+
+        port = model(sim, Capture(), random.Random(5))
+        for k in range(400):
+            sim.run(until=0.01 * k)
+            fb = AckFeedback(**self.BASES[k % 2])
+            fb.cum_ack += k * MSS
+            fb.fb_seq = k
+            port.send(make_feedback_packet(PacketType.TACK, fb))
+        sim.run()
+        assert seen
+        verdicts = {self.same(fb) is None for fb in seen}
+        if model.name in ("field-mangler", "fuzzer"):
+            assert verdicts == {True, False}
+
+    @settings(max_examples=400, deadline=None)
+    @given(_FRAMES)
+    def test_random_frames(self, fields):
+        fb = AckFeedback(cum_ack=0, awnd=0)
+        for field, value in fields.items():
+            setattr(fb, field, value)
+        self.same(fb)
+
+    def test_non_feedback_objects(self):
+        for junk in GARBAGE:
+            assert self.same(junk) is not None
 
 
 class TestCumAckRule:

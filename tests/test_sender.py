@@ -9,6 +9,8 @@ from repro.netsim.pipe import Pipe
 from repro.transport.feedback import AckFeedback, make_feedback_packet
 from repro.transport.sender import TransportSender
 
+from conftest import build_wired_connection
+
 
 class StubPort:
     """Captures sent packets without delivering them anywhere."""
@@ -58,6 +60,25 @@ class TestHandshake:
         sim.run(until=3.0)
         syns = [p for p in port.sent if p.kind is PacketType.SYN]
         assert len(syns) >= 2  # original plus at least one retry
+
+
+class TestConstruction:
+    def test_controller_error_surfaces_instead_of_a_default_pacer(self, sim):
+        class Broken(NewReno):
+            def pacing_rate_bps(self):
+                raise RuntimeError("rate model not initialised")
+
+        with pytest.raises(RuntimeError, match="not initialised"):
+            TransportSender(sim, Broken())
+
+    def test_pacer_falls_back_only_for_a_non_positive_rate(self, sim):
+        class Idle(NewReno):
+            def pacing_rate_bps(self):
+                return 0.0
+
+        assert TransportSender(sim, Idle()).pacer.rate_bps == 1e6
+        cc = NewReno()
+        assert TransportSender(sim, cc).pacer.rate_bps == cc.pacing_rate_bps()
 
 
 class TestSending:
@@ -402,6 +423,79 @@ class TestTransmitCost:
         sim.run(until=timer.time)
         assert [(p.seq, p.sent_at) for p in port.sent] == [
             (0, pytest.approx(timer.time))]
+
+
+class TestFeedbackCost:
+    """The retransmission timeout is one event per flow whose deadline
+    moves with every ACK that makes progress; it used to be cancelled
+    and pushed again each time (one dead heap entry per ACK)."""
+
+    @pytest.fixture
+    def sim(self):
+        return PushCountingSimulator(seed=42)
+
+    def test_progress_acks_move_the_rto_without_a_push(self, sim):
+        # Four BDPs of queue: startup overshoots without a drop.
+        conn, _ = build_wired_connection(sim, "tcp-bbr", rate_bps=20e6,
+                                         rtt_s=0.04, queue_bytes=400_000)
+        sender = conn.sender
+        on_feedback = sender._on_feedback
+        seen = {"progress": 0, "moved": 0, "earlier": 0}
+
+        def watched(fb, kind):
+            armed, acked = sender._rto_timer, sender.cum_acked
+            due = None if armed is None else armed.time
+            pushes = sim.pushed.count(sender._on_rto)
+            dead = sim.dead_entries()
+            on_feedback(fb, kind)
+            if sender.cum_acked == acked or armed is None:
+                return
+            seen["progress"] += 1
+            pushes = sim.pushed.count(sender._on_rto) - pushes
+            timer = sender._rto_timer
+            assert timer.time == pytest.approx(sim.now() + sender.rtt.rto())
+            if timer.time >= due:
+                seen["moved"] += 1
+                assert timer is armed and not armed.cancelled
+                assert pushes == 0 and sim.dead_entries() <= dead
+            else:
+                seen["earlier"] += 1
+                assert timer is not armed and armed.cancelled
+                assert pushes == 1
+
+        sender._on_feedback = watched
+        conn.start_bulk()
+        sim.run(until=2.0)
+        assert sender.stats.retransmissions == sender.stats.rtos == 0
+        assert seen["progress"] > 1000
+        assert seen["moved"] >= 0.99 * seen["progress"], seen
+        # All told: the first arm, and one per deadline that came in.
+        assert sim.pushed.count(sender._on_rto) == 1 + seen["earlier"]
+
+    def test_an_earlier_deadline_is_a_cancel_and_a_push(self, sim):
+        sender, port = established_sender(sim, NewReno(initial_cwnd_mss=10))
+        sender.set_total(10 * MSS)
+        sim.run(until=0.25)             # the RTO fires and backs off
+        assert sender.stats.rtos == 1
+        backed_off = sender._rto_timer
+        assert backed_off.time == pytest.approx(0.02 + 0.2 + 0.4)
+        del sim.pushed[:]
+        # The late ACK of an original transmission (the second segment;
+        # the first was retransmitted): progress, one sample (Karn
+        # allows it) that resets the backoff, a shorter RTO.
+        ack_for(sender, 2 * MSS)
+        timer = sender._rto_timer
+        assert timer is not backed_off and backed_off.cancelled
+        assert timer.time == pytest.approx(sim.now() + sender.rtt.rto())
+        assert timer.time < backed_off.time
+        assert sim.pushed.count(sender._on_rto) == 1
+        # ... and from there on it only recedes: moved, not pushed.
+        sim.run(until=0.3)
+        del sim.pushed[:]
+        ack_for(sender, 3 * MSS)
+        assert sender._rto_timer is timer and not timer.cancelled
+        assert timer.time == pytest.approx(sim.now() + sender.rtt.rto())
+        assert sender._on_rto not in sim.pushed
 
 
 class TestReceiverDrivenPull:

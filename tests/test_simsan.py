@@ -182,6 +182,55 @@ class TestInvariantsTrip:
         with pytest.raises(InvariantViolation, match="scoreboard_index"):
             sim.san.check_sender_ledger(sender)
 
+    def mid_flow_sender(self):
+        """A legacy sender stopped with bytes in flight and its
+        retransmission timeout armed."""
+        sim = Simulator(seed=7, simsan=True)
+        conn = make_conn(sim)
+        conn.start_transfer(400 * MSS)
+        sim.run(until=0.5)
+        sender = conn.sender
+        assert sender.in_flight > 0 and not sender._rto_timer.cancelled
+        return sim, sender
+
+    def test_rto_armed_timer_dropped(self):
+        sim, sender = self.mid_flow_sender()
+        from repro.transport.feedback import AckFeedback
+        fb = AckFeedback(cum_ack=sender.cum_acked, awnd=1 << 20)
+        sim.san.on_sender_feedback(sender, fb)      # consistent so far
+        armed = sender._rto_timer
+        sender._rto_timer = None    # corrupt: bytes in flight, no timeout
+        with pytest.raises(InvariantViolation, match="rto_armed"):
+            sim.san.on_sender_feedback(sender, fb)
+        sender._rto_timer = armed
+        armed.cancel()              # corrupt: the holder kept a dead event
+        with pytest.raises(InvariantViolation, match="rto_armed"):
+            sim.san.on_sender_feedback(sender, fb)
+
+    def test_rto_armed_progress_left_the_deadline_behind(self):
+        sim, sender = self.mid_flow_sender()
+        from repro.transport.feedback import AckFeedback
+        fb = AckFeedback(cum_ack=sender.cum_acked, awnd=1 << 20)
+        # No progress: an older deadline is what is expected ...
+        sim.san.on_sender_feedback(sender, fb, progress=False)
+        assert sender._rto_timer.time < sim.now() + sender.rtt.rto()
+        # ... but after progress it is due one RTO from now.
+        with pytest.raises(InvariantViolation, match="rto_armed"):
+            sim.san.on_sender_feedback(sender, fb, progress=True)
+        sim.move(sender._rto_timer, sim.now() + sender.rtt.rto())
+        sim.san.on_sender_feedback(sender, fb, progress=True)
+
+    def test_rto_armed_holder_kept_a_fired_event(self):
+        sim, sender = self.mid_flow_sender()
+        from repro.transport.feedback import AckFeedback
+        fb = AckFeedback(cum_ack=sender.cum_acked, awnd=1 << 20)
+        stale = sim.call_at(sim.now(), lambda: None)
+        sim.run(until=sim.now() + 0.001)
+        sender._rto_timer.cancel()
+        sender._rto_timer = stale   # corrupt: fired, so moving it is lost
+        with pytest.raises(InvariantViolation, match="rto_armed"):
+            sim.san.on_sender_feedback(sender, fb)
+
     def test_rtt_min_window(self):
         sim, conn = self.setup_conn()
         sender = conn.sender
