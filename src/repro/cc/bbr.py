@@ -233,7 +233,9 @@ class BBR(CongestionController):
         else:
             self._cwnd = self._bdp(self._cwnd_gain, bw_bps, min_rtt_s)
             if self.aggregation_compensation:
-                self._cwnd += self.extra_acked_bytes()
+                extra = self._extra_acked.get()
+                if extra is not None:
+                    self._cwnd += int(extra)
 
     # ------------------------------------------------------------------
     def on_rto(self, now: float) -> None:

@@ -33,7 +33,9 @@ class _WindowedExtremum:
         while samples and not better(samples[-1][1], value):
             samples.pop()
         samples.append((now, value))
-        self._expire(now)
+        horizon = now - self.window
+        while samples[0][0] < horizon:      # never empties: the new one stays
+            samples.popleft()
 
     def _expire(self, now: float) -> None:
         samples = self._samples

@@ -651,7 +651,8 @@ class TransportSender:
             if seq >= gap_end:
                 break
             rec = records[seq]
-            if rec.end > block_end:
+            end = seq + rec.length
+            if end > block_end:
                 break       # straddles the block edge: not acknowledged
             newly_acked += self._settle_record(rec, now, sacked=True)
             if seq < self._frontier:
@@ -660,7 +661,7 @@ class TransportSender:
                 rate = self._legacy_rate_sample(rec, now)
                 if rate is not None and (best_rate is None or rate > best_rate):
                     best_rate = rate
-            run_end = rec.end
+            run_end = end
             i += 1
         if i > first:
             # Records tile the sequence space, so what was settled is
