@@ -121,7 +121,9 @@ class BBR(CongestionController):
                 self._min_rtt_stamp = now
         # Read once per feedback: nothing below changes either filter
         # again, and ``get()`` without a time expires nothing.
-        min_rtt_s = self.min_rtt()
+        min_rtt_s = self._min_rtt.get()
+        if min_rtt_s is None:
+            min_rtt_s = self._initial_rtt_s
         btl_bw = self._btl_bw
         bw_bps = btl_bw.get()
         rate = sample.delivery_rate_bps
@@ -137,14 +139,24 @@ class BBR(CongestionController):
                                    bw_bps=bw_bps)
         if bw_bps is None or bw_bps <= 0:
             # Nothing measured yet (see bw_estimate); ``_cwnd`` is
-            # still the previous feedback's until _update_cwnd.
+            # still the previous feedback's until the end of the call.
             bw_bps = self._cwnd * 8.0 / min_rtt_s
         if self.aggregation_compensation and sample.newly_acked > 0:
             self._update_extra_acked(sample.newly_acked, now, bw_bps,
                                      min_rtt_s)
-        self._update_rounds(now, min_rtt_s)
+        if now - self._round_start >= min_rtt_s:
+            self._round_start = now
+            if self.state == STARTUP:
+                self._check_full_pipe()
         self._update_state(now, bw_bps, min_rtt_s)
-        self._update_cwnd(bw_bps, min_rtt_s)
+        if self.state == PROBE_RTT:
+            self._cwnd = 4 * self.mss
+        else:
+            self._cwnd = self._bdp(self._cwnd_gain, bw_bps, min_rtt_s)
+            if self.aggregation_compensation:
+                extra = self._extra_acked.get()
+                if extra is not None:
+                    self._cwnd += int(extra)
 
     def _update_extra_acked(self, newly_acked: int, now: float,
                             bw_bps: float, min_rtt_s: float) -> None:
@@ -166,12 +178,6 @@ class BBR(CongestionController):
     def extra_acked_bytes(self) -> int:
         value = self._extra_acked.get()
         return int(value) if value is not None else 0
-
-    def _update_rounds(self, now: float, min_rtt_s: float) -> None:
-        if now - self._round_start >= min_rtt_s:
-            self._round_start = now
-            if self.state == STARTUP:
-                self._check_full_pipe()
 
     def _check_full_pipe(self) -> None:
         bw = self._btl_bw.get() or 0.0
@@ -226,16 +232,6 @@ class BBR(CongestionController):
         self._cycle_index = 2  # start in a neutral phase
         self._cycle_start = now
         self._pacing_gain = _PROBE_BW_GAINS[self._cycle_index]
-
-    def _update_cwnd(self, bw_bps: float, min_rtt_s: float) -> None:
-        if self.state == PROBE_RTT:
-            self._cwnd = 4 * self.mss
-        else:
-            self._cwnd = self._bdp(self._cwnd_gain, bw_bps, min_rtt_s)
-            if self.aggregation_compensation:
-                extra = self._extra_acked.get()
-                if extra is not None:
-                    self._cwnd += int(extra)
 
     # ------------------------------------------------------------------
     def on_rto(self, now: float) -> None:

@@ -277,8 +277,11 @@ class Link:
         if self._en is not None:
             self._en.on_tx(packet)
         self._on_wire = packet
-        self.sim.call_in(self.config.serialization_delay(packet.size),
-                         self._finish_transmission)
+        # call_at, not call_in: its not-in-the-past test also rejects
+        # the negative or NaN delay the extra frame would test for.
+        sim = self.sim
+        sim.call_at(sim.now() + self.config.serialization_delay(packet.size),
+                    self._finish_transmission)
 
     def _finish_transmission(self) -> None:
         packet = self._on_wire
@@ -291,7 +294,8 @@ class Link:
                 self._drop(packet, "corrupt")
                 self._start_transmission()
                 return
-        self.sim.call_in(delay, lambda p=packet: self._deliver(p))
+        sim = self.sim
+        sim.call_at(sim.now() + delay, lambda p=packet: self._deliver(p))
         self._start_transmission()
 
     def _propagation_impairment(self, packet: Packet) -> float:
