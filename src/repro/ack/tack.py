@@ -33,6 +33,7 @@ from typing import Optional
 from typing import TYPE_CHECKING
 
 from repro.ack.base import AckPolicy
+from repro.analysis.thresholds import additional_blocks, rich_info_threshold
 from repro.core.params import TackParams
 from repro.netsim.packet import Packet, PacketType
 
@@ -101,9 +102,9 @@ class TackPolicy(AckPolicy):
             # of a cached reference costs nothing measurable.
             bus = self.receiver.sim.probes
             if bus is not None:
-                bus.emit("ack", "degrade", self.receiver.flow_id,
-                         on=degraded, boost=round(boost, 3),
-                         ack_loss=self.receiver.peer_ack_loss_rate)
+                bus.emit("ack", "degrade", self.receiver.flow_id, {
+                    "on": degraded, "boost": round(boost, 3),
+                    "ack_loss": self.receiver.peer_ack_loss_rate})
         return max(rtt_min / (self.params.beta * boost), 1e-4)
 
     def _block_budget(self) -> tuple[int, int]:
@@ -118,11 +119,6 @@ class TackPolicy(AckPolicy):
             per_list = _RICH_BLOCK_LIMIT // 2
             return per_list, per_list
         if self.params.rich == "adaptive":
-            from repro.analysis.thresholds import (
-                additional_blocks,
-                rich_info_threshold,
-            )
-
             q = self.params.primary_blocks_q
             rho = self.receiver.pkt_tracker.loss_rate()
             rho_prime = self.receiver.peer_ack_loss_rate

@@ -195,9 +195,9 @@ class BBR(CongestionController):
             return
         self.state = state
         if self._bus is not None:
-            self._bus.emit("cc", "state", self._tel_flow, state=state,
-                           bw_bps=self.bw_estimate(),
-                           min_rtt_s=self.min_rtt())
+            self._bus.emit("cc", "state", self._tel_flow, {
+                "state": state, "bw_bps": self.bw_estimate(),
+                "min_rtt_s": self.min_rtt()})
 
     def _update_state(self, now: float, bw_bps: float, min_rtt_s: float) -> None:
         if self.state == STARTUP and self.filled_pipe:

@@ -1,11 +1,12 @@
 """The diagnosis reducer: observations in, per-flow reports out.
 
 :class:`DiagnosisEngine` is a *pure stream reducer*: it consumes
-``TraceEvent`` observations — the diagnosis event vocabulary, a strict
-subset of the schema-v1 telemetry taxonomy — and folds them into
-per-flow state timelines, byte-weighted attribution, and anomaly
-findings.  It never reads a clock, never draws randomness, and never
-looks at a file: both the live plane
+observations ``(t, category, name, flow_id, fields)`` — the diagnosis
+event vocabulary (:data:`VOCABULARY`), a strict subset of the
+schema-v1 telemetry taxonomy — and folds them into per-flow state
+timelines, byte-weighted attribution, and anomaly findings.  It never
+reads a clock, never draws randomness, and never looks at a file: both
+the live plane
 (:class:`repro.diagnose.live.FlowDoctor`) and the offline plane
 (:func:`repro.diagnose.offline.diagnose_trace`) drive the same
 reducer with the same values in the same order, which is what makes
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.diagnose.states import (
@@ -37,8 +40,10 @@ from repro.diagnose.states import (
 )
 
 __all__ = [
+    "ANY_NAME",
     "DiagnosisConfig",
     "DiagnosisEngine",
+    "VOCABULARY",
     "canonical_json",
     "report_digest",
 ]
@@ -48,24 +53,6 @@ REPORT_SCHEMA = "repro-diagnosis"
 #: v2: per-flow ``guard`` block + the ``misbehaving-peer`` anomaly
 #: (feedback-guard violations and the ACK-withholding watchdog).
 REPORT_VERSION = 2
-
-#: The diagnosis event vocabulary: exactly the events sites emit
-#: through the probe bus.  Offline replay feeds *whole traces* through
-#: the engine, so anything outside this set (sampled per-packet sites,
-#: cc/update, rttmin_sync, netsim/chaos categories) must be dropped
-#: here — before the per-flow evidence-offset counter — or live and
-#: offline offsets would disagree.
-TRANSPORT_VOCAB = frozenset({
-    "open", "established", "limited", "recovery", "persist", "rto",
-    "feedback", "complete", "abort", "close",
-})
-
-#: Feedback-guard events (all four are diagnosis vocabulary; the
-#: validator rate-limits ``violation`` traces itself, identically live
-#: and in the recorded trace, so offsets agree across planes).
-GUARD_VOCAB = frozenset({
-    "violation", "watchdog_probe", "escalated", "summary",
-})
 
 
 def canonical_json(obj: Any) -> str:
@@ -79,6 +66,7 @@ def report_digest(flows: Dict[str, Any]) -> str:
         canonical_json({"flows": flows}).encode("utf-8")).hexdigest()
 
 
+@dataclass
 class DiagnosisConfig:
     """Thresholds for state classification and anomaly detection.
 
@@ -89,36 +77,14 @@ class DiagnosisConfig:
     slack marks the ACK clock as stalled.
     """
 
-    __slots__ = (
-        "beta",
-        "starve_intervals",
-        "starve_floor_s",
-        "spurious_rtt_frac",
-        "persist_stall_s",
-        "degrade_flap_min",
-        "rho_min_feedbacks",
-        "rho_tolerance",
-    )
-
-    def __init__(
-        self,
-        beta: float = 4.0,
-        starve_intervals: float = 4.0,
-        starve_floor_s: float = 0.05,
-        spurious_rtt_frac: float = 0.95,
-        persist_stall_s: float = 1.0,
-        degrade_flap_min: int = 2,
-        rho_min_feedbacks: int = 30,
-        rho_tolerance: float = 0.25,
-    ):
-        self.beta = beta
-        self.starve_intervals = starve_intervals
-        self.starve_floor_s = starve_floor_s
-        self.spurious_rtt_frac = spurious_rtt_frac
-        self.persist_stall_s = persist_stall_s
-        self.degrade_flap_min = degrade_flap_min
-        self.rho_min_feedbacks = rho_min_feedbacks
-        self.rho_tolerance = rho_tolerance
+    beta: float = 4.0
+    starve_intervals: float = 4.0
+    starve_floor_s: float = 0.05
+    spurious_rtt_frac: float = 0.95
+    persist_stall_s: float = 1.0
+    degrade_flap_min: int = 2
+    rho_min_feedbacks: int = 30
+    rho_tolerance: float = 0.25
 
     def starve_threshold_s(self, rtt_min_s: float) -> float:
         """Feedback silence longer than this marks ACK starvation."""
@@ -135,7 +101,8 @@ class _FlowDiagnosis:
         "state", "state_since", "state_time", "state_bytes",
         "limit", "recovery", "starved", "degraded", "completed",
         "abort_reason", "total_bytes",
-        "last_fb_t", "in_flight", "rtt_min", "srtt", "bytes_acked",
+        "last_fb_t", "in_flight", "rtt_min", "starve_after_s",
+        "bytes_acked",
         "n_feedback", "n_acks_emitted", "n_rtos", "n_persists",
         "n_degrade_on", "n_cc_states",
         "starve_start", "starve_episodes", "rto_pending_t", "rto_armed_s",
@@ -169,7 +136,7 @@ class _FlowDiagnosis:
         self.last_fb_t: Optional[float] = None
         self.in_flight = 0
         self.rtt_min: Optional[float] = None
-        self.srtt: Optional[float] = None
+        self.starve_after_s = math.inf     # cfg.starve_threshold_s(rtt_min)
         self.bytes_acked = 0
         # counters
         self.n_feedback = 0
@@ -228,49 +195,43 @@ class _FlowDiagnosis:
         self.state = new_state
         self.state_since = t
 
-    def reclassify(self, t: float) -> None:
-        desired = self._classify()
-        if desired != self.state:
-            self._transition(desired, t)
-
     def check_starvation(self, t: float) -> None:
-        """Retroactive ACK-starvation entry, checked on every
-        observation: if feedback silence already exceeds the
-        threshold, the starved interval began at the threshold
+        """Retroactive ACK-starvation entry.  ``fold`` has found, as on
+        every observation, an unstarved flow whose feedback silence
+        exceeds ``starve_after_s``: the starved interval began at that
         boundary, not at this (later) observation."""
-        if self.starved or self.last_fb_t is None or self.rtt_min is None:
-            return
         if (self.t_established is None or self.completed
                 or self.abort_reason is not None
                 or self.recovery != "none" or self.limit == "rwnd"
                 or self.in_flight <= 0):
             return
-        threshold = self.cfg.starve_threshold_s(self.rtt_min)
-        if t - self.last_fb_t > threshold:
-            boundary = self.last_fb_t + threshold
-            if boundary < self.state_since:
-                boundary = self.state_since
-            self.starved = True
-            self.starve_start = boundary
-            self._transition(ACK_STARVED, boundary)
+        boundary = self.last_fb_t + self.starve_after_s
+        if boundary < self.state_since:
+            boundary = self.state_since
+        self.starved = True
+        self.starve_start = boundary
+        self._transition(ACK_STARVED, boundary)
 
     def end_starvation(self, t: float) -> None:
         if self.starved:
             self.starve_episodes.append((self.starve_start, t, self.obs))
             self.starved = False
 
-    # -- event handlers ----------------------------------------------
+    # -- event handlers: one per VOCABULARY entry, all (t, fields) ----
+    def _set_rtt_min(self, rtt_min: float) -> None:
+        self.rtt_min = rtt_min
+        self.starve_after_s = self.cfg.starve_threshold_s(rtt_min)
+
     def on_established(self, t: float, fields: Dict[str, Any]) -> None:
         self.t_established = t
         rtt0 = fields.get("rtt_s")
         if isinstance(rtt0, (int, float)) and rtt0 > 0:
-            self.rtt_min = float(rtt0)
-            self.srtt = float(rtt0)
+            self._set_rtt_min(float(rtt0))
         # The handshake round trip counts as feedback: the starvation
         # window opens at establishment, not at the first data ACK.
         self.last_fb_t = t
 
-    def on_limited(self, fields: Dict[str, Any]) -> None:
+    def on_limited(self, t: float, fields: Dict[str, Any]) -> None:
         limit = fields.get("limit")
         if isinstance(limit, str):
             self.limit = limit
@@ -280,6 +241,9 @@ class _FlowDiagnosis:
         if mode != "none":
             self.end_starvation(t)
         self.recovery = mode if isinstance(mode, str) else "none"
+
+    def on_persist(self, t: float, fields: Dict[str, Any]) -> None:
+        self.n_persists += 1
 
     def on_rto(self, t: float, fields: Dict[str, Any]) -> None:
         self.end_starvation(t)
@@ -294,7 +258,8 @@ class _FlowDiagnosis:
             self.in_flight = in_flight
 
     def on_feedback(self, t: float, fields: Dict[str, Any]) -> None:
-        self.end_starvation(t)
+        if self.starved:
+            self.end_starvation(t)
         acked = fields.get("acked_bytes")
         acked = acked if isinstance(acked, int) else 0
         if acked > 0:
@@ -328,6 +293,13 @@ class _FlowDiagnosis:
             self.rto_armed_s = None
         self.last_fb_t = t
 
+    def on_complete(self, t: float, fields: Dict[str, Any]) -> None:
+        self.completed = True
+
+    def on_abort(self, t: float, fields: Dict[str, Any]) -> None:
+        reason = fields.get("reason")
+        self.abort_reason = reason if isinstance(reason, str) else "unknown"
+
     def on_rtt(self, t: float, fields: Dict[str, Any]) -> None:
         # Eifel-lite, second signature: a *valid* RTT sample larger
         # than the timer that just fired proves the outstanding data
@@ -345,11 +317,12 @@ class _FlowDiagnosis:
             self.rto_pending_t = None
             self.rto_armed_s = None
         rtt_min = fields.get("rtt_min_s")
-        if isinstance(rtt_min, (int, float)) and rtt_min > 0:
-            self.rtt_min = float(rtt_min)
-        srtt = fields.get("srtt_s")
-        if isinstance(srtt, (int, float)) and srtt > 0:
-            self.srtt = float(srtt)
+        if (rtt_min != self.rtt_min and isinstance(rtt_min, (int, float))
+                and rtt_min > 0):
+            self._set_rtt_min(float(rtt_min))
+
+    def on_ack_emitted(self, t: float, fields: Dict[str, Any]) -> None:
+        self.n_acks_emitted += 1
 
     def on_degrade(self, t: float, fields: Dict[str, Any]) -> None:
         on = bool(fields.get("on"))
@@ -358,43 +331,51 @@ class _FlowDiagnosis:
             self.n_degrade_on += 1
             self.degrade_offsets.append(self.obs)
 
-    def on_guard(self, name: str, fields: Dict[str, Any]) -> None:
-        """Fold one feedback-guard event into the evidence.
+    def on_cc_state(self, t: float, fields: Dict[str, Any]) -> None:
+        self.n_cc_states += 1
 
-        ``violation`` traces are rate-limited at the source, so the
-        per-rule counts here are running maxima refreshed by the
-        ``summary`` event's authoritative totals at close.
-        """
-        if name == "violation":
-            rule = fields.get("rule")
-            count = fields.get("count")
-            if isinstance(rule, str) and isinstance(count, int):
-                if count > self.guard_violations.get(rule, 0):
-                    self.guard_violations[rule] = count
-                if len(self.guard_offsets) < 8:
-                    self.guard_offsets.append(self.obs)
-        elif name == "watchdog_probe":
-            probes = fields.get("probes")
-            if isinstance(probes, int) and probes > self.guard_probes:
-                self.guard_probes = probes
-            if len(self.guard_offsets) < 8:
-                self.guard_offsets.append(self.obs)
-        elif name == "escalated":
-            rule = fields.get("rule")
-            if isinstance(rule, str):
-                self.guard_escalated = rule
-        elif name == "summary":
-            for key, val in fields.items():
-                if not isinstance(val, int):
-                    continue
-                if key == "total":
-                    self.guard_total = max(self.guard_total, val)
-                elif key != "frames":
-                    if val > self.guard_violations.get(key, 0):
-                        self.guard_violations[key] = val
+    # Feedback-guard evidence.  ``violation`` traces are rate-limited
+    # at the source, so the per-rule counts are running maxima
+    # refreshed by the ``summary`` event's authoritative totals at
+    # close.
+    def _guard_evidence(self, offset: bool) -> None:
+        """Every guard handler's tail: first eight offsets, total."""
+        if offset and len(self.guard_offsets) < 8:
+            self.guard_offsets.append(self.obs)
         total = sum(self.guard_violations.values())
         if total > self.guard_total:
             self.guard_total = total
+
+    def on_guard_violation(self, t: float, fields: Dict[str, Any]) -> None:
+        rule = fields.get("rule")
+        count = fields.get("count")
+        known = isinstance(rule, str) and isinstance(count, int)
+        if known and count > self.guard_violations.get(rule, 0):
+            self.guard_violations[rule] = count
+        self._guard_evidence(offset=known)
+
+    def on_guard_probe(self, t: float, fields: Dict[str, Any]) -> None:
+        probes = fields.get("probes")
+        if isinstance(probes, int) and probes > self.guard_probes:
+            self.guard_probes = probes
+        self._guard_evidence(offset=True)
+
+    def on_guard_escalated(self, t: float, fields: Dict[str, Any]) -> None:
+        rule = fields.get("rule")
+        if isinstance(rule, str):
+            self.guard_escalated = rule
+        self._guard_evidence(offset=False)
+
+    def on_guard_summary(self, t: float, fields: Dict[str, Any]) -> None:
+        for key, val in fields.items():
+            if not isinstance(val, int):
+                continue
+            if key == "total":
+                self.guard_total = max(self.guard_total, val)
+            elif key != "frames":
+                if val > self.guard_violations.get(key, 0):
+                    self.guard_violations[key] = val
+        self._guard_evidence(offset=False)
 
     # -- finalization ------------------------------------------------
     def _anomalies(self, t_end: float) -> List[Dict[str, Any]]:
@@ -457,9 +438,9 @@ class _FlowDiagnosis:
 
     def rho_truth(self) -> Optional[float]:
         """Ground-truth ACK-path loss: the receiver numbered its
-        feedback densely (``fb_seq``), so holes in what the sender saw
-        are exactly the feedback the reverse path dropped."""
-        if self.max_fb_seq is None or self.fb_seen == 0:
+        feedback densely (``fb_seq`` >= 0), so holes in what the sender
+        saw are exactly the feedback the reverse path dropped."""
+        if self.max_fb_seq is None or self.max_fb_seq < 0:
             return None
         return 1.0 - self.fb_seen / (self.max_fb_seq + 1)
 
@@ -529,10 +510,57 @@ class _FlowDiagnosis:
         }
 
 
+#: Name under which a category takes every event not listed by name.
+ANY_NAME = "*"
+
+#: The engine's own two entries: ``open`` creates the flow's reducer
+#: (and is not counted as an observation), ``close`` retires it.
+_OPEN, _CLOSE = object(), object()
+
+#: The diagnosis event vocabulary, ``{category: {name: (handler,
+#: reclassify)}}``: exactly the events sites emit through the probe
+#: bus.  Offline replay feeds *whole traces* through the engine, so
+#: anything outside the table (sampled per-packet sites, cc/update,
+#: rttmin_sync, netsim/chaos categories) is dropped before the per-flow
+#: evidence-offset counter, or live and offline offsets would disagree.
+#: ``reclassify`` is False for a handler that touches no input of
+#: ``_classify()`` (two events in three); simsan's ``doctor_state``
+#: re-derives the class after every fold, so a wrong False fails there.
+VOCABULARY: Dict[str, Dict[str, Any]] = {
+    "transport": {
+        "open": _OPEN,
+        "established": (_FlowDiagnosis.on_established, True),
+        "limited": (_FlowDiagnosis.on_limited, True),
+        "recovery": (_FlowDiagnosis.on_recovery, True),
+        "persist": (_FlowDiagnosis.on_persist, False),
+        "rto": (_FlowDiagnosis.on_rto, True),
+        "feedback": (_FlowDiagnosis.on_feedback, True),
+        "complete": (_FlowDiagnosis.on_complete, True),
+        "abort": (_FlowDiagnosis.on_abort, True),
+        "close": _CLOSE,
+    },
+    # All-vocabulary: one event per ACK emitted, named by packet kind.
+    "ack": {
+        "degrade": (_FlowDiagnosis.on_degrade, True),
+        ANY_NAME: (_FlowDiagnosis.on_ack_emitted, False),
+    },
+    "timing": {"rtt_sample": (_FlowDiagnosis.on_rtt, False)},
+    "cc": {"state": (_FlowDiagnosis.on_cc_state, False)},
+    # The validator rate-limits ``violation`` traces itself, identically
+    # live and in the recorded trace, so offsets agree across planes.
+    "guard": {
+        "violation": (_FlowDiagnosis.on_guard_violation, False),
+        "watchdog_probe": (_FlowDiagnosis.on_guard_probe, False),
+        "escalated": (_FlowDiagnosis.on_guard_escalated, False),
+        "summary": (_FlowDiagnosis.on_guard_summary, False),
+    },
+}
+
+
 class DiagnosisEngine:
     """Stream reducer over the diagnosis event vocabulary.
 
-    Feed it every diagnosis-relevant observation via :meth:`observe`
+    Feed it every diagnosis-relevant observation via :meth:`fold`
     (times must be non-decreasing, as simulator clocks and traces
     are); collect per-flow reports via :meth:`report`, or pop flows
     incrementally with :meth:`pop_flow` to keep memory flat at fleet
@@ -545,32 +573,17 @@ class DiagnosisEngine:
         self._done: Dict[int, Dict[str, Any]] = {}
 
     # -- ingestion ---------------------------------------------------
-    def observe(self, event) -> None:
-        """Fold one ``TraceEvent`` — the single ingestion step, driven
-        by the live bus subscription and the offline replay loop."""
-        t_s = event.time
-        category = event.category
-        name = event.name
-        flow_id = event.flow_id
-        fields = event.fields
-        # Vocabulary gate first: the `ack` category is all-vocabulary
-        # (feedback kinds + degrade), the others carry one or a few
-        # diagnosis events amid hot-path noise.
-        if category == "transport":
-            if name not in TRANSPORT_VOCAB:
-                return
-        elif category == "timing":
-            if name != "rtt_sample":
-                return
-        elif category == "cc":
-            if name != "state":
-                return
-        elif category == "guard":
-            if name not in GUARD_VOCAB:
-                return
-        elif category != "ack":
+    def fold(self, t_s: float, category: str, name: str, flow_id: int,
+             fields: Dict[str, Any]) -> None:
+        """Fold one observation — the single ingestion step, called by
+        the live doctor's bus subscription and the offline replay."""
+        names = VOCABULARY.get(category)
+        if names is None:
             return
-        if category == "transport" and name == "open":
+        entry = names.get(name) or names.get(ANY_NAME)
+        if entry is None:
+            return
+        if entry is _OPEN:
             if flow_id not in self._flows and flow_id not in self._done:
                 total = fields.get("total_bytes")
                 self._flows[flow_id] = _FlowDiagnosis(
@@ -582,44 +595,20 @@ class DiagnosisEngine:
             return      # before open or after close: both paths drop it
         flow.obs += 1
         flow.last_t = t_s
-        flow.check_starvation(t_s)
-        if category == "transport":
-            if name == "feedback":
-                flow.on_feedback(t_s, fields)
-            elif name == "limited":
-                flow.on_limited(fields)
-            elif name == "recovery":
-                flow.on_recovery(t_s, fields)
-            elif name == "rto":
-                flow.on_rto(t_s, fields)
-            elif name == "persist":
-                flow.n_persists += 1
-            elif name == "established":
-                flow.on_established(t_s, fields)
-            elif name == "complete":
-                flow.completed = True
-            elif name == "abort":
-                reason = fields.get("reason")
-                flow.abort_reason = (reason if isinstance(reason, str)
-                                     else "unknown")
-            elif name == "close":
-                self._done[flow_id] = flow.finalize(t_s)
-                del self._flows[flow_id]
-                return
-        elif category == "ack":
-            if name == "degrade":
-                flow.on_degrade(t_s, fields)
-            else:
-                flow.n_acks_emitted += 1
-        elif category == "timing":
-            if name == "rtt_sample":
-                flow.on_rtt(t_s, fields)
-        elif category == "cc":
-            if name == "state":
-                flow.n_cc_states += 1
-        elif category == "guard":
-            flow.on_guard(name, fields)
-        flow.reclassify(t_s)
+        last_fb_t = flow.last_fb_t
+        if (last_fb_t is not None and not flow.starved
+                and t_s - last_fb_t > flow.starve_after_s):
+            flow.check_starvation(t_s)
+        if entry is _CLOSE:
+            self._done[flow_id] = flow.finalize(t_s)
+            del self._flows[flow_id]
+            return
+        handler, reclassify = entry
+        handler(flow, t_s, fields)
+        if reclassify:
+            desired = flow._classify()
+            if desired != flow.state:
+                flow._transition(desired, t_s)
 
     # -- extraction --------------------------------------------------
     def finalize(self, end_s: Optional[float] = None) -> None:

@@ -3,12 +3,14 @@
 :class:`FlowDoctor` is the only simulation-side piece of the package:
 a stream subscriber of the simulator's probe bus
 (:mod:`repro.telemetry.bus`).  Every diagnosis-vocabulary site emits
-its event once, through ``sim.probes``; the bus stamps one
-``TraceEvent`` and hands that same object to the doctor and — after
-the collector's own filter and sampling — to the trace.  The doctor's
-subscription *is* :meth:`DiagnosisEngine.observe`, the very call
+its event once, through ``sim.probes``; the bus reads the clock and
+calls the doctor with ``(t, category, name, flow_id, fields)`` — no
+event object is built for it — and, for what the collector's own
+filter and sampling keep, stamps a ``TraceEvent`` for the trace.  The
+doctor's subscription *is* :meth:`DiagnosisEngine.fold`, the very call
 :func:`~repro.diagnose.offline.diagnose_events` makes per replayed
-event, so live and offline reports are byte-identical by construction
+event: one lookup in the engine's ``VOCABULARY`` table, one handler.
+So live and offline reports are byte-identical by construction
 whenever the trace kept the vocabulary categories unsampled (the
 default collector does; the always-on ring thins the *trace*, never
 what the doctor sees).
@@ -21,6 +23,8 @@ shared emit path branch per subscriber.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.diagnose.engine import DiagnosisEngine
 from repro.telemetry.bus import ProbeBus
@@ -43,6 +47,9 @@ class FlowDoctor(DiagnosisEngine):
     """
 
     def attach(self, sim) -> "FlowDoctor":
-        """Subscribe to the simulator's probe bus."""
-        ProbeBus.of(sim).subscribe(self.observe)
+        """Subscribe to the simulator's probe bus (under the sanitizer
+        through its ``doctor_state`` check of every fold)."""
+        ProbeBus.of(sim).subscribe(
+            self.fold if sim.san is None
+            else partial(sim.san.doctor_fold, self))
         return self

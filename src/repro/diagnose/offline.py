@@ -24,8 +24,8 @@ def diagnose_events(events: Iterable[TraceEvent],
                     ) -> Dict[str, Any]:
     """Run the diagnosis reducer over an in-memory event stream."""
     engine = DiagnosisEngine(config)
-    for event in events:
-        engine.observe(event)
+    for e in events:
+        engine.fold(e.time, e.category, e.name, e.flow_id, e.fields)
     engine.finalize()
     return engine.report()
 

@@ -3,7 +3,7 @@
 Every instant of a flow's lifetime belongs to exactly one of these
 states.  When several conditions hold at once (a flow can be inside
 RTO recovery *and* nominally cwnd-limited), the state earlier in
-:data:`PRIORITY` wins — recovery and control-plane conditions shadow
+:data:`ALL_STATES` wins — recovery and control-plane conditions shadow
 the steady-state limit classification, mirroring how tcp_info-style
 rate samples fold app-limited epochs out of cwnd-limited ones.
 """
@@ -50,9 +50,9 @@ PACING_LIMITED = "pacing-limited"
 #: constraint.
 CWND_LIMITED = "cwnd-limited"
 
-#: Classification priority, highest first.  ``classify`` returns the
-#: first state whose condition holds.
-PRIORITY = (
+#: Every state in classification priority, highest first (``classify``
+#: returns the first whose condition holds; stable for table rendering).
+ALL_STATES = (
     HANDSHAKE,
     CLOSING,
     RTO_RECOVERY,
@@ -64,11 +64,3 @@ PRIORITY = (
     PACING_LIMITED,
     CWND_LIMITED,
 )
-
-#: Every state, in priority order (stable for table rendering).
-ALL_STATES = PRIORITY
-
-#: States that represent productive steady-state sending; everything
-#: else is waiting, recovering, or tearing down.  Used by ``explain``
-#: to phrase where a slower run's extra time went.
-PRODUCTIVE_STATES = frozenset({CWND_LIMITED, PACING_LIMITED, APP_LIMITED})

@@ -34,9 +34,10 @@ clock; there is no RNG (the mean-backoff DCF cost is analytic).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.energy.model import POWER_MODELS, RadioPowerModel, get_power_model
+from repro.netsim.packet import ACK_KINDS
 from repro.stats.streaming import ExactSum
 from repro.wlan.phy import PhyProfile, get_profile
 
@@ -62,6 +63,19 @@ class FlowEnergy:
         self.feedback_bytes = 0
         self.opened_t: Optional[float] = None
         self.closed_t: Optional[float] = None
+
+
+class _OnFirstUse(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 #: Metrics exported in mergeable (ExactSum-partials) form.
@@ -96,8 +110,17 @@ class EnergyLedger:
         self.power = (power if isinstance(power, RadioPowerModel)
                       else get_power_model(power))
         self._now = None
-        self._flows: Dict[int, FlowEnergy] = {}
-        self._airtime_cache: Dict[int, float] = {}
+        self._flows = _OnFirstUse(FlowEnergy)
+        phy, power = self.phy, self.power
+
+        def exchange_cost(size_bytes: int) -> Tuple[float, float, float]:
+            """``(airtime_s, tx_j, rx_j)`` of one DCF exchange: DIFS +
+            mean backoff + PPDU + SIFS + link-ACK, and that airtime at
+            the transmit and the receive draw."""
+            a = phy.dcf_exchange_s(phy.mpdu_bytes(size_bytes))
+            return a, a * power.tx_w, a * power.rx_w
+
+        self._costs = _OnFirstUse(exchange_cost)     # per wire size
         self._retired: Dict[str, ExactSum] = {k: ExactSum()
                                               for k in TOTAL_KEYS}
         self._retired_counts: Dict[str, int] = {k: 0 for k in COUNT_KEYS}
@@ -111,46 +134,31 @@ class EnergyLedger:
         self._now = sim.clock.now
         return self
 
-    def _flow(self, flow_id: int) -> FlowEnergy:
-        rec = self._flows.get(flow_id)
-        if rec is None:
-            rec = self._flows[flow_id] = FlowEnergy(flow_id)
-        return rec
-
-    def airtime_s(self, size_bytes: int) -> float:
-        """DCF cost of transmitting one ``size_bytes`` packet: DIFS +
-        mean backoff + PPDU + SIFS + link-ACK (cached per size)."""
-        a = self._airtime_cache.get(size_bytes)
-        if a is None:
-            a = self.phy.dcf_exchange_s(self.phy.mpdu_bytes(size_bytes))
-            self._airtime_cache[size_bytes] = a
-        return a
-
     # ------------------------------------------------------------------
-    # link hooks
+    # link hooks: one pass per link leg (flow, size costs, kind test)
     # ------------------------------------------------------------------
     def on_tx(self, packet) -> None:
         """One packet started serializing: bill airtime + tx energy."""
-        rec = self._flow(packet.flow_id)
-        a = self.airtime_s(packet.size)
-        e = a * self.power.tx_w
-        if packet.is_ack_like():
+        rec = self._flows[packet.flow_id]
+        size = packet.size
+        a, e, _ = self._costs[size]
+        if packet.kind in ACK_KINDS:
             rec.ack_pkts += 1
-            rec.ack_bytes += packet.size
+            rec.ack_bytes += size
             rec.ack_airtime_s += a
             rec.ack_energy_j += e
         else:
             rec.data_pkts += 1
-            rec.data_bytes += packet.size
+            rec.data_bytes += size
             rec.data_airtime_s += a
             rec.data_energy_j += e
 
     def on_rx(self, packet) -> None:
         """One packet delivered: bill the receiving radio's energy
         (airtime was already counted once, at transmission)."""
-        rec = self._flow(packet.flow_id)
-        e = self.airtime_s(packet.size) * self.power.rx_w
-        if packet.is_ack_like():
+        rec = self._flows[packet.flow_id]
+        e = self._costs[packet.size][2]
+        if packet.kind in ACK_KINDS:
             rec.ack_energy_j += e
         else:
             rec.data_energy_j += e
@@ -159,19 +167,19 @@ class EnergyLedger:
     # transport hooks
     # ------------------------------------------------------------------
     def flow_opened(self, flow_id: int) -> None:
-        rec = self._flow(flow_id)
+        rec = self._flows[flow_id]
         if rec.opened_t is None:
             self.flows_opened += 1
             rec.opened_t = self._now() if self._now is not None else 0.0
 
     def flow_closed(self, flow_id: int) -> None:
-        rec = self._flow(flow_id)
+        rec = self._flows[flow_id]
         if rec.closed_t is None:
             self.flows_closed += 1
             rec.closed_t = self._now() if self._now is not None else 0.0
 
     def on_feedback_emitted(self, flow_id: int, nbytes: int) -> None:
-        self._flow(flow_id).feedback_bytes += nbytes
+        self._flows[flow_id].feedback_bytes += nbytes
 
     # ------------------------------------------------------------------
     # reading the ledger

@@ -25,10 +25,6 @@ from repro.stats.ranking import rank_schemes
 SCHEMES = ["tcp-tack", "tcp-vegas", "tcp-cubic", "tcp-reno", "tcp-bbr",
            "tcp-bbr-l16", "tcp-tack-poor"]
 
-PAPER_ORDER = ("TCP Vegas", "TCP-TACK", "TCP CUBIC", "Indigo", "PCC-Vivace",
-               "Copa", "TCP BBR", "PCC-Allegro", "QUIC CUBIC", "Verus",
-               "Sprout")
-
 
 def _trial(seed: int, duration_s: float, warmup_s: float) -> dict:
     import random

@@ -30,6 +30,7 @@ admission backlog.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -131,7 +132,7 @@ class _ShardRun:
                                     self.sim.fork_rng("fleet-workload"))
         # flow index -> (connection, start_s, size_bytes)
         self.active: Dict[int, tuple] = {}
-        self.deferred: list[FlowSpec] = []
+        self.deferred: deque[FlowSpec] = deque()
 
         self.fct_hist = LogHistogram(*FCT_HIST_BOUNDS,
                                      bins_per_decade=HIST_BINS_PER_DECADE)
@@ -246,7 +247,7 @@ class _ShardRun:
             elif final:
                 self._retire(index, "unfinished")
         while self.deferred and len(self.active) < self.spec.max_active:
-            self._admit(self.deferred.pop(0))
+            self._admit(self.deferred.popleft())
 
     def _reaper_tick(self) -> None:
         self._reap()

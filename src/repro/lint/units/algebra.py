@@ -26,7 +26,7 @@ it is what the checker's REP101 reports on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 #: Base dimension symbols.  ``data`` deliberately covers both bits and
 #: bytes (scale, not dimension); ``db`` is its own log-domain axis so
@@ -178,12 +178,3 @@ def parse_unit(spec: str) -> Unit:
                 raise UnitError(f"unknown unit {factor!r} in {spec!r}")
             result = result.div(NAMED_UNITS[factor])
     return result
-
-
-def combine(a: Optional[Unit], b: Optional[Unit]) -> Optional[Unit]:
-    """Unify two inference results: ``None`` means "no information"."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a.compatible(b) else None

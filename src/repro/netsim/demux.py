@@ -46,19 +46,18 @@ class FlowDemux:
 class SharedPort:
     """A per-flow facade over a shared link.
 
-    ``send`` forwards into the shared link; ``connect`` registers the
-    flow's sink with the demux sitting at the link's far end.
+    ``send`` is the shared link's own bound ``send``; ``connect``
+    registers the flow's sink with the demux sitting at the link's far
+    end.
     """
 
-    __slots__ = ("link", "demux", "flow_id")
+    __slots__ = ("link", "demux", "flow_id", "send")
 
     def __init__(self, link, demux: FlowDemux, flow_id: int):
         self.link = link
         self.demux = demux
         self.flow_id = flow_id
-
-    def send(self, packet: Packet) -> bool:
-        return self.link.send(packet)
+        self.send = link.send
 
     def connect(self, sink: Callable[[Packet], None]) -> None:
         self.demux.register(self.flow_id, sink)

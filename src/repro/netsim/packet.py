@@ -26,6 +26,9 @@ class PacketType(enum.Enum):
     UDP = "udp"            # unreliable datagram (UDP blaster, RTP video)
 
 
+#: Every acknowledgment flavor (a tuple: ``in`` matches by identity).
+ACK_KINDS = (PacketType.ACK, PacketType.TACK, PacketType.IACK)
+
 _packet_uid = itertools.count(1)
 
 
@@ -100,7 +103,7 @@ class Packet:
     # ------------------------------------------------------------------
     def is_ack_like(self) -> bool:
         """True for every acknowledgment flavor (ACK, TACK, IACK)."""
-        return self.kind in (PacketType.ACK, PacketType.TACK, PacketType.IACK)
+        return self.kind in ACK_KINDS
 
     def end_seq(self) -> int:
         """Sequence number one past the last payload byte."""

@@ -43,6 +43,12 @@ paper's correctness rests on:
     one RTO from now (the deadline is moved, not re-created; a move
     that was skipped or applied to a dead event shows here).
 
+``doctor_state``
+    After every event the live flow doctor folds, the flow's timeline
+    state is the one its flags classify to — so a handler wrongly
+    marked "cannot change the class" (``diagnose.engine.VOCABULARY``)
+    fails here instead of shifting a report digest.
+
 Checks are wired through ``if self._san is not None`` guards at the
 hook sites, so a disabled sanitizer costs one attribute test per
 event/packet — measured well under the 5% budget.
@@ -355,3 +361,18 @@ class SimSanitizer:
                 self._fail("stream_conservation", flow,
                            f"receiver holds {held} stream bytes but the "
                            f"sender only injected {sender.next_seq}")
+
+    # -- flow-doctor hook ------------------------------------------------
+    def doctor_fold(self, doctor, t, category, name, flow_id, fields) -> None:
+        """The live doctor's bus subscription under the sanitizer: its
+        fold, then the check of the flow it folded into (if open)."""
+        doctor.fold(t, category, name, flow_id, fields)
+        flow = doctor._flows.get(flow_id)
+        if flow is None:
+            return
+        self.checks_run += 1
+        desired = flow._classify()
+        if flow.state != desired:
+            self._fail("doctor_state", flow.flow_id,
+                       f"timeline is in {flow.state!r} but the flags "
+                       f"classify to {desired!r}")

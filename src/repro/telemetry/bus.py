@@ -1,25 +1,27 @@
 """The probe bus: the one point an instrumented site emits through.
 
-A site builds its field list once and calls :meth:`ProbeBus.emit`; the
-bus stamps one :class:`TraceEvent` from the simulation clock and hands
-that same object to every subscriber: *stream subscribers*
-(:meth:`subscribe`; the live flow doctor) see every event unsampled,
-the *trace subscriber* (:attr:`trace`, a ``TraceCollector``) applies
-its own category filter and 1-in-N sampling before its sink — so a
-sampled always-on ring never thins what the doctor sees.
+A site builds its field dict once and calls :meth:`ProbeBus.emit`; the
+bus reads the simulation clock once and hands the same values to every
+subscriber.  *Stream subscribers* (:meth:`subscribe`; the live flow
+doctor) are called as ``fn(t, category, name, flow_id, fields)`` for
+every event, unsampled, and no object is built for them.  The *trace
+subscriber* (:attr:`trace`, a ``TraceCollector``) applies its own
+category filter and 1-in-N sampling first, and a :class:`TraceEvent`
+exists only for an event it keeps — so a sampled always-on ring never
+thins what the doctor sees, and a doctor-only run constructs none.
 
 Only events a stream subscriber can use — the flow doctor's vocabulary
-(``diagnose.engine``) — go through the bus.  Sites nobody but a trace
-wants (per-packet send/recv, ``netsim``, ``cc/update``, ...) talk to
-``sim.telemetry`` directly behind a stride or flag resolved at
-construction, so they build no kwargs in a doctor-only run.
+(``diagnose.engine.VOCABULARY``) — go through the bus.  Sites nobody
+but a trace wants (per-packet send/recv, ``netsim``, ``cc/update``,
+...) talk to ``sim.telemetry`` directly behind a stride or flag
+resolved at construction, so they build no fields in a doctor-only run.
 ``sim.probes`` is ``None`` until a subscriber attaches: a bare
 simulation pays one ``is not None`` test per site.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Any, Callable, Dict, List
 
 from repro.telemetry.events import TraceEvent
 
@@ -32,7 +34,7 @@ class ProbeBus:
     def __init__(self, now: Callable[[], float]):
         self._now = now
         self.trace = None
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
+        self._subscribers: List[Callable[..., None]] = []
 
     @classmethod
     def of(cls, sim) -> "ProbeBus":
@@ -42,20 +44,16 @@ class ProbeBus:
             sim.probes = cls(sim.clock.now)
         return sim.probes
 
-    def subscribe(self, fn: Callable[[TraceEvent], None]) -> None:
-        """Deliver every emitted event to *fn*, unsampled."""
+    def subscribe(self, fn: Callable[..., None]) -> None:
+        """Deliver every emitted event, unsampled, as
+        ``fn(t, category, name, flow_id, fields)``."""
         self._subscribers.append(fn)
 
-    def emit(self, category: str, name: str, flow_id: int = 0,
-             **fields) -> None:
-        trace = self.trace
-        # The trace's keep/drop decision comes first so an event that
-        # it drops and nobody else wants is never constructed.
-        keep = trace is not None and trace.gate(category)
-        if not keep and not self._subscribers:
-            return
-        event = TraceEvent(self._now(), category, name, flow_id, fields)
+    def emit(self, category: str, name: str, flow_id: int,
+             fields: Dict[str, Any]) -> None:
+        t = self._now()
         for fn in self._subscribers:
-            fn(event)
-        if keep:
-            trace.record(event)
+            fn(t, category, name, flow_id, fields)
+        trace = self.trace
+        if trace is not None and trace.gate(category):
+            trace.record(TraceEvent(t, category, name, flow_id, fields))

@@ -314,16 +314,13 @@ class TransportReceiver:
             sack = self.intervals.last_ranges(max_sack_blocks, above=cum_ack)
         unacked: list[tuple[int, int]] = []
         if max_unacked_blocks > 0:
-            # Clip gaps to [cum_ack, ...): everything below cum_ack was
-            # consumed (removed from the interval set), not lost.  A
-            # settling allowance (paper S7) suppresses gaps younger
-            # than ``min_gap_age_s`` so mild reordering is not reported
-            # as loss.
+            # Gaps from cum_ack up: everything below it was consumed
+            # (removed from the interval set), not lost.  A settling
+            # allowance (paper S7) suppresses gaps younger than
+            # ``min_gap_age_s`` so mild reordering is not read as loss.
             current: set[int] = set()
-            for start, end in self.intervals.gaps(self.intervals.max_end()):
-                if end <= cum_ack:
-                    continue
-                gap = (max(start, cum_ack), end)
+            for gap in self.intervals.gaps(self.intervals.max_end(),
+                                           start=cum_ack):
                 current.add(gap[0])
                 first_seen = self._gap_first_seen.setdefault(gap[0], now)
                 if now - first_seen < min_gap_age_s:
@@ -388,10 +385,10 @@ class TransportReceiver:
         else:
             self.stats.acks_sent += 1
         if self._bus is not None:
-            self._bus.emit("ack", kind.value, self.flow_id,
-                           reason=fb.reason, cum_ack=fb.cum_ack,
-                           sack=len(fb.sack_blocks),
-                           unacked=len(fb.unacked_blocks), size=pkt.size)
+            self._bus.emit("ack", kind._value_, self.flow_id, {
+                "reason": fb.reason, "cum_ack": fb.cum_ack,
+                "sack": len(fb.sack_blocks),
+                "unacked": len(fb.unacked_blocks), "size": pkt.size})
         if self._en is not None:
             self._en.on_feedback_emitted(self.flow_id, pkt.size)
         if self._port.send(pkt) is False:

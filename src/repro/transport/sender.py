@@ -157,6 +157,9 @@ class TransportSender:
         self.rtt = RttEstimator(initial_rto_s=initial_rto_s)
         self.min_rtt_legacy = MinRttTracker(tau_s=min_rtt_window_s)
         self.rtt_min_est = SenderRttMinEstimator(window_s=min_rtt_window_s)
+        # The mode's own RTT_min read, ``(default) -> seconds``.
+        self._rtt_min_of = (self.rtt_min_est.rtt_min if receiver_driven
+                            else self.min_rtt_legacy.get)
         self.rack = RackState()
         self.governor = RetransmitGovernor()
         self.ack_loss = AckPathLossEstimator()
@@ -238,7 +241,7 @@ class TransportSender:
         """One diagnosis-vocabulary event (the validator's ``guard``
         events come through here too, already rate-limited)."""
         if self._bus is not None:
-            self._bus.emit(category, name, self.flow_id, **fields)
+            self._bus.emit(category, name, self.flow_id, fields)
 
     def _note_recovery(self, mode: str) -> None:
         """Track the loss-recovery mode; emits only on change."""
@@ -598,11 +601,11 @@ class TransportSender:
             # event so the offline anomaly detector can compare the
             # estimate against fb_seq ground truth from sender-side
             # events alone.
-            self._bus.emit("transport", "feedback", self.flow_id,
-                           kind=kind.value, cum_ack=self.cum_acked,
-                           acked_bytes=newly_acked, lost_bytes=newly_lost,
-                           in_flight=self.in_flight, awnd=fb.awnd,
-                           fb_seq=fb.fb_seq, rho_est=self.ack_loss.loss_rate)
+            self._bus.emit("transport", "feedback", self.flow_id, {
+                "kind": kind._value_, "cum_ack": self.cum_acked,
+                "acked_bytes": newly_acked, "lost_bytes": newly_lost,
+                "in_flight": self.in_flight, "awnd": fb.awnd,
+                "fb_seq": fb.fb_seq, "rho_est": self.ack_loss.loss_rate})
         if self._tel is not None:
             self._tel.emit("cc", "update", self.flow_id,
                            cwnd_bytes=cc.cwnd_bytes(),
@@ -691,9 +694,10 @@ class TransportSender:
         if self._san is not None:
             self._san.on_rtt_sample(self, sample, now)
         if self._bus is not None:
-            self._bus.emit("timing", "rtt_sample", self.flow_id,
-                           rtt_s=sample, srtt_s=self.rtt.smoothed(),
-                           rtt_min_s=self.current_rtt_min())
+            srtt = self.rtt.smoothed()
+            self._bus.emit("timing", "rtt_sample", self.flow_id, {
+                "rtt_s": sample, "srtt_s": srtt,
+                "rtt_min_s": self._rtt_min_of(srtt)})
 
     def _legacy_rate_sample(self, rec: SendRecord, now: float) -> Optional[float]:
         """BBR-style delivery-rate sample from a newly acked record."""
@@ -848,9 +852,7 @@ class TransportSender:
     # transmission
     # ------------------------------------------------------------------
     def current_rtt_min(self) -> float:
-        if self.receiver_driven:
-            return self.rtt_min_est.rtt_min(default=self.rtt.smoothed())
-        return self.min_rtt_legacy.get(default=self.rtt.smoothed())
+        return self._rtt_min_of(self.rtt.smoothed())
 
     def _has_retx(self) -> bool:
         while self.retx_queue:

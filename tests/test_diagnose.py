@@ -10,16 +10,30 @@ import json
 import math
 
 import pytest
+from doctor_ladder_oracle import LadderEngine
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import get_scenario, run_scenario
+from repro.core.flavors import make_connection
 from repro.diagnose import (
     ALL_STATES,
     DiagnosisConfig,
     DiagnosisEngine,
+    FlowDoctor,
     diagnose_trace,
     explain_reports,
 )
 from repro.diagnose.cli import main as diagnose_main
+from repro.diagnose.engine import (
+    ANY_NAME,
+    VOCABULARY,
+    _FlowDiagnosis,
+    canonical_json,
+)
+from repro.diagnose.offline import diagnose_events
+from repro.netsim.engine import Simulator
+from repro.netsim.paths import wired_path
 from repro.telemetry import JsonlSink, TraceCollector, TraceEvent
 
 MSS = 1448
@@ -28,7 +42,7 @@ MSS = 1448
 def drive(engine, events):
     """Feed (t, cat, name, fields) tuples for flow 0."""
     for t, cat, name, fields in events:
-        engine.observe(TraceEvent(t, cat, name, 0, fields))
+        engine.fold(t, cat, name, 0, fields)
 
 
 def basic_lifetime(extra=(), close_t=10.0):
@@ -271,6 +285,151 @@ class TestLiveOfflineIdentity:
         offline = diagnose_trace(str(path))
         assert offline["digest"] == result.diagnosis["digest"]
         assert offline["flows"] == result.diagnosis["flows"]
+
+
+    @pytest.mark.parametrize("scheme", ("tcp-tack", "tcp-bbr"))
+    @pytest.mark.parametrize("scenario", (
+        "blackout", "ack-path-loss", "route-change", "adv-optimistic-acker"))
+    def test_golden_chaos_cells_replay_to_the_live_digest(
+            self, scenario, scheme):
+        """The eight cells ``tests/golden/probe_bus.json`` locks, live
+        (bus -> ``fold``) against offline (trace -> ``fold``)."""
+        collector = TraceCollector()
+        live = run_scenario(get_scenario(scenario), scheme, seed=1,
+                            telemetry=collector).diagnosis
+        offline = diagnose_events(collector.events())
+        assert offline["digest"] == live["digest"]
+        assert offline["flows"] == live["flows"]
+
+
+# -- the ladder as oracle ------------------------------------------------
+IN_VOCABULARY = [(category, name) for category, names in VOCABULARY.items()
+                 for name in names]
+OUT_OF_VOCABULARY = [
+    ("transport", "send"), ("transport", "retx"), ("transport", ANY_NAME),
+    ("timing", "rttmin_sync"), ("cc", "update"), ("guard", "admit"),
+    ("ack", "nack"), ("netsim", "deliver"), ("chaos", "fault_on"),
+    ("", ""), ("doctor", "open"),
+]
+FIELD_KEYS = (
+    "total_bytes", "rtt_s", "limit", "mode", "rto_s", "in_flight",
+    "acked_bytes", "fb_seq", "rho_est", "reason", "rtt_min_s", "srtt_s",
+    "on", "rule", "count", "probes", "total", "frames", "bad_cum_ack",
+    "withheld")
+FIELD_VALUES = st.one_of(
+    st.integers(-3, 5), st.integers(0, 1 << 40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(1e-4, 2.0),
+    st.sampled_from(("cwnd", "pacing", "rwnd", "app", "rto", "pull", "none",
+                     "misbehaving_peer", "withheld", "bad_cum_ack", "")),
+    st.booleans(), st.none(), st.lists(st.integers(0, 3), max_size=2))
+EVENTS = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 3.0)),
+        st.one_of(st.sampled_from(IN_VOCABULARY),
+                  st.sampled_from(IN_VOCABULARY + OUT_OF_VOCABULARY)),
+        st.integers(0, 2),
+        st.dictionaries(st.sampled_from(FIELD_KEYS), FIELD_VALUES,
+                        max_size=6)),
+    max_size=60)
+
+
+class TestLadderOracle:
+    """``fold`` dispatches through one table and re-derives the class
+    only after the handlers marked as able to change it; the ladder it
+    replaced (``tests/doctor_ladder_oracle.py``, HEAD verbatim) did
+    neither.  Same stream, same report, whatever the stream."""
+
+    @staticmethod
+    def both(stream):
+        """``(table report, ladder report)`` as canonical JSON (NaN
+        fields make the dicts themselves unequal to their own copy)."""
+        table, ladder = DiagnosisEngine(), LadderEngine()
+        t = 0.0
+        for dt, (category, name), flow_id, fields in stream:
+            t += dt
+            table.fold(t, category, name, flow_id, dict(fields))
+            ladder.observe(TraceEvent(t, category, name, flow_id,
+                                      dict(fields)))
+        table.finalize()
+        ladder.finalize()
+        return (canonical_json(table.report()),
+                canonical_json(ladder.report()))
+
+    @given(EVENTS)
+    @settings(max_examples=400, deadline=None)
+    def test_any_stream_gives_the_ladders_report(self, stream):
+        table, ladder = self.both(stream)
+        assert table == ladder
+
+    def test_lifecycle_corners_the_property_must_reach(self):
+        """Before open, a second open, after close, re-open of a closed
+        flow, every guard name and an unlisted ``ack`` kind — spelled
+        out so the corners do not depend on the search finding them."""
+        guard = {"rule": "bad_cum_ack", "count": 3, "probes": 2, "total": 9,
+                 "frames": 50, "withheld": 1}
+        stream = [(0.1, ("transport", "feedback"), 0, {"acked_bytes": MSS}),
+                  (0.1, ("transport", "open"), 1, {}),
+                  # found by the property: rho_truth divided by zero
+                  (0.1, ("transport", "feedback"), 1, {"fb_seq": -1})]
+        stream += [(0.1, pair, 0, {"total_bytes": 7, "rtt_s": 0.05,
+                                   "limit": "rwnd", "in_flight": MSS, **guard})
+                   for pair in (("transport", "open"), ("transport", "open"),
+                                ("transport", "established"),
+                                *(("guard", name)
+                                  for name in VOCABULARY["guard"]),
+                                ("ack", "nack"), ("ack", "degrade"),
+                                ("transport", "limited"),
+                                ("transport", "close"),
+                                ("transport", "feedback"),
+                                ("transport", "open"))]
+        table, ladder = self.both(stream)
+        assert table == ladder
+        flow = json.loads(table)["flows"]["0"]
+        assert flow["counters"]["events"] == 9      # established..close
+        assert flow["counters"]["acks_emitted"] == 1
+        assert flow["guard"]["escalated_rule"] == "bad_cum_ack"
+        assert flow["guard"]["watchdog_probes"] == 2
+
+
+class TestFoldCost:
+    """Counts, not timings: what one observation may cost."""
+
+    def count_classify(self, monkeypatch):
+        calls = []
+        classify = _FlowDiagnosis._classify
+        monkeypatch.setattr(
+            _FlowDiagnosis, "_classify",
+            lambda flow: calls.append(flow.obs) or classify(flow))
+        return calls
+
+    def test_classify_at_most_once_per_event_never_after_rtt_or_ack(
+            self, monkeypatch):
+        calls = self.count_classify(monkeypatch)
+        seen = []
+        doctor = FlowDoctor()
+        sim = Simulator(seed=3, simsan=False, diagnosis=doctor)
+        sim.probes.subscribe(
+            lambda t, category, name, flow_id, fields: seen.append(
+                ((category, name), len(calls))))
+        path = wired_path(sim, rate_bps=20e6, rtt_s=0.04, data_loss=0.02)
+        conn = make_connection(sim, "tcp-bbr", initial_rtt_s=0.04)
+        conn.wire(path.forward, path.reverse)
+        conn.start_transfer(400_000)
+        sim.run(until=20.0)
+        conn.close()
+        assert conn.completed
+        # The doctor folds before this subscriber sees the event, so the
+        # difference between consecutive marks is that event's calls.
+        per_event = [(pair, after - before) for (pair, after), (_, before)
+                     in zip(seen[1:], seen)]
+        assert {pair for pair, _ in per_event} >= {
+            ("timing", "rtt_sample"), ("ack", "ack"),
+            ("transport", "feedback"), ("transport", "limited")}
+        assert max(n for _, n in per_event) == 1
+        assert not [pair for pair, n in per_event if n and pair[0] in
+                    ("timing", "ack", "cc", "guard") and pair[1] != "degrade"]
+        assert sum(n for _, n in per_event) < len(per_event) / 2
 
 
 class TestExplain:

@@ -103,6 +103,40 @@ class TestLedgerArithmetic:
         assert summary["ack_energy_share"] == 0.0
         assert summary["ack_airtime_share"] == 0.0
 
+    def test_one_ledger_pass_per_link_leg(self, monkeypatch):
+        """Counts, not timings: ``on_tx`` / ``on_rx`` enter no other
+        ``EnergyLedger`` method, and the DCF formula runs once per
+        distinct wire size however many packets carry it."""
+        from repro.wlan.phy import PhyProfile
+        entered = []
+        for name, method in vars(EnergyLedger).items():
+            if callable(method) and not name.startswith("__"):
+                def counted(*args, _name=name, _method=method, **kwargs):
+                    entered.append(_name)
+                    return _method(*args, **kwargs)
+                monkeypatch.setattr(EnergyLedger, name, counted)
+        dcf_sizes = []
+        dcf = PhyProfile.dcf_exchange_s
+        monkeypatch.setattr(
+            PhyProfile, "dcf_exchange_s",
+            lambda phy, nbytes: dcf_sizes.append(nbytes) or dcf(phy, nbytes))
+
+        ledger = EnergyLedger(phy="802.11n")
+        packets = [make_data_packet(i * 1460, i, payload_len=1460 - 8 * (i % 3),
+                                    flow_id=i % 7) for i in range(800)]
+        packets += [make_ack_packet(flow_id=i % 7) for i in range(200)]
+        for packet in packets:
+            ledger.on_tx(packet)
+            ledger.on_rx(packet)
+        assert entered.count("on_tx") == entered.count("on_rx") == 1000
+        assert set(entered) == {"on_tx", "on_rx"}
+        sizes = {packet.size for packet in packets}
+        assert len(sizes) == 4
+        assert sorted(dcf_sizes) == sorted(
+            ledger.phy.mpdu_bytes(size) for size in sizes)
+        summary = ledger.summary()
+        assert (summary["data_pkts"], summary["ack_pkts"]) == (800, 200)
+
 
 class TestSimulationIntegration:
     def _run(self, scheme, energy=None, seed=9, until_s=1.0):

@@ -122,6 +122,29 @@ class TestShard:
             return summary["packets"]["acks"] / summary["packets"]["data"]
         assert ack_per_data(perpkt) > ack_per_data(tack)
 
+    def test_admission_backlog_drains_in_arrival_order(self, monkeypatch):
+        """Arrivals beyond ``max_active`` wait in the deferral queue and
+        the reaper admits them first come, first served."""
+        from repro.fleet import shard as shard_mod
+        admitted = []
+        backlog = []
+        admit = shard_mod._ShardRun._admit
+
+        def recording(run, flow):
+            admitted.append(flow.index)
+            backlog.append(len(run.deferred))
+            admit(run, flow)
+
+        monkeypatch.setattr(shard_mod._ShardRun, "_admit", recording)
+        spec = tiny_spec(mean_arrival_hz=20.0, duration_s=1.5)
+        spec.max_active = 2
+        summary = run_shard(spec.to_dict())
+        flows = summary["flows"]
+        assert flows["peak_active"] == 2 and max(backlog) > 5
+        assert admitted == sorted(admitted) and len(admitted) == flows["started"]
+        assert flows["completed"] == flows["started"] > 15
+        assert flows["deferred_peak"] == 0      # all drained by the end
+
     def test_spec_round_trip(self):
         spec = tiny_spec(shard_id=3, scheme="tcp-bbr", seed=99)
         again = ShardSpec.from_dict(json.loads(

@@ -15,10 +15,10 @@ import pytest
 
 from repro.core.flavors import make_connection
 from repro.diagnose import FlowDoctor
-from repro.diagnose.engine import GUARD_VOCAB, TRANSPORT_VOCAB
+from repro.diagnose.engine import ANY_NAME, VOCABULARY
 from repro.netsim.engine import Simulator
 from repro.netsim.paths import wired_path
-from repro.telemetry import TraceCollector, always_on_collector
+from repro.telemetry import TraceCollector, TraceEvent, always_on_collector
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -42,12 +42,24 @@ def lossy_transfer(scheme: str, telemetry=None, subscriber=None):
     return doctor.report(), sim
 
 
-def in_vocabulary(event) -> bool:
-    return (event.category == "ack"
-            or (event.category == "transport" and event.name in TRANSPORT_VOCAB)
-            or (event.category == "guard" and event.name in GUARD_VOCAB)
-            or (event.category, event.name) in {("timing", "rtt_sample"),
-                                                ("cc", "state")})
+def in_vocabulary(category: str, name: str) -> bool:
+    names = VOCABULARY.get(category, {})
+    return name in names or ANY_NAME in names
+
+
+@pytest.fixture
+def events_built(monkeypatch):
+    """Every ``TraceEvent`` constructed while the fixture is live,
+    whoever builds it (the bus, the collector's direct sites)."""
+    built = []
+    init = TraceEvent.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceEvent, "__init__", counted)
+    return built
 
 
 @pytest.mark.parametrize("scheme", ("tcp-tack", "tcp-bbr"))
@@ -63,12 +75,28 @@ def test_doctor_sees_the_unsampled_stream_whatever_the_trace_keeps(scheme):
 @pytest.mark.parametrize("scheme", ("tcp-tack", "tcp-bbr"))
 def test_doctor_only_run_builds_no_trace_only_events(scheme):
     seen = []
-    lossy_transfer(scheme, subscriber=seen.append)
-    assert seen and all(in_vocabulary(e) for e in seen)
+    lossy_transfer(scheme, subscriber=lambda t, category, name, flow_id,
+                   fields: seen.append((category, name)))
+    assert seen and all(in_vocabulary(*e) for e in seen)
     # The same run under a full-fidelity trace does have such sites.
     collector = TraceCollector()
     lossy_transfer(scheme, telemetry=collector)
-    assert not all(in_vocabulary(e) for e in collector.events())
+    assert not all(in_vocabulary(e.category, e.name)
+                   for e in collector.events())
+
+
+@pytest.mark.parametrize("scheme", ("tcp-tack", "tcp-bbr"))
+def test_a_trace_event_exists_only_for_what_the_trace_keeps(
+        scheme, events_built):
+    """Stream subscribers are handed plain values: a doctor-only run
+    constructs no ``TraceEvent`` at all, and under the sampling ring
+    exactly the events the ring's sink was offered."""
+    lossy_transfer(scheme, subscriber=lambda *event: None)
+    assert events_built == []
+    ring = always_on_collector()
+    lossy_transfer(scheme, telemetry=ring)
+    assert ring.events_dropped > 0
+    assert len(events_built) == ring.events_emitted > 0
 
 
 def test_nothing_attached_leaves_no_bus():

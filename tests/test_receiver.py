@@ -103,6 +103,20 @@ class TestFeedbackConstruction:
         fb = rx.build_feedback(max_unacked_blocks=2)
         assert fb.unacked_blocks == [(0, MSS), (2 * MSS, 3 * MSS)]
 
+    def test_unacked_walk_starts_at_cum_ack(self, sim, monkeypatch):
+        from repro.transport.intervals import IntervalSet
+        rx, _ = make_rx(sim)
+        for i in (0, 1, 3, 5):
+            rx.on_packet(data(sim, i))
+        walks = []
+        gaps = IntervalSet.gaps
+        monkeypatch.setattr(
+            IntervalSet, "gaps", lambda ivs, upto, start=0:
+            walks.append(start) or gaps(ivs, upto, start))
+        fb = rx.build_feedback(max_unacked_blocks=4)
+        assert fb.cum_ack == 2 * MSS and walks == [2 * MSS]
+        assert fb.unacked_blocks == [(2 * MSS, 3 * MSS), (4 * MSS, 5 * MSS)]
+
     def test_awnd_in_feedback(self, sim):
         rx, _ = make_rx(sim, rcv_buffer_bytes=8 * MSS, auto_drain=False)
         rx.on_packet(data(sim, 0))

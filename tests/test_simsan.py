@@ -275,6 +275,26 @@ class TestInvariantsTrip:
         with pytest.raises(InvariantViolation, match="cum_ack_monotone"):
             sim.san.on_receiver_data(receiver)
 
+    def test_doctor_state_handler_wrongly_marked_cannot_reclassify(
+            self, monkeypatch):
+        """A vocabulary entry marked "cannot change the class" whose
+        handler does: the fold skips the re-classification, and the
+        sanitized doctor catches it on that very event."""
+        from repro.diagnose import FlowDoctor
+        from repro.diagnose.engine import VOCABULARY
+        handler, marked = VOCABULARY["transport"]["limited"]
+        assert marked
+        monkeypatch.setitem(VOCABULARY["transport"], "limited",
+                            (handler, False))
+        sim = Simulator(seed=7, simsan=True, diagnosis=FlowDoctor())
+        conn = make_conn(sim)
+        conn.start_transfer(50 * MSS)
+        with pytest.raises(InvariantViolation, match="doctor_state") as exc:
+            sim.run(until=5.0)
+        assert exc.value.invariant == "doctor_state"
+        assert exc.value.flow_id == conn.sender.flow_id
+        assert "classify to" in exc.value.detail
+
 
 class TestCleanRunsStayClean:
     @pytest.mark.parametrize("receiver_driven", [False, True])
