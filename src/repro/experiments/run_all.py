@@ -6,9 +6,14 @@ Usage::
         [--only PAT[,PAT...]] [--list] [--no-cache] [--timeout S]
         [--retries K]
 
-``--fast`` shrinks durations ~3x for a quick smoke regeneration;
-without it the defaults match the benchmark harness.  Tables are
-printed and written to ``DIR`` (default ``benchmarks/results``).
+This module is the one writer of the committed figure tables
+(``benchmarks/results/*.txt``) and :func:`experiment_plan` their one
+parameter plan: git holds the committed bytes, so a full run followed
+by ``git diff -- benchmarks/results`` is the drift check, and
+``tests/test_figure_shapes.py`` asserts the paper's shapes on them.
+``--fast`` shrinks durations ~3x for a smoke run and defaults to the
+git-ignored ``benchmarks/results-fast``, so it cannot change a
+committed byte.  Tables are printed and written to ``DIR``.
 
 Experiments run through :mod:`repro.runner`: ``--jobs N`` fans them out
 over N worker processes (results are deterministic and identical to a
@@ -131,8 +136,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
                         help="shrink durations ~3x for a smoke run")
-    parser.add_argument("--out", default=os.path.join("benchmarks", "results"),
-                        help="output directory for the tables")
+    parser.add_argument("--out", default=None,
+                        help="output directory for the tables (default "
+                             "benchmarks/results, or the git-ignored "
+                             "benchmarks/results-fast with --fast)")
     parser.add_argument("--only", default=None, metavar="PAT[,PAT...]",
                         help="run only experiments whose name contains any "
                              "of the comma-separated substrings")
@@ -154,6 +161,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.out is None:
+        args.out = os.path.join(
+            "benchmarks", "results-fast" if args.fast else "results")
 
     plan = experiment_plan(args.fast)
     available = [name for name, _ in plan]

@@ -4,10 +4,13 @@ docstring, and the repo-level documents reference real artifacts."""
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import repro
+from repro.experiments.run_all import experiment_plan
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+PLANNED = {name for name, _ in experiment_plan(False)}
 
 
 def iter_repro_modules():
@@ -38,22 +41,25 @@ class TestDocstrings:
 class TestRepoDocuments:
     def test_design_md_lists_every_experiment_module(self):
         design = (REPO_ROOT / "DESIGN.md").read_text()
-        experiments = pathlib.Path(
-            REPO_ROOT / "src" / "repro" / "experiments"
-        )
-        assert experiments.is_dir()
-        # Every figure bench named in DESIGN.md exists on disk.
-        for line in design.splitlines():
-            if "benchmarks/bench_" in line:
-                name = line.split("benchmarks/")[1].split("`")[0].strip()
-                assert (REPO_ROOT / "benchmarks" / name).exists(), name
+        # Section 4 has one row per paper artifact; its last column
+        # names that row's run_all tasks, and between them the rows
+        # cover every paper-figure task of the plan.
+        rows = [line for line in design.splitlines()
+                if re.match(r"\| E\d+ \|", line)]
+        named = {task for line in rows
+                 for task in re.findall(r"`(\w+)`", line.split("|")[-2])}
+        assert named == {task for task in PLANNED
+                         if task.startswith(("fig", "eq06"))}
 
-    def test_experiments_md_references_real_benches(self):
+    def test_experiments_md_names_planned_tasks_with_committed_tables(self):
         text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
-        for token in ("bench_fig01_goodput_wlan.py", "bench_fig14_pantheon.py",
-                      "bench_ablations.py"):
-            assert token in text
-            assert (REPO_ROOT / "benchmarks" / token).exists()
+        named = set(re.findall(
+            r"`((?:fig\d\d|eq06_|ablation_|ext_)\w+)`", text))
+        # Every task EXPERIMENTS.md names is in the plan (and it names
+        # them all) and has a committed table.
+        assert named == PLANNED
+        for task in named:
+            assert (REPO_ROOT / "benchmarks" / "results" / f"{task}.txt").exists()
 
     def test_readme_quickstart_paths_exist(self):
         text = (REPO_ROOT / "README.md").read_text()

@@ -1,6 +1,7 @@
 """Tests of the experiment harness itself (Table plus fast runs).
 
-The heavy experiments are exercised by ``benchmarks/``; here the Table
+The heavy experiments run only through ``run_all`` (their committed
+tables are shape-checked by ``test_figure_shapes.py``); here the Table
 machinery and the cheapest experiment paths are verified so harness
 regressions show up in the fast suite.
 """

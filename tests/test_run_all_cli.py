@@ -89,6 +89,18 @@ class TestCli:
         assert rc == 0
         assert os.path.exists(out / "fig17a_vs_bandwidth.txt")
 
+    def test_fast_defaults_away_from_the_committed_tables(
+            self, tmp_path, monkeypatch):
+        """Without ``--out`` only a full run writes the committed
+        directory; a ``--fast`` smoke run lands in the ignored one."""
+        monkeypatch.chdir(tmp_path)
+        args = ["--only", "fig17a", "--no-cache"]
+        assert run_all.main(["--fast"] + args) == 0
+        assert os.listdir("benchmarks") == ["results-fast"]
+        assert os.path.exists("benchmarks/results-fast/fig17a_vs_bandwidth.txt")
+        assert run_all.main(args) == 0
+        assert os.path.exists("benchmarks/results/fig17a_vs_bandwidth.txt")
+
     def test_manifest_written_next_to_tables(self, tmp_path):
         rc = run_all.main(["--fast", "--only", "fig17a", "--no-cache",
                            "--out", str(tmp_path)])
