@@ -72,11 +72,26 @@ each pinned by a sha256 over every processed feedback (arrival time,
 ``cc.pacing_rate_bps()`` and the armed RTO's deadline, or ``None``),
 ``events_fired``, ``sim.pending()`` at the end and every sender counter.
 
+Recovery path
+-------------
+``tests/golden/recovery_path.json`` was recorded at the commit *before*
+the RACK sweep became deadline-ordered and the receiver started reusing
+its unacked list for an unchanged reassembly buffer.
+
+* feedback: ``adv-ack-withholder``, ``blackout`` and ``jitter-reorder``
+  x ``tcp-tack``, seed 1, each pinned by a sha256 over every feedback
+  the receiver emits (``cum_ack``, SACK blocks, unacked blocks, pull
+  range) and their count;
+* retransmissions: ``burst-loss``, ``kitchen-sink`` and ``dup-corrupt``
+  x ``tcp-bbr``, seed 1, each pinned by a sha256 over every
+  retransmission the sender emits (``seq``, ``pkt_seq``, departure
+  time) and their count.
+
 Regenerate (only for an *intended* behaviour change, with the diff
 shown in the PR); ``--regen`` takes an optional golden name and
 rewrites only that file::
 
-    PYTHONPATH=src python tests/test_golden_lock.py --regen [probe_bus|legacy_scoreboard|transmit_path|feedback_path]
+    PYTHONPATH=src python tests/test_golden_lock.py --regen [probe_bus|legacy_scoreboard|transmit_path|feedback_path|recovery_path]
 """
 
 from __future__ import annotations
@@ -121,6 +136,11 @@ BULK_UNTIL_S = 4.0
 FEEDBACK_SCHEMES = ("tcp-bbr", "tcp-cubic")
 FEEDBACK_DROP_EVERY = 97
 FEEDBACK_BLACKOUT = (2.0, 0.3)       # start, duration (s)
+
+RECOVERY_FEEDBACK_CELLS = tuple((scenario, "tcp-tack") for scenario in (
+    "adv-ack-withholder", "blackout", "jitter-reorder"))
+RECOVERY_RETX_CELLS = tuple((scenario, "tcp-bbr") for scenario in (
+    "burst-loss", "kitchen-sink", "dup-corrupt"))
 
 
 def chaos_cell(scenario: str, scheme: str) -> dict:
@@ -329,6 +349,43 @@ def feedback_flow(scheme: str) -> dict:
             "feedbacks_sha256": feedbacks.hexdigest()}
 
 
+def recovery_cell(scenario: str, scheme: str, feedback: bool) -> dict:
+    """Seed-1 chaos run with every feedback the receiver emits
+    (*feedback*) or every retransmission the sender emits hashed on
+    the way through, hooked in as ``legacy_cell`` captures."""
+    sha = hashlib.sha256()
+    count = [0]
+
+    def capture(*args, **kwargs):
+        conn = make_connection(*args, **kwargs)
+        if feedback:
+            emit_feedback = conn.receiver.emit_feedback
+
+            def hashed_feedback(kind, fb):
+                count[0] += 1
+                sha.update(f"{fb.cum_ack},{fb.sack_blocks},"
+                           f"{fb.unacked_blocks},"
+                           f"{fb.pull_pkt_range}\n".encode())
+                emit_feedback(kind, fb)
+
+            conn.receiver.emit_feedback = hashed_feedback
+        else:
+            emit = conn.sender._emit
+
+            def hashed_emit(rec, now):
+                if rec.retx_count:
+                    count[0] += 1
+                    sha.update(f"{rec.seq},{rec.pkt_seq},{now!r}\n".encode())
+                emit(rec, now)
+
+            conn.sender._emit = hashed_emit
+        return conn
+
+    with mock.patch.object(repro.chaos.runner, "make_connection", capture):
+        run_scenario(get_scenario(scenario), scheme, seed=1)
+    return {"count": count[0], "sha256": sha.hexdigest()}
+
+
 def record_probe_bus() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {
@@ -356,10 +413,20 @@ def record_feedback_path() -> dict:
     return {scheme: feedback_flow(scheme) for scheme in FEEDBACK_SCHEMES}
 
 
+def record_recovery_path() -> dict:
+    return {
+        "feedback": {f"{sc}/{scheme}": recovery_cell(sc, scheme, True)
+                     for sc, scheme in RECOVERY_FEEDBACK_CELLS},
+        "retransmissions": {f"{sc}/{scheme}": recovery_cell(sc, scheme, False)
+                            for sc, scheme in RECOVERY_RETX_CELLS},
+    }
+
+
 RECORDERS = {"probe_bus": record_probe_bus,
              "legacy_scoreboard": record_legacy_scoreboard,
              "transmit_path": record_transmit_path,
-             "feedback_path": record_feedback_path}
+             "feedback_path": record_feedback_path,
+             "recovery_path": record_recovery_path}
 
 
 def _load(name: str) -> dict:
@@ -444,6 +511,16 @@ def test_feedback_path_matches_golden(scheme):
     assert flow["sender"]["fast_retransmits"] >= 5
     assert flow["sender"]["rtos"] >= 1
     assert flow == _load("feedback_path")[scheme]
+
+
+def test_recovery_path_matches_golden():
+    recovery = record_recovery_path()
+    # The lock only means something if every cell goes through
+    # recovery: unacked blocks and pulls, retransmission episodes.
+    for cell in (*recovery["feedback"].values(),
+                 *recovery["retransmissions"].values()):
+        assert cell["count"] >= 10, recovery
+    assert recovery == _load("recovery_path")
 
 
 if __name__ == "__main__":
