@@ -30,7 +30,9 @@ class RackState:
         return self.reo_wnd_fraction * srtt
 
     def is_lost(self, send_time: float, srtt: float, now: float) -> bool:
-        """Is an outstanding packet sent at ``send_time`` lost?"""
+        """Is an outstanding packet sent at ``send_time`` lost?  Never
+        True again once False as ``send_time`` grows (rounded float
+        addition is monotone): the sender's RACK sweep relies on it."""
         if self.latest_delivered_send_time is None:
             return False
         if send_time >= self.latest_delivered_send_time:

@@ -104,9 +104,12 @@ class RetransmitGovernor:
         self._last_retx: dict[int, float] = {}
 
     def may_retransmit(self, seq_start: int, now: float,
-                       srtt_s: float) -> bool:
+                       window_s: float) -> bool:
+        """True unless ``seq_start`` was retransmitted less than
+        ``window_s`` ago.  The sender passes its suppression window,
+        ``1.5 * srtt`` (one RTT plus the feedback lag)."""
         last = self._last_retx.get(seq_start)
-        return last is None or now - last >= srtt_s
+        return last is None or now - last >= window_s
 
     def on_retransmit(self, seq_start: int, now: float) -> None:
         self._last_retx[seq_start] = now

@@ -114,7 +114,7 @@ def run_governor_ablation(rate_bps: float = 20e6, rtt_s: float = 0.2,
         flow = BulkFlow(sim, path, "tcp-tack", initial_rtt_s=rtt_s)
         if not enabled:
             flow.conn.sender.governor.may_retransmit = (
-                lambda seq, now, srtt: True
+                lambda seq, now, window_s: True
             )
         flow.start()
         sim.run(until=duration_s)

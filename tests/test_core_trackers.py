@@ -117,20 +117,20 @@ class TestPktSeqTracker:
 class TestRetransmitGovernor:
     def test_first_retransmit_allowed(self):
         g = RetransmitGovernor()
-        assert g.may_retransmit(0, now=1.0, srtt_s=0.1)
+        assert g.may_retransmit(0, now=1.0, window_s=0.1)
 
     def test_suppressed_within_srtt(self):
         g = RetransmitGovernor()
         g.on_retransmit(0, now=1.0)
-        assert not g.may_retransmit(0, now=1.05, srtt_s=0.1)
-        assert g.may_retransmit(0, now=1.1, srtt_s=0.1)
+        assert not g.may_retransmit(0, now=1.05, window_s=0.1)
+        assert g.may_retransmit(0, now=1.1, window_s=0.1)
 
     def test_ack_clears_state(self):
         g = RetransmitGovernor()
         g.on_retransmit(0, now=1.0)
         g.on_acked(0)
         assert len(g) == 0
-        assert g.may_retransmit(0, now=1.01, srtt_s=0.1)
+        assert g.may_retransmit(0, now=1.01, window_s=0.1)
 
 
 class TestReceiverOwdTracker:

@@ -1,8 +1,15 @@
 """Unit tests for the transport receiver."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.ack import PerPacketAck
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import MSS, Packet, PacketType, make_data_packet
+from repro.transport.intervals import IntervalSet
 from repro.transport.receiver import TransportReceiver
+
+from unacked_walk_oracle import unacked_walk
 
 
 class StubPort:
@@ -150,6 +157,116 @@ class TestFeedbackConstruction:
         pkt.meta["rtt_min"] = 0.123
         rx.on_packet(pkt)
         assert rx.peer_rtt_min == 0.123
+
+
+receiver_steps = st.lists(
+    st.one_of(
+        # a segment arrives: index, length in half segments (so some
+        # edges are unaligned)
+        st.tuples(st.just("add"), st.integers(0, 40), st.integers(1, 4)),
+        # the application reads (slow-reader mode only)
+        st.tuples(st.just("read"), st.integers(1, 8)),
+        # time passes: gaps age past the settling allowance
+        st.tuples(st.just("wait"), st.sampled_from([0.001, 0.01, 0.05])),
+        # a feedback is built: unacked budget and settling allowance
+        st.tuples(st.just("build"), st.integers(0, 6),
+                  st.sampled_from([0.0, 0.005, 0.02])),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+class TestUnackedWalkOracle:
+    """The unacked list is walked again only for a changed buffer;
+    every build must still answer what the full walk it replaced
+    (``tests/unacked_walk_oracle.py``) answers, and keep the same
+    first-seen times."""
+
+    @given(receiver_steps, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_and_first_seen_match_the_full_walk(self, steps,
+                                                       auto_drain):
+        sim = Simulator(seed=1, simsan=True)
+        rx, _ = make_rx(sim, auto_drain=auto_drain)
+        oracle_first_seen: dict[int, float] = {}
+        pkt_seq = 0
+        for step in steps:
+            if step[0] == "add":
+                pkt_seq += 1
+                pkt = make_data_packet(step[1] * MSS // 2, pkt_seq,
+                                       payload_len=step[2] * MSS // 2)
+                pkt.sent_at = sim.now()
+                rx.on_packet(pkt)
+            elif step[0] == "read":
+                rx.read(step[1] * MSS // 2)
+            elif step[0] == "wait":
+                sim.run(until=sim.now() + step[1])
+            else:
+                _, max_blocks, min_age = step
+                fb = rx.build_feedback(max_unacked_blocks=max_blocks,
+                                       min_gap_age_s=min_age)
+                expected = unacked_walk(rx.intervals, oracle_first_seen,
+                                        fb.cum_ack, sim.now(), max_blocks,
+                                        min_age)
+                assert fb.unacked_blocks == expected
+                assert rx._gap_first_seen == oracle_first_seen
+
+
+class CountingIntervalSet(IntervalSet):
+    """An ``IntervalSet`` with its ``gaps`` calls counted."""
+
+    gap_walks = 0
+
+    def gaps(self, upto, start=0):
+        self.gap_walks += 1
+        return super().gaps(upto, start)
+
+
+class CountingWrites(dict):
+    """``_gap_first_seen`` with its writes and deletions counted."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        dict.__setitem__(self, key, value)
+
+    def setdefault(self, key, default=None):
+        self.writes += 1
+        return dict.setdefault(self, key, default)
+
+    def __delitem__(self, key):
+        self.writes += 1
+        dict.__delitem__(self, key)
+
+
+class TestUnackedWalkCost:
+    def test_repeated_tack_on_an_unchanged_buffer_walks_nothing(self):
+        # Never sanitized: simsan's gap_cache check re-walks by design.
+        sim = Simulator(seed=42, simsan=False)
+        rx, _ = make_rx(sim)
+        for i in range(1, 101, 2):       # 50 gaps: 0, 2, 4, ..., 98
+            rx.on_packet(data(sim, i))
+        rx.intervals = CountingIntervalSet(rx.intervals.ranges())
+        first = rx.build_feedback(max_unacked_blocks=200, min_gap_age_s=0.01)
+        assert first.unacked_blocks == []           # all too young
+        assert rx.intervals.gap_walks == 1
+        rx._gap_first_seen = CountingWrites(rx._gap_first_seen)
+        assert len(rx._gap_first_seen) == 50
+        sim.run(until=sim.now() + 0.02)
+        for _ in range(5):
+            fb = rx.build_feedback(max_unacked_blocks=200,
+                                   min_gap_age_s=0.01)
+            assert fb.unacked_blocks == [(i * MSS, (i + 1) * MSS)
+                                         for i in range(0, 100, 2)]
+        assert rx.intervals.gap_walks == 1
+        assert rx._gap_first_seen.writes == 0
+        # A changed buffer is walked again.
+        rx.on_packet(data(sim, 0))
+        fb = rx.build_feedback(max_unacked_blocks=3)
+        assert fb.unacked_blocks == [(2 * MSS, 3 * MSS), (4 * MSS, 5 * MSS),
+                                     (6 * MSS, 7 * MSS)]
+        assert rx.intervals.gap_walks == 2
 
 
 class TestFeedbackWire:
