@@ -1,6 +1,6 @@
 """Command-line front end: ``python -m repro.lint`` / ``reprolint``.
 
-Exit codes: 0 clean, 1 findings reported, 2 usage/configuration error.
+Exit codes: 0 clean, 1 findings reported, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.lint.config import find_pyproject, load_config
 from repro.lint.engine import LintResult, lint_paths
 from repro.lint.rules import RULE_SUMMARIES
 from repro.lint.units import UNIT_RULE_SUMMARIES
@@ -38,12 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format (default: text)")
     parser.add_argument("--json", dest="format", action="store_const",
                         const="json", help="shorthand for --format json")
-    parser.add_argument("--config", type=Path, default=None,
-                        help="pyproject.toml with a [tool.reprolint] table "
-                             "(default: discovered upward from the first path)")
-    parser.add_argument("--units", action="store_true",
-                        help="run the inter-procedural unit/dimension "
-                             "checker (REP101-REP105)")
     parser.add_argument("--report-unused-pragmas", action="store_true",
                         help="report pragmas that suppress nothing (REP009)")
     parser.add_argument("--list-rules", action="store_true",
@@ -89,13 +82,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"reprolint: no such path: {', '.join(map(str, missing))}",
               file=sys.stderr)
         return 2
-    pyproject = args.config if args.config else find_pyproject(paths[0])
-    if args.config and not args.config.is_file():
-        print(f"reprolint: config not found: {args.config}", file=sys.stderr)
-        return 2
-    config = load_config(pyproject)
-
-    result = lint_paths(paths, config, units=args.units,
+    result = lint_paths(paths,
                         report_unused_pragmas=args.report_unused_pragmas)
     report = (_report_json if args.format == "json" else _report_text)(result)
     print(report)

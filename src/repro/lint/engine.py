@@ -1,4 +1,4 @@
-"""reprolint driver: file discovery, pragmas, rule dispatch.
+"""reprolint engine: file discovery, pragmas, one run of every rule.
 
 Pragmas
 -------
@@ -31,11 +31,11 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import is_fixture, is_host, repro_path
 from repro.lint.rules import DETERMINISM_RULES, RULES, Finding
-from repro.lint.units.checker import UNIT_RULE_SUMMARIES, analyze_units
+from repro.lint.units.checker import analyze_units
 
 _PRAGMA_RE = re.compile(
     r"#\s*reprolint:\s*(disable(?:-file)?)\s*(?:=\s*([A-Z0-9,\s]+))?"
@@ -158,11 +158,11 @@ class PragmaSet:
                 hit = True
         return hit
 
-    def unused(self, path: str, active_codes: Set[str]) -> List[Finding]:
+    def unused(self, path: str) -> List[Finding]:
         """REP009 findings for pragma codes that suppressed nothing.
 
-        A code the run did not check (disabled rule, units off) is not
-        reported — the pragma may be load-bearing for other runs.
+        Every run checks every rule, so a code that suppressed nothing
+        (a reserved code such as REP006 included) is dead.
         """
         findings: List[Finding] = []
         for pragma in self.pragmas:
@@ -175,8 +175,7 @@ class PragmaSet:
                         f"(suppresses nothing on this {scope})",
                         path, pragma.line, 0))
                 continue
-            dead = [c for c in pragma.codes
-                    if c in active_codes and pragma.hits.get(c, 0) == 0]
+            dead = [c for c in pragma.codes if pragma.hits.get(c, 0) == 0]
             if dead:
                 findings.append(Finding(
                     "REP009",
@@ -186,70 +185,57 @@ class PragmaSet:
         return findings
 
 
-def parse_pragmas(source: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
-    """Extract (line -> suppressed codes, file-wide suppressed codes).
+# ----------------------------------------------------------------------
+# one run of every rule
+# ----------------------------------------------------------------------
 
-    Kept for back-compat; line pragmas are expanded over the physical
-    lines of the logical line they annotate.
+def _lint(sources: List[Tuple[str, str]],
+          report_unused_pragmas: bool = False) -> List[Finding]:
+    """Every rule over ``(path, source)`` pairs, pragmas applied.
+
+    Each file is parsed once: the per-file rules run on its tree, then
+    the whole-program unit analysis (:func:`analyze_units`) over every
+    tree that parsed.  Pragma suppression and unused-pragma reporting
+    come last, over the merged findings of both.
     """
-    per_line: Dict[int, Set[str]] = {}
-    file_wide: Set[str] = set()
-    for pragma in _extract_pragmas(source):
-        codes = set(pragma.codes)
-        if pragma.kind == "disable-file":
-            file_wide |= codes
-        else:
-            for lineno in range(pragma.span[0], pragma.span[1] + 1):
-                per_line.setdefault(lineno, set()).update(codes)
-    return per_line, file_wide
+    per_file: Dict[str, List[Finding]] = {}
+    trees: List[Tuple[str, ast.AST]] = []
+    for path, source in sources:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            per_file[path] = [Finding(
+                "REP000", f"syntax error: {exc.msg}", path,
+                exc.lineno or 1, (exc.offset or 1) - 1)]
+            continue
+        trees.append((path, tree))
+        rpath = repro_path(path)
+        host = is_host(rpath)
+        per_file[path] = [finding for code, rule in RULES.items()
+                          if not (host and code in DETERMINISM_RULES)
+                          for finding in rule(tree, path, rpath)]
+    for finding in analyze_units(trees):
+        per_file[finding.path].append(finding)
 
-
-# ----------------------------------------------------------------------
-# per-file rule pass
-# ----------------------------------------------------------------------
-
-def _rule_findings(tree: ast.AST, path: str,
-                   config: LintConfig) -> List[Finding]:
-    """Raw (unsuppressed) findings of the per-file rules."""
-    exempt = config.is_exempt(path)
     findings: List[Finding] = []
-    for code, rule in RULES.items():
-        if code in config.disabled_rules:
+    for path, source in sources:
+        raw = per_file[path]
+        if not raw and not report_unused_pragmas:
             continue
-        if exempt and code in DETERMINISM_RULES:
-            continue
-        findings.extend(rule(tree, path, config))
+        pragmas = PragmaSet(source)
+        findings.extend(f for f in raw if not pragmas.suppresses(f))
+        if report_unused_pragmas:
+            findings.extend(pragmas.unused(path))
     return findings
 
 
-def active_rule_codes(config: LintConfig, units: bool) -> Set[str]:
-    """Codes the current run actually checks (drives REP009)."""
-    codes = {c for c in RULES if c not in config.disabled_rules}
-    if units:
-        codes |= {c for c in UNIT_RULE_SUMMARIES
-                  if c not in config.units.disabled}
-    return codes
+def _sort(findings: List[Finding]) -> List[Finding]:
+    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.code))
 
 
-def lint_source(source: str, path: str = "<string>",
-                config: Optional[LintConfig] = None) -> List[Finding]:
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one unit of Python source; returns unsuppressed findings."""
-    config = config or LintConfig()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [Finding("REP000", f"syntax error: {exc.msg}", path,
-                        exc.lineno or 1, (exc.offset or 1) - 1)]
-    pragmas = PragmaSet(source)
-    findings = [f for f in _rule_findings(tree, path, config)
-                if not pragmas.suppresses(f)]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings
-
-
-def lint_file(path: Path, config: Optional[LintConfig] = None) -> List[Finding]:
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, str(path), config)
+    return _sort(_lint([(path, source)]))
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -269,69 +255,26 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
                 yield candidate
 
 
-# ----------------------------------------------------------------------
-# multi-file driver (optionally units-checking)
-# ----------------------------------------------------------------------
-
 @dataclass
 class LintResult:
-    """Outcome of one ``lint_paths`` run.
-
-    Iterates as ``(findings, files_checked)`` so existing callers that
-    tuple-unpack keep working.
-    """
+    """Outcome of one ``lint_paths`` run."""
 
     findings: List[Finding]
     files_checked: int
 
-    def __iter__(self):
-        return iter((self.findings, self.files_checked))
 
-
-def lint_paths(paths: Iterable[Path],
-               config: Optional[LintConfig] = None,
-               *,
-               units: bool = False,
+def lint_paths(paths: Iterable[Path], *,
                report_unused_pragmas: bool = False) -> LintResult:
-    """Lint every ``.py`` under *paths*.
-
-    Per-file rules first; with ``units=True`` the whole-program unit
-    analysis (:func:`analyze_units`) then runs over every file that
-    could be read.  Pragma suppression and unused-pragma reporting
-    come last, over the merged findings of both.
-    """
-    config = config or LintConfig()
+    """Lint every ``.py`` under *paths*, lint fixtures excepted."""
     files = [str(p) for p in iter_python_files(paths)
-             if not config.is_excluded(str(p))]
-    sources: Dict[str, str] = {}
-    per_file: Dict[str, List[Finding]] = {}
-    for path in files:
-        try:
-            source = sources[path] = Path(path).read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            per_file[path] = [Finding(
-                "REP000", f"syntax error: {exc.msg}", path,
-                exc.lineno or 1, (exc.offset or 1) - 1)]
-        except OSError as exc:
-            per_file[path] = [Finding(
-                "REP000", f"unreadable file: {exc}", path, 1, 0)]
-        else:
-            per_file[path] = _rule_findings(tree, path, config)
-    if units:
-        for finding in analyze_units(list(sources.items()), config.units):
-            per_file[finding.path].append(finding)
-
-    active = active_rule_codes(config, units)
+             if not is_fixture(repro_path(str(p)))]
+    sources: List[Tuple[str, str]] = []
     findings: List[Finding] = []
     for path in files:
-        raw = per_file[path]
-        if not raw and not report_unused_pragmas:
-            continue
-        pragmas = PragmaSet(sources.get(path, ""))
-        findings.extend(f for f in raw if not pragmas.suppresses(f))
-        if report_unused_pragmas:
-            findings.extend(pragmas.unused(path, active))
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return LintResult(findings=findings, files_checked=len(files))
+        try:
+            sources.append((path, Path(path).read_text(encoding="utf-8")))
+        except OSError as exc:
+            findings.append(Finding(
+                "REP000", f"unreadable file: {exc}", path, 1, 0))
+    findings += _lint(sources, report_unused_pragmas)
+    return LintResult(findings=_sort(findings), files_checked=len(files))

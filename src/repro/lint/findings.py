@@ -2,8 +2,7 @@
 
 Rules, the units checker, and the engine all produce or
 consume findings; keeping the dataclass dependency-free avoids import
-cycles between them (config depends on the units catalog, rules depend
-on config).
+cycles between them.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """The REP rule set: repo-specific determinism checks.
 
-Each rule is a function ``(tree, source_path, config) -> list[Finding]``
-registered in :data:`RULES` under a stable code.  Codes never change
-meaning; retired rules leave a hole rather than being renumbered, so a
-``# reprolint: disable=REPxxx`` pragma stays valid forever.
+Each rule is a function ``(tree, path, rpath) -> list[Finding]``
+registered in :data:`RULES` under a stable code: *path* is what the
+findings report, *rpath* its ``repro/...`` form, which scope reads.
+Codes never change meaning; retired rules leave a hole rather than
+being renumbered, so a ``# reprolint: disable=REPxxx`` pragma stays
+valid forever.
 """
 
 from __future__ import annotations
@@ -11,17 +13,27 @@ from __future__ import annotations
 import ast
 from typing import Callable, Dict, List
 
-from repro.lint.config import LintConfig
+from repro.lint.config import ALLOW_NAMES, REP004_PACKAGES, in_sim_scope, package_of
 from repro.lint.findings import Finding
 
-__all__ = ["DETERMINISM_RULES", "RULES", "RULE_SUMMARIES", "Finding"]
+__all__ = ["DETERMINISM_RULES", "RULES", "RULE_SUMMARIES", "Finding", "dotted"]
+
+#: Suffixes that state a unit (or an explicit dimensionless kind), REP004.
+UNIT_SUFFIXES = ("_s", "_ms", "_us", "_ts", "_bytes", "_bits", "_bps",
+                 "_pps", "_mbps", "_hz", "_pkts", "_rtts", "_gain",
+                 "_factor", "_fraction", "_frac", "_ratio", "_rate",
+                 "_loss", "_pct", "_db", "_w", "_j")
+
+#: Identifier names/suffixes treated as clock readings by REP003.
+TIME_NAMES = ("now", "time", "deadline", "t")
+TIME_SUFFIXES = ("_s", "_ms", "_us", "_ts", "_time", "_at", "_ns")
 
 
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
 
-def _dotted(node: ast.AST) -> str:
+def dotted(node: ast.AST) -> str:
     """Best-effort dotted name for a Name/Attribute chain ('' if other)."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -40,7 +52,7 @@ def _is_const(node: ast.AST, *types: type) -> bool:
 def _is_approx_call(node: ast.AST) -> bool:
     """True for ``pytest.approx(...)`` / ``approx(...)`` operands."""
     return (isinstance(node, ast.Call)
-            and _dotted(node.func).rpartition(".")[2] == "approx")
+            and dotted(node.func).rpartition(".")[2] == "approx")
 
 
 # ----------------------------------------------------------------------
@@ -63,17 +75,19 @@ _WALL_CLOCK_CALLS = {
 }
 
 
-def rep001_no_wall_clock(tree: ast.AST, path: str, config: LintConfig) -> List[Finding]:
+def rep001_no_wall_clock(tree: ast.AST, path: str, rpath: str) -> List[Finding]:
     """Simulation code must read the virtual clock, never the host's.
 
     A single ``time.time()`` in an event handler silently breaks
     byte-identical replay: results begin to depend on machine load.
+    Sim-side telemetry is simulation code too: trace events are stamped
+    from the sim clock so a trace replays byte-identically.
     """
     findings: List[Finding] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = _dotted(node.func)
+        name = dotted(node.func)
         if name in _WALL_CLOCK_CALLS:
             findings.append(Finding(
                 "REP001",
@@ -91,7 +105,7 @@ def rep001_no_wall_clock(tree: ast.AST, path: str, config: LintConfig) -> List[F
 _NP_RANDOM_ROOTS = {"numpy.random", "np.random"}
 
 
-def rep002_no_ambient_rng(tree: ast.AST, path: str, config: LintConfig) -> List[Finding]:
+def rep002_no_ambient_rng(tree: ast.AST, path: str, rpath: str) -> List[Finding]:
     """All randomness must flow from an explicitly seeded generator.
 
     Flags module-level ``random.xxx(...)`` calls, any ``numpy.random``
@@ -111,7 +125,7 @@ def rep002_no_ambient_rng(tree: ast.AST, path: str, config: LintConfig) -> List[
             continue
         if not isinstance(node, ast.Call):
             continue
-        name = _dotted(node.func)
+        name = dotted(node.func)
         if not name:
             continue
         root, _, leaf = name.rpartition(".")
@@ -155,7 +169,7 @@ def rep002_no_ambient_rng(tree: ast.AST, path: str, config: LintConfig) -> List[
 # REP003 — no float equality on clock values
 # ----------------------------------------------------------------------
 
-def rep003_no_time_equality(tree: ast.AST, path: str, config: LintConfig) -> List[Finding]:
+def rep003_no_time_equality(tree: ast.AST, path: str, rpath: str) -> List[Finding]:
     """``==``/``!=`` between simulated-clock floats is a latent bug.
 
     Clock values are sums of float link delays; two mathematically
@@ -183,9 +197,10 @@ def rep003_no_time_equality(tree: ast.AST, path: str, config: LintConfig) -> Lis
                    for side in pair):
                 continue
             for side in pair:
-                name = _dotted(side)
+                name = dotted(side)
                 leaf = name.rpartition(".")[2]
-                if leaf and config.is_time_name(leaf):
+                if leaf and (leaf.lower() in TIME_NAMES
+                             or leaf.lower().endswith(TIME_SUFFIXES)):
                     findings.append(Finding(
                         "REP003",
                         f"float equality on clock value `{name}`; use an "
@@ -200,7 +215,7 @@ def rep003_no_time_equality(tree: ast.AST, path: str, config: LintConfig) -> Lis
 # REP004 — unit-suffix discipline for numeric parameters
 # ----------------------------------------------------------------------
 
-def rep004_unit_suffixes(tree: ast.AST, path: str, config: LintConfig) -> List[Finding]:
+def rep004_unit_suffixes(tree: ast.AST, path: str, rpath: str) -> List[Finding]:
     """Float-typed knobs must say their unit in the name.
 
     Applies to every function in ``core/params.py`` and to ``__init__``
@@ -208,12 +223,12 @@ def rep004_unit_suffixes(tree: ast.AST, path: str, config: LintConfig) -> List[F
     literal default is a physical quantity (seconds, bytes, bps, ...)
     or an explicitly dimensionless ratio — either way the name must end
     in a recognized suffix (``_s``, ``_bytes``, ``_bps``, ``_gain``,
-    ...) or appear in the configured allow-list.  Integer defaults are
+    ...) or appear in :data:`ALLOW_NAMES`.  Integer defaults are
     exempt: counts are self-describing.
     """
-    if not config.in_rep004_scope(path):
+    if package_of(rpath) not in REP004_PACKAGES:
         return []
-    check_all_defs = config.is_params_file(path)
+    check_all_defs = rpath == "repro/core/params.py"
     findings: List[Finding] = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -229,14 +244,14 @@ def rep004_unit_suffixes(tree: ast.AST, path: str, config: LintConfig) -> List[F
         for arg, default in pairs:
             if not _is_const(default, float) or isinstance(default.value, bool):
                 continue
-            if config.has_unit_suffix(arg.arg):
+            if arg.arg in ALLOW_NAMES or arg.arg.endswith(UNIT_SUFFIXES):
                 continue
             findings.append(Finding(
                 "REP004",
                 f"numeric parameter `{arg.arg}` (default {default.value!r}) "
                 "lacks a unit suffix "
                 "(_s/_ms/_bytes/_bps/_pkts/...); rename or add it to "
-                "[tool.reprolint] allow-names",
+                "ALLOW_NAMES in repro/lint/config.py",
                 path, arg.lineno, arg.col_offset,
             ))
     return findings
@@ -249,7 +264,7 @@ def rep004_unit_suffixes(tree: ast.AST, path: str, config: LintConfig) -> List[F
 _MUTABLE_CTORS = {"list", "dict", "set", "bytearray", "deque", "defaultdict"}
 
 
-def rep005_no_mutable_defaults(tree: ast.AST, path: str, config: LintConfig) -> List[Finding]:
+def rep005_no_mutable_defaults(tree: ast.AST, path: str, rpath: str) -> List[Finding]:
     """A mutable default is shared across every call — state leaks
     between simulations, the exact class of bug this repo cannot
     afford."""
@@ -262,7 +277,7 @@ def rep005_no_mutable_defaults(tree: ast.AST, path: str, config: LintConfig) -> 
         for default in defaults:
             bad = isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
                 isinstance(default, ast.Call)
-                and _dotted(default.func).rpartition(".")[2] in _MUTABLE_CTORS
+                and dotted(default.func).rpartition(".")[2] in _MUTABLE_CTORS
             )
             if bad:
                 findings.append(Finding(
@@ -271,42 +286,6 @@ def rep005_no_mutable_defaults(tree: ast.AST, path: str, config: LintConfig) -> 
                     "default to None and construct inside the function",
                     path, default.lineno, default.col_offset,
                 ))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# REP006 — telemetry timestamps come from the sim clock
-# ----------------------------------------------------------------------
-
-def rep006_telemetry_sim_clock(tree: ast.AST, path: str, config: LintConfig) -> List[Finding]:
-    """Simulation-side telemetry code must never read the wall clock.
-
-    Trace events are stamped from the simulator's virtual clock so a
-    trace replays byte-identically.  The host-side CLI modules (file
-    naming, progress display — ``config.telemetry_host_files``) are
-    allowed; everything else under ``repro/telemetry/`` is not.  The
-    rule is deliberately *not* suspended for ``exempt``-glob paths:
-    adding a telemetry module to the host-side exempt list must not
-    silently license wall-clock event timestamps.
-    """
-    norm = path.replace("\\", "/")
-    if "/repro/telemetry/" not in norm:
-        return []
-    if norm.rpartition("/")[2] in config.telemetry_host_files:
-        return []
-    findings: List[Finding] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _dotted(node.func)
-        if name in _WALL_CLOCK_CALLS:
-            findings.append(Finding(
-                "REP006",
-                f"wall-clock call `{name}()` in simulation-side telemetry "
-                "code; event timestamps must come from the sim clock "
-                "(the collector stamps `sim.clock.now()`)",
-                path, node.lineno, node.col_offset,
-            ))
     return findings
 
 
@@ -334,12 +313,12 @@ def _none_guarded_names(test: ast.AST) -> set:
             and isinstance(test.ops[0], ast.IsNot)
             and isinstance(test.comparators[0], ast.Constant)
             and test.comparators[0].value is None):
-        name = _dotted(test.left)
+        name = dotted(test.left)
         return {name} if name else set()
     return set()
 
 
-def rep007_profiler_isolation(tree: ast.AST, path: str, config: LintConfig) -> List[Finding]:
+def rep007_profiler_isolation(tree: ast.AST, path: str, rpath: str) -> List[Finding]:
     """Simulation code may *hold* a profiler but never depend on it.
 
     The host-side fence has two halves: sim packages must not import
@@ -348,10 +327,9 @@ def rep007_profiler_isolation(tree: ast.AST, path: str, config: LintConfig) -> L
     and every method call on a profiler reference (``self.profiler``,
     ``prof``, ``*_prof``) must sit inside an ``... is not None`` guard
     on that same name — otherwise a disabled simulation would reach
-    through a ``None`` or, worse, silently read wall time.  Like
-    REP006 this rule is not suspended for ``exempt``-glob paths.
+    through a ``None`` or, worse, silently read wall time.
     """
-    if not config.in_sim_scope(path):
+    if not in_sim_scope(rpath):
         return []
     findings: List[Finding] = []
 
@@ -389,7 +367,7 @@ def rep007_profiler_isolation(tree: ast.AST, path: str, config: LintConfig) -> L
         def visit_Call(self, node: ast.Call) -> None:
             func = node.func
             if isinstance(func, ast.Attribute):
-                target = _dotted(func.value)
+                target = dotted(func.value)
                 leaf = target.rpartition(".")[2]
                 if (target and _is_profiler_leaf(leaf)
                         and target not in self.guarded):
@@ -410,7 +388,7 @@ def rep007_profiler_isolation(tree: ast.AST, path: str, config: LintConfig) -> L
 # REP008 — no fixed-seed RNG construction in simulation code
 # ----------------------------------------------------------------------
 
-def rep008_no_fixed_seed(tree: ast.AST, path: str, config: LintConfig) -> List[Finding]:
+def rep008_no_fixed_seed(tree: ast.AST, path: str, rpath: str) -> List[Finding]:
     """Sim code must not bake in ``random.Random(<literal>)``.
 
     A hard-coded seed looks deterministic but is the *shared-stream*
@@ -421,13 +399,13 @@ def rep008_no_fixed_seed(tree: ast.AST, path: str, config: LintConfig) -> List[F
     is exactly what this rule now bans.)  Randomness must arrive from
     outside: a caller-supplied ``rng``/seed or ``sim.fork_rng(label)``.
     """
-    if not config.in_sim_scope(path):
+    if not in_sim_scope(rpath):
         return []
     findings: List[Finding] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = _dotted(node.func)
+        name = dotted(node.func)
         if name not in ("random.Random", "Random"):
             continue
         if node.args and _is_const(node.args[0], int, float, str, bytes):
@@ -445,7 +423,7 @@ def rep008_no_fixed_seed(tree: ast.AST, path: str, config: LintConfig) -> List[F
 # registry
 # ----------------------------------------------------------------------
 
-RuleFn = Callable[[ast.AST, str, LintConfig], List[Finding]]
+RuleFn = Callable[[ast.AST, str, str], List[Finding]]
 
 #: All rules, keyed by stable code.
 RULES: Dict[str, RuleFn] = {
@@ -454,12 +432,13 @@ RULES: Dict[str, RuleFn] = {
     "REP003": rep003_no_time_equality,
     "REP004": rep004_unit_suffixes,
     "REP005": rep005_no_mutable_defaults,
-    "REP006": rep006_telemetry_sim_clock,
+    # REP006 (sim-side telemetry reads the wall clock) is folded into
+    # REP001, which fires on every line it did; the code stays reserved.
     "REP007": rep007_profiler_isolation,
     "REP008": rep008_no_fixed_seed,
 }
 
-#: Rules suspended for host-side files matched by the ``exempt`` globs.
+#: Rules suspended for host-side files (:data:`repro.lint.config.HOST_FILES`).
 DETERMINISM_RULES = ("REP001", "REP002", "REP003")
 
 RULE_SUMMARIES: Dict[str, str] = {
@@ -468,7 +447,6 @@ RULE_SUMMARIES: Dict[str, str] = {
     "REP003": "no float ==/!= on clock values",
     "REP004": "unit-suffix discipline for numeric parameters",
     "REP005": "no mutable default arguments",
-    "REP006": "sim-side telemetry must stamp events from the sim clock",
     "REP007": "sim code must hold profilers behind `is not None` guards, "
               "never import repro.profile",
     "REP008": "no hard-coded RNG seeds (`random.Random(<literal>)`) in "

@@ -15,8 +15,7 @@ REP105      unsuffixed parameter flowing into unit-sensitive
             arithmetic in simulation scope
 ==========  ========================================================
 
-Run it with ``python -m repro.lint --units src/repro``; see DESIGN.md
-§14.
+Every ``python -m repro.lint`` run includes it; see DESIGN.md §14.
 """
 
 from repro.lint.units.algebra import (
@@ -27,19 +26,9 @@ from repro.lint.units.algebra import (
     PKTS,
     SECONDS,
     Unit,
-    UnitError,
-    parse_unit,
 )
-from repro.lint.units.catalog import UnitsConfig
-from repro.lint.units.checker import (
-    UNIT_RULE_SUMMARIES,
-    UnitIndex,
-    analyze_units,
-    build_summary,
-    check_module,
-    infer_returns,
-    resolve_index,
-)
+from repro.lint.units.catalog import name_unit, signature
+from repro.lint.units.checker import UNIT_RULE_SUMMARIES, analyze_units
 
 __all__ = [
     "BPS",
@@ -50,13 +39,7 @@ __all__ = [
     "SECONDS",
     "UNIT_RULE_SUMMARIES",
     "Unit",
-    "UnitError",
-    "UnitIndex",
-    "UnitsConfig",
     "analyze_units",
-    "build_summary",
-    "check_module",
-    "infer_returns",
-    "parse_unit",
-    "resolve_index",
+    "name_unit",
+    "signature",
 ]

@@ -37,10 +37,6 @@ DIM_PKT = "pkt"
 DIM_DB = "db"
 
 
-class UnitError(ValueError):
-    """Raised by :func:`parse_unit` on an unknown unit spelling."""
-
-
 @dataclass(frozen=True)
 class Unit:
     """An immutable product of base-dimension powers."""
@@ -115,33 +111,7 @@ HZ = Unit.make({DIM_TIME: -1})           # 1/s — exactly a frequency
 BPS = Unit.make({DIM_DATA: 1, DIM_TIME: -1})
 PPS = Unit.make({DIM_PKT: 1, DIM_TIME: -1})
 
-#: Spellings accepted in catalogs / pyproject tables.  Scaled variants
-#: (``ms``, ``mbps``) map onto their dimension; see module docstring.
-NAMED_UNITS: Dict[str, Unit] = {
-    "1": DIMENSIONLESS,
-    "dimensionless": DIMENSIONLESS,
-    "fraction": DIMENSIONLESS,
-    "ratio": DIMENSIONLESS,
-    "s": SECONDS,
-    "ms": SECONDS,
-    "us": SECONDS,
-    "ns": SECONDS,
-    "bytes": BYTES,
-    "bits": BYTES,
-    "pkts": PKTS,
-    "db": DB,
-    "hz": HZ,
-    "bps": BPS,
-    "mbps": BPS,
-    "kbps": BPS,
-    "pps": PPS,
-    "bytes/s": BPS,
-    "pkts/s": PPS,
-    "1/s": HZ,
-}
-
-#: Preferred display names for derived dim-vectors (inverse of the
-#: canonical subset of NAMED_UNITS).
+#: Preferred display names for the named dim-vectors.
 _DERIVED_NAMES: Dict[Tuple[Tuple[str, int], ...], str] = {
     HZ.dims: "hz",
     BPS.dims: "bps",
@@ -152,29 +122,3 @@ _DERIVED_NAMES: Dict[Tuple[Tuple[str, int], ...], str] = {
     DB.dims: "db",
 }
 
-
-def parse_unit(spec: str) -> Unit:
-    """Parse a unit spelling: a named unit or ``a*b/c`` of named units.
-
-    >>> parse_unit("bytes/s")
-    Unit(bps)
-    >>> parse_unit("s*hz")
-    Unit(dimensionless)
-    """
-    spec = spec.strip().lower()
-    if spec in NAMED_UNITS:
-        return NAMED_UNITS[spec]
-    head, sep, tail = spec.partition("/")
-    result = DIMENSIONLESS
-    for factor in head.split("*"):
-        factor = factor.strip()
-        if factor not in NAMED_UNITS:
-            raise UnitError(f"unknown unit {factor!r} in {spec!r}")
-        result = result.mul(NAMED_UNITS[factor])
-    if sep:
-        for factor in tail.split("*"):
-            factor = factor.strip()
-            if factor not in NAMED_UNITS:
-                raise UnitError(f"unknown unit {factor!r} in {spec!r}")
-            result = result.div(NAMED_UNITS[factor])
-    return result

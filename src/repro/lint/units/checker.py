@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.lint.config import STRICT_PACKAGES, package_of, repro_path
 from repro.lint.findings import Finding
+from repro.lint.rules import dotted
 from repro.lint.units.algebra import Unit
-from repro.lint.units.catalog import UnitsConfig
+from repro.lint.units.catalog import DIMENSIONLESS_NAMES, SIGNATURES, name_unit
 from repro.lint.units.model import (
     ClassInfo,
     FunctionInfo,
@@ -46,15 +47,7 @@ from repro.lint.units.model import (
     module_name_for,
 )
 
-__all__ = [
-    "UNIT_RULE_SUMMARIES",
-    "UnitIndex",
-    "analyze_units",
-    "build_summary",
-    "check_module",
-    "infer_returns",
-    "resolve_index",
-]
+__all__ = ["UNIT_RULE_SUMMARIES", "analyze_units"]
 
 UNIT_RULE_SUMMARIES: Dict[str, str] = {
     "REP101": "mixed-unit arithmetic (e.g. seconds added to bytes)",
@@ -64,17 +57,6 @@ UNIT_RULE_SUMMARIES: Dict[str, str] = {
     "REP105": "unsuffixed parameter in unit-sensitive arithmetic "
               "(simulation scope)",
 }
-
-def _dotted(node: ast.AST) -> str:
-    """Best-effort dotted name for a Name/Attribute chain ('' if other)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 #: Builtins whose result keeps the single argument's unit.
@@ -107,7 +89,6 @@ class _FunctionChecker:
                  emit: bool) -> None:
         self.engine = engine
         self.index = engine.index
-        self.uconfig = engine.uconfig
         self.info = info
         self.node = node
         self.self_class = self_class
@@ -132,7 +113,7 @@ class _FunctionChecker:
         for i, arg in enumerate(names):
             if i == 0 and self.info is not None and self.info.is_method:
                 continue                       # self/cls
-            unit = self.uconfig.name_unit(arg.arg)
+            unit = name_unit(arg.arg)
             if unit is None and self.info is not None:
                 p = self.info.param(arg.arg)
                 if p is not None:
@@ -146,7 +127,7 @@ class _FunctionChecker:
                     klass = self.index.resolve_class(self.engine.summary, name)
             self.types[arg.arg] = klass
             if (unit is None and strict
-                    and arg.arg not in self.uconfig.dimensionless_names
+                    and arg.arg not in DIMENSIONLESS_NAMES
                     and not _is_non_numeric_annotation(ann)):
                 self.unsuffixed_params.add(arg.arg)
 
@@ -197,7 +178,7 @@ class _FunctionChecker:
         elif isinstance(node, ast.For):
             iter_val = self.expr(node.iter)
             if isinstance(node.target, ast.Name):
-                declared = self.uconfig.name_unit(node.target.id)
+                declared = name_unit(node.target.id)
                 self.env[node.target.id] = (declared if declared is not None
                                             else iter_val.unit)
             for child in node.body:
@@ -232,7 +213,7 @@ class _FunctionChecker:
     # ------------------------------------------------------------------
     def assign(self, target: ast.AST, val: Val, stmt: ast.AST) -> None:
         if isinstance(target, ast.Name):
-            declared = self.uconfig.name_unit(target.id)
+            declared = name_unit(target.id)
             if declared is not None:
                 if val.unit is not None and not declared.compatible(val.unit):
                     self.emit("REP104",
@@ -246,7 +227,7 @@ class _FunctionChecker:
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 if isinstance(elt, ast.Name):
-                    declared = self.uconfig.name_unit(elt.id)
+                    declared = name_unit(elt.id)
                     self.env[elt.id] = declared
                     self.types[elt.id] = None
         elif isinstance(target, ast.Attribute):
@@ -350,7 +331,7 @@ class _FunctionChecker:
             nested.env.update({k: v for k, v in self.env.items()})
             nested.types.update({k: v for k, v in self.types.items()})
             for arg in node.args.args:
-                nested.env[arg.arg] = self.uconfig.name_unit(arg.arg)
+                nested.env[arg.arg] = name_unit(arg.arg)
             nested.expr(node.body)
             return _NOTHING
         if isinstance(node, ast.Starred):
@@ -374,13 +355,13 @@ class _FunctionChecker:
         if name in self.env:
             unit = self.env[name]
             if unit is None:
-                declared = self.uconfig.name_unit(name)
+                declared = name_unit(name)
                 if declared is not None:
                     unit = declared
             param = name if (unit is None
                              and name in self.unsuffixed_params) else None
             return Val(unit=unit, param=param, klass=self.types.get(name))
-        unit = self.uconfig.name_unit(name)
+        unit = name_unit(name)
         if unit is not None:
             return Val(unit=unit)
         klass = self.index.resolve_class(self.engine.summary, name) \
@@ -389,7 +370,7 @@ class _FunctionChecker:
 
     def _attribute_unit(self, node: ast.Attribute) -> Optional[Unit]:
         attr = node.attr
-        declared = self.uconfig.name_unit(attr)
+        declared = name_unit(attr)
         if declared is not None:
             return declared
         owner = self._receiver_class(node.value)
@@ -509,20 +490,20 @@ class _FunctionChecker:
                           f"parameter `{b.param}` has no unit suffix but "
                           f"meets `{a.unit}` in {context}; rename it "
                           f"(e.g. `{b.param}_{_suggest(a.unit)}`) or add "
-                          "it to dimensionless-names", node)
+                          "it to DIMENSIONLESS_NAMES", node)
 
     # ------------------------------------------------------------------
     def _comprehension(self, node: ast.AST) -> Val:
         for gen in node.generators:
             iter_val = self.expr(gen.iter)
             if isinstance(gen.target, ast.Name):
-                declared = self.uconfig.name_unit(gen.target.id)
+                declared = name_unit(gen.target.id)
                 self.env[gen.target.id] = (declared if declared is not None
                                            else iter_val.unit)
             elif isinstance(gen.target, (ast.Tuple, ast.List)):
                 for elt in gen.target.elts:
                     if isinstance(elt, ast.Name):
-                        self.env[elt.id] = self.uconfig.name_unit(elt.id)
+                        self.env[elt.id] = name_unit(elt.id)
             for cond in gen.ifs:
                 self.expr(cond)
         if isinstance(node, ast.DictComp):
@@ -622,20 +603,20 @@ class _FunctionChecker:
         return None, None
 
     def _catalog_signature(self, func: ast.AST):
-        dotted = _dotted(func)
-        if dotted:
-            sig = self.uconfig.signatures.get(dotted)
+        name = dotted(func)
+        if name:
+            sig = SIGNATURES.get(name)
             if sig is not None:
                 return sig
         if isinstance(func, ast.Attribute):
             owner = self._receiver_class(func.value)
             if owner is not None:
-                sig = self.uconfig.signatures.get(f"{owner.name}.{func.attr}")
+                sig = SIGNATURES.get(f"{owner.name}.{func.attr}")
                 if sig is not None:
                     return sig
-            return self.uconfig.signatures.get(func.attr)
+            return SIGNATURES.get(func.attr)
         if isinstance(func, ast.Name):
-            return self.uconfig.signatures.get(func.id)
+            return SIGNATURES.get(func.id)
         return None
 
     # ------------------------------------------------------------------
@@ -673,7 +654,7 @@ class _FunctionChecker:
                             params: Dict[str, Unit],
                             arg_vals: List[Val],
                             kw_vals: Dict[str, Val]) -> None:
-        label = _dotted(func) or (func.attr if isinstance(func, ast.Attribute)
+        label = dotted(func) or (func.attr if isinstance(func, ast.Attribute)
                                   else "<call>")
         ordered = list(params.items())
         for i, (arg_node, val) in enumerate(zip(node.args, arg_vals)):
@@ -741,7 +722,7 @@ def _is_non_numeric_annotation(node: Optional[ast.AST]) -> bool:
 
 
 def _render(node: ast.Attribute) -> str:
-    return _dotted(node) or node.attr
+    return dotted(node) or node.attr
 
 
 def _suggest(unit: Unit) -> str:
@@ -758,13 +739,12 @@ class _ModuleChecker:
     """Runs the function checker over every def in one module."""
 
     def __init__(self, tree: ast.AST, path: str, index: UnitIndex,
-                 uconfig: UnitsConfig, emit: bool) -> None:
+                 emit: bool) -> None:
         self.path = path
         self.index = index
-        self.uconfig = uconfig
         self.summary = index.modules.get(module_name_for(path)) \
             or ModuleSummary(path=path, module="?")
-        self.strict = uconfig.in_strict_scope(path)
+        self.strict = package_of(repro_path(path)) in STRICT_PACKAGES
         self.findings: List[Finding] = []
         self.tree = tree
         self.emit = emit
@@ -799,64 +779,19 @@ class _ModuleChecker:
             info.inferred_return = units[0]
 
 
-# ----------------------------------------------------------------------
-# public API
-# ----------------------------------------------------------------------
+def analyze_units(trees: Sequence[Tuple[str, ast.AST]]) -> List[Finding]:
+    """Whole-program unit analysis over ``(path, parsed module)`` pairs.
 
-def resolve_index(summaries: Iterable[ModuleSummary]) -> UnitIndex:
-    """Stitch module summaries into the project-wide index."""
-    index = UnitIndex()
-    for summary in summaries:
-        index.add(summary)
-    return index
-
-
-def infer_returns(tree: ast.AST, path: str, index: UnitIndex,
-                  uconfig: UnitsConfig) -> None:
-    """Silent dataflow round: learn return units into the index."""
-    _ModuleChecker(tree, path, index, uconfig, emit=False).run()
-
-
-def check_module(tree: ast.AST, path: str, index: UnitIndex,
-                 uconfig: UnitsConfig) -> List[Finding]:
-    """Emitting dataflow round: the REP101-REP105 findings for one file."""
-    findings = _ModuleChecker(tree, path, index, uconfig, emit=True).run()
-    findings = [f for f in findings if f.code not in uconfig.disabled]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings
-
-
-def analyze_units(files: Sequence[object],
-                  uconfig: Optional[UnitsConfig] = None) -> List[Finding]:
-    """Whole-program unit analysis.
-
-    *files* holds ``(path, source)`` pairs, or bare paths that are read
-    from disk.  Three deterministic phases: summarize every module, run
-    a silent inference round to learn undeclared return units, then
-    check every module against the completed index.  Files that fail to
-    parse are skipped here — the per-file lint already reports REP000
-    for them.
+    Three deterministic phases: summarize every module into the
+    project-wide index, run a silent inference round to learn undeclared
+    return units, then check every module against the completed index.
     """
-    uconfig = uconfig or UnitsConfig()
-    pairs: List[Tuple[str, str]] = []
-    for item in files:
-        if isinstance(item, tuple):
-            pairs.append((str(item[0]), item[1]))
-        else:
-            pairs.append((str(item),
-                          Path(item).read_text(encoding="utf-8")))
-    trees: List[Tuple[str, ast.AST]] = []
-    for path, source in pairs:
-        try:
-            trees.append((path, ast.parse(source, filename=path)))
-        except SyntaxError:
-            continue
-    index = resolve_index(build_summary(tree, path, uconfig)
-                          for path, tree in trees)
+    index = UnitIndex()
     for path, tree in trees:
-        infer_returns(tree, path, index, uconfig)
+        index.add(build_summary(tree, path))
+    for path, tree in trees:
+        _ModuleChecker(tree, path, index, emit=False).run()
     findings: List[Finding] = []
     for path, tree in trees:
-        findings.extend(check_module(tree, path, index, uconfig))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+        findings.extend(_ModuleChecker(tree, path, index, emit=True).run())
     return findings

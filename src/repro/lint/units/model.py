@@ -14,8 +14,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.lint.config import repro_path
 from repro.lint.units.algebra import Unit
-from repro.lint.units.catalog import UnitsConfig
+from repro.lint.units.catalog import name_unit, signature
 
 
 @dataclass
@@ -87,25 +88,14 @@ class ModuleSummary:
 def module_name_for(path: str) -> str:
     """Dotted module name from a file path.
 
-    Components after the last ``src`` directory form the name, so the
-    repo layout maps naturally; files outside a ``src`` tree use their
-    bare stem (which is what the test fixtures rely on).
+    A file under ``repro/`` is named from there (``repro.netsim.link``);
+    any other file by its bare stem (which is what the test fixtures
+    rely on).
     """
-    norm = path.replace("\\", "/")
-    parts = [p for p in norm.split("/") if p]
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][:-3]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    if "src" in parts:
-        parts = parts[len(parts) - parts[::-1].index("src"):]
-    if not parts:
-        return "<module>"
-    known_roots = ("repro",)
-    for root in known_roots:
-        if root in parts:
-            return ".".join(parts[parts.index(root):])
-    return parts[-1]
+    parts = repro_path(path).removesuffix(".py").split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts) if parts[0] == "repro" else parts[-1]
 
 
 def annotation_class(node: Optional[ast.AST]) -> Optional[str]:
@@ -142,21 +132,21 @@ def annotation_class(node: Optional[ast.AST]) -> Optional[str]:
 
 
 def _function_info(node: ast.AST, qualprefix: str, module: str,
-                   uconfig: UnitsConfig, is_method: bool) -> FunctionInfo:
+                   is_method: bool) -> FunctionInfo:
     qualname = f"{qualprefix}{node.name}"
     args = node.args
     positional = list(args.posonlyargs) + list(args.args)
     if is_method and positional:
         positional = positional[1:]            # drop self/cls
-    catalog = uconfig.signature(qualname) or ({}, None)
+    catalog = signature(qualname) or ({}, None)
     cat_params, cat_return = catalog
     params: List[ParamInfo] = []
     for arg in positional + list(args.kwonlyargs):
-        unit = uconfig.name_unit(arg.arg)
+        unit = name_unit(arg.arg)
         if unit is None:
             unit = cat_params.get(arg.arg)
         params.append(ParamInfo(arg.arg, unit, annotation_class(arg.annotation)))
-    declared = uconfig.name_unit(node.name)
+    declared = name_unit(node.name)
     if declared is None:
         declared = cat_return
     return FunctionInfo(
@@ -166,8 +156,7 @@ def _function_info(node: ast.AST, qualprefix: str, module: str,
     )
 
 
-def _collect_attrs(cls: ClassInfo, node: ast.ClassDef,
-                   uconfig: UnitsConfig) -> None:
+def _collect_attrs(cls: ClassInfo, node: ast.ClassDef) -> None:
     """Light attribute inference: suffixed params assigned in methods,
     constructor calls, and class-name annotations."""
     for item in node.body:
@@ -202,12 +191,12 @@ def _collect_attrs(cls: ClassInfo, node: ast.ClassDef,
                         and target.value.id == "self"):
                     continue
                 attr = target.attr
-                if uconfig.has_declared_unit(attr):
+                if name_unit(attr) is not None:
                     continue                    # the suffix rules
                 if isinstance(value, ast.Name):
                     unit = param_units.get(value.id)
                     if unit is None:
-                        unit = uconfig.name_unit(value.id)
+                        unit = name_unit(value.id)
                     if unit is not None and attr not in cls.attr_units:
                         cls.attr_units[attr] = unit
                     klass = param_types.get(value.id)
@@ -222,8 +211,7 @@ def _collect_attrs(cls: ClassInfo, node: ast.ClassDef,
                         cls.attr_types.setdefault(attr, name)
 
 
-def build_summary(tree: ast.AST, path: str,
-                  uconfig: UnitsConfig) -> ModuleSummary:
+def build_summary(tree: ast.AST, path: str) -> ModuleSummary:
     """Pass 1: summarize one parsed module (no body dataflow yet)."""
     module = module_name_for(path)
     summary = ModuleSummary(path=path, module=module)
@@ -238,8 +226,7 @@ def build_summary(tree: ast.AST, path: str,
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
-                prefix = module if path.replace("\\", "/").endswith("__init__.py") \
-                    else package
+                prefix = module if path.endswith("__init__.py") else package
                 for _ in range(node.level - 1):
                     prefix = prefix.rpartition(".")[0]
                 base = f"{prefix}.{base}" if base else prefix
@@ -250,7 +237,7 @@ def build_summary(tree: ast.AST, path: str,
                 summary.imports[local] = f"{base}.{alias.name}" if base \
                     else alias.name
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info = _function_info(node, "", module, uconfig, is_method=False)
+            info = _function_info(node, "", module, is_method=False)
             summary.functions[node.name] = info
         elif isinstance(node, ast.ClassDef):
             cls = ClassInfo(name=node.name, module=module)
@@ -262,8 +249,8 @@ def build_summary(tree: ast.AST, path: str,
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     cls.methods[item.name] = _function_info(
-                        item, f"{node.name}.", module, uconfig, is_method=True)
-            _collect_attrs(cls, node, uconfig)
+                        item, f"{node.name}.", module, is_method=True)
+            _collect_attrs(cls, node)
             summary.classes[node.name] = cls
     return summary
 

@@ -2,8 +2,8 @@
 
 This module is *host-side* telemetry code: it runs after (or outside)
 a simulation, so wall-clock reads for default output file naming are
-allowed here (reprolint REP006 scopes the no-wall-clock rule to the
-simulation-side modules of this package).
+allowed here (it is in reprolint's ``HOST_FILES``, so REP001 checks
+only the simulation-side modules of this package).
 
 Exit codes follow the reprolint convention: 0 success (for ``diff``:
 traces identical), 1 differences found (``diff`` only), 2 usage or
@@ -182,8 +182,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
         events = [e for e in events if e.flow_id == args.flow]
     out = args.out
     if out is None:
-        # Host-side file naming may read the wall clock (REP006 carves
-        # this file out of the no-wall-clock rule).
+        # Host-side file naming may read the wall clock (this file is
+        # in reprolint's HOST_FILES, outside the no-wall-clock rule).
         stem = args.trace[:-6] if args.trace.endswith(".jsonl") else args.trace
         out = f"{stem}.filtered-{int(time.time())}.jsonl"
     meta = dict(header.get("meta") or {})

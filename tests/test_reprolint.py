@@ -1,12 +1,23 @@
-"""reprolint: rule firing, pragmas, config, CLI contract."""
+"""reprolint: rule firing, pragmas, scope, CLI contract."""
 
+import fnmatch
 import json
+import os
 from pathlib import Path
 
-from repro.lint import LintConfig, RULES, lint_source
+from repro.lint import RULES, lint_paths, lint_source
 from repro.lint.cli import JSON_SCHEMA_VERSION, main
-from repro.lint.config import load_config
-from repro.lint.engine import parse_pragmas
+from repro.lint.config import (
+    ALLOW_NAMES,
+    HOST_FILES,
+    REP004_PACKAGES,
+    SIM_PACKAGES,
+    STRICT_PACKAGES,
+    in_sim_scope,
+    is_host,
+    repro_path,
+)
+from repro.lint.engine import _extract_pragmas
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,8 +27,8 @@ SIM = "src/repro/netsim/fixture.py"
 HOST = "src/repro/runner/fixture.py"
 
 
-def codes(src, path=SIM, config=None):
-    return [f.code for f in lint_source(src, path, config)]
+def codes(src, path=SIM):
+    return [f.code for f in lint_source(src, path)]
 
 
 class TestRuleFiring:
@@ -103,30 +114,22 @@ class TestRuleFiring:
         assert codes("def f(xs=None):\n    pass\n") == []
 
     def test_rep006_sim_side_telemetry_wall_clock(self):
+        # REP006 is folded into REP001, which fires on the same line:
+        # sim-side telemetry is simulation code.
         src = "import time\nstamp = time.time()\n"
         found = codes(src, path="src/repro/telemetry/collector.py")
-        # Telemetry modules are in general-simulation scope too, so
-        # REP001 fires alongside the telemetry-specific rule.
-        assert found == ["REP001", "REP006"]
+        assert found == ["REP001"]
 
     def test_rep006_host_side_cli_exempt(self):
         src = "import time\nstamp = time.time()\n"
-        # cli.py/__main__.py run host-side: both the exempt globs
-        # (REP001-REP003) and the REP006 host-file list carve them out.
+        # cli.py/__main__.py run host-side: the host-file list carves
+        # them out of REP001-REP003.
         assert codes(src, path="src/repro/telemetry/cli.py") == []
         assert codes(src, path="src/repro/telemetry/__main__.py") == []
 
     def test_rep006_outside_telemetry_silent(self):
         src = "import time\nstamp = time.time()\n"
         assert codes(src, path=SIM) == ["REP001"]
-
-    def test_rep006_host_files_configurable(self):
-        config = LintConfig(telemetry_host_files=("special.py",))
-        src = "import time\nstamp = time.time()\n"
-        found = codes(src, path="src/repro/telemetry/cli.py", config=config)
-        assert "REP006" in found  # cli.py no longer in the host list
-        assert codes(src, path="src/repro/telemetry/special.py",
-                     config=config) == ["REP001"]
 
     def test_rep007_import_of_profile_packages(self):
         assert codes("from repro.profile import Profiler\n") == ["REP007"]
@@ -188,7 +191,6 @@ class TestRuleFiring:
 
     def test_instrumented_sim_modules_pass_rep007(self):
         """The real hook sites stay inside the fence."""
-        config = load_config(REPO_ROOT / "pyproject.toml")
         for rel in ("src/repro/netsim/engine.py",
                     "src/repro/transport/sender.py",
                     "src/repro/transport/receiver.py",
@@ -196,7 +198,7 @@ class TestRuleFiring:
                     "src/repro/ack/base.py"):
             path = REPO_ROOT / rel
             found = [f for f in
-                     lint_source(path.read_text(), str(path), config)
+                     lint_source(path.read_text(), str(path))
                      if f.code == "REP007"]
             assert found == [], "\n".join(f.render() for f in found)
 
@@ -270,11 +272,13 @@ class TestPragmas:
         assert codes(src) == []
 
     def test_parse_pragmas(self):
-        per_line, file_wide = parse_pragmas(
+        pragmas = _extract_pragmas(
             "# reprolint: disable-file=REP004\n"
             "x = 1  # reprolint: disable=REP001,REP003\n")
-        assert file_wide == {"REP004"}
-        assert per_line == {2: {"REP001", "REP003"}}
+        assert [(p.kind, p.codes, p.span) for p in pragmas] == [
+            ("disable-file", ("REP004",), (1, 1)),
+            ("disable", ("REP001", "REP003"), (2, 2)),
+        ]
 
 
 class TestConfig:
@@ -285,38 +289,85 @@ class TestConfig:
     def test_exempt_paths_still_check_mutable_defaults(self):
         assert codes("def f(xs=[]):\n    pass\n", path=HOST) == ["REP005"]
 
-    def test_repo_pyproject_extends_allow_names(self):
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        assert "beta" in config.allow_names
-        assert "seed" in config.allow_names  # defaults preserved
-
-    def test_disabled_rules(self):
-        config = LintConfig(disabled_rules=("REP001",))
-        assert codes("import time\nx = time.time()\n", config=config) == []
+    def test_repo_allow_names_folded_in(self):
+        assert {"beta", "start", "max_p"} <= set(ALLOW_NAMES)
+        assert "seed" in ALLOW_NAMES
+        src = ("class Red:\n"
+               "    def __init__(self, max_p=0.1, beta=0.5):\n"
+               "        pass\n")
+        assert codes(src) == []
 
     def test_sim_exempt_scope_split(self):
-        config = LintConfig()
-        assert config.in_sim_scope("src/repro/fleet/workload.py")
-        assert config.in_sim_scope("src/repro/fleet/shard.py")
-        assert not config.in_sim_scope("src/repro/fleet/campaign.py")
-        assert not config.in_sim_scope("src/repro/fleet/report.py")
+        def rp(rel):
+            return repro_path(rel)
+        assert in_sim_scope(rp("src/repro/fleet/workload.py"))
+        assert in_sim_scope(rp("src/repro/fleet/shard.py"))
+        assert not in_sim_scope(rp("src/repro/fleet/campaign.py"))
+        assert not in_sim_scope(rp("src/repro/fleet/report.py"))
         # The fleet host files are also exempt from REP001-REP003.
-        assert config.is_exempt("src/repro/fleet/cli.py")
-        assert not config.is_exempt("src/repro/fleet/workload.py")
-
-    def test_extend_sim_exempt_appends(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.reprolint]\n"
-            'extend-sim-exempt = ["*/repro/fleet/extra_host.py"]\n')
-        config = load_config(pyproject)
-        assert "*/repro/fleet/cli.py" in config.sim_exempt  # default kept
-        assert not config.in_sim_scope("src/repro/fleet/extra_host.py")
-        assert config.in_sim_scope("src/repro/fleet/workload.py")
+        assert is_host(rp("src/repro/fleet/cli.py"))
+        assert not is_host(rp("src/repro/fleet/workload.py"))
 
     def test_rule_registry_is_stable(self):
+        # REP006 is folded into REP001; its code stays reserved.
         assert list(RULES) == ["REP001", "REP002", "REP003", "REP004",
-                               "REP005", "REP006", "REP007", "REP008"]
+                               "REP005", "REP007", "REP008"]
+
+
+class TestScope:
+    """One path form: scope never depends on how a path is spelled."""
+
+    def test_repro_path_spellings_agree(self, tmp_path, monkeypatch):
+        (tmp_path / "src").mkdir()
+        monkeypatch.chdir(tmp_path)
+        spellings = {str(tmp_path / "src" / "repro" / "netsim" / "x.py"),
+                     "src/repro/netsim/x.py",
+                     "./src/repro/../repro/netsim/x.py"}
+        assert {repro_path(p) for p in spellings} == {"repro/netsim/x.py"}
+        monkeypatch.chdir(tmp_path / "src")
+        assert repro_path("repro/netsim/x.py") == "repro/netsim/x.py"
+        # outside any repro directory: the absolute form, in no package
+        assert repro_path("../tests/t.py") == f"{tmp_path}/tests/t.py"
+
+    def test_relative_and_absolute_paths_give_identical_findings(
+            self, tmp_path, monkeypatch):
+        """A fixture tree linted by relative and by absolute path."""
+        tree = tmp_path / "src" / "repro"
+        for rel, body in {
+            "netsim/x.py": ("import random\n"
+                            "rng = random.Random(42)\n"
+                            "class Gain:\n"
+                            "    def __init__(self, gain=0.5):\n"
+                            "        pass\n"),
+            "runner/host.py": "import time\nstarted = time.time()\n",
+            "transport/y.py": ("def f(rtt_s, size):\n"
+                               "    return rtt_s + size\n"),
+        }.items():
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_text(body)
+
+        def found(paths):
+            return sorted((f.code, Path(os.path.abspath(f.path)), f.line)
+                          for f in lint_paths([Path(p) for p in paths])
+                          .findings)
+
+        absolute = found([tree])
+        monkeypatch.chdir(tmp_path)
+        from_root = found(["src/repro"])
+        monkeypatch.chdir(tmp_path / "src")
+        from_src = found(["repro"])
+        assert absolute == from_root == from_src
+        assert [c for c, _p, _l in absolute] == ["REP004", "REP008",
+                                                 "REP105"]
+
+    def test_the_scope_table_does_not_rot(self):
+        """Every host glob names a file, every listed package exists."""
+        root = REPO_ROOT / "src"
+        files = [repro_path(str(p)) for p in (root / "repro").rglob("*.py")]
+        for glob in HOST_FILES:
+            assert any(fnmatch.fnmatch(f, glob) for f in files), glob
+        for pkg in {*SIM_PACKAGES, *REP004_PACKAGES, *STRICT_PACKAGES}:
+            assert (root / "repro" / pkg / "__init__.py").is_file(), pkg
 
 
 class TestCli:
@@ -335,13 +386,11 @@ class TestCli:
         assert main([str(f)]) == 1
         out = capsys.readouterr().out
         assert "REP005" in out and "bad.py" in out
-        # a units finding fails the run just the same — only with --units
+        # a units finding fails the run just the same: one run, every rule
         u = self.write(tmp_path, "units.py",
                        "def f(rtt_s, queue_bytes):\n"
                        "    return rtt_s + queue_bytes\n")
-        assert main([str(u)]) == 0
-        capsys.readouterr()
-        assert main([str(u), "--units"]) == 1
+        assert main([str(u)]) == 1
         assert "REP101" in capsys.readouterr().out
 
     def test_exit_two_on_missing_path(self, tmp_path, capsys):
@@ -380,8 +429,7 @@ class TestCli:
 class TestTreeIsClean:
     def test_src_lints_clean_with_repo_config(self):
         """The acceptance gate: `python -m repro.lint src/` exits 0."""
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        from repro.lint import lint_paths
-        findings, checked = lint_paths([REPO_ROOT / "src"], config)
-        assert checked > 100
-        assert findings == [], "\n".join(f.render() for f in findings)
+        result = lint_paths([REPO_ROOT / "src"])
+        assert result.files_checked > 100
+        assert result.findings == [], \
+            "\n".join(f.render() for f in result.findings)

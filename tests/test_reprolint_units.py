@@ -2,13 +2,14 @@
 algebra, the catalog, golden-file fixtures, the inter-procedural call
 graph, and the engine."""
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, lint_paths, load_config
-from repro.lint.engine import PragmaSet, _extract_pragmas, parse_pragmas
+from repro.lint import lint_paths
+from repro.lint.engine import PragmaSet, _extract_pragmas
 from repro.lint.findings import Finding
 from repro.lint.units import (
     BPS,
@@ -17,16 +18,23 @@ from repro.lint.units import (
     HZ,
     PKTS,
     SECONDS,
-    UnitError,
-    UnitsConfig,
     analyze_units,
-    parse_unit,
+    name_unit,
+    signature,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "units"
 
-#: Strict-scope-everywhere config so REP105 applies to fixture paths.
-STRICT = UnitsConfig(strict_paths=("*",))
+#: A strict-scope (simulation) path, so REP105 applies to a fixture.
+STRICT = "src/repro/netsim/{}"
+
+
+def analyze(*paths: Path, strict: bool = True):
+    """Unit findings for fixture files, each under a strict-scope path
+    when *strict* (findings then name that path)."""
+    trees = [(STRICT.format(p.name) if strict else str(p),
+              ast.parse(p.read_text())) for p in paths]
+    return analyze_units(trees)
 
 _EXPECT_RE = re.compile(r"#\s*expect:\s*(REP\d{3})")
 
@@ -40,7 +48,7 @@ def expected_findings(path: Path):
     return sorted(out)
 
 
-def actual_findings(findings, path: Path):
+def actual_findings(findings, path):
     return sorted((f.line, f.code) for f in findings
                   if f.path == str(path))
 
@@ -50,26 +58,25 @@ def actual_findings(findings, path: Path):
 # ----------------------------------------------------------------------
 class TestAlgebra:
     def test_parse_named_units(self):
-        assert parse_unit("s") == SECONDS
-        assert parse_unit("bytes") == BYTES
-        assert parse_unit("bps") == BPS
-        assert parse_unit("hz") == HZ
-        assert parse_unit("pkts") == PKTS
+        assert name_unit("rtt_s") == SECONDS
+        assert name_unit("size_bytes") == BYTES
+        assert name_unit("rate_bps") == BPS
+        assert name_unit("tack_hz") == HZ
+        assert name_unit("cwnd_pkts") == PKTS
 
     def test_scale_aliases_share_dimension(self):
-        assert parse_unit("ms") == SECONDS
-        assert parse_unit("us") == SECONDS
-        assert parse_unit("bits") == BYTES
-        assert parse_unit("mbps") == BPS
+        assert name_unit("rtt_ms") == SECONDS
+        assert name_unit("delay_us") == SECONDS
+        assert name_unit("size_bits") == BYTES
+        assert name_unit("rate_mbps") == BPS
 
     def test_quotient_simplification(self):
-        assert parse_unit("bytes/s") == BPS
-        assert parse_unit("bytes") .div(SECONDS) == BPS
+        assert BYTES.div(SECONDS) == BPS
         assert BPS.mul(SECONDS) == BYTES
 
     def test_hz_is_inverse_seconds(self):
-        assert parse_unit("1/s") == HZ
         assert SECONDS.invert() == HZ
+        assert DIMENSIONLESS.div(SECONDS) == HZ
         assert SECONDS.mul(HZ).is_dimensionless
 
     def test_commutativity(self):
@@ -94,46 +101,40 @@ class TestAlgebra:
         assert str(BYTES.div(SECONDS)) == "bps"
         assert str(SECONDS.invert()) == "hz"
 
-    def test_bad_spelling_raises(self):
-        with pytest.raises(UnitError):
-            parse_unit("furlongs")
-
 
 # ----------------------------------------------------------------------
 # catalog
 # ----------------------------------------------------------------------
 class TestCatalog:
     def test_suffix_lookup(self):
-        uc = UnitsConfig()
-        assert uc.name_unit("rtt_s") == SECONDS
-        assert uc.name_unit("queue_bytes") == BYTES
-        assert uc.name_unit("rate_bps") == BPS
-        assert uc.name_unit("loss_fraction") == DIMENSIONLESS
+        assert name_unit("rtt_s") == SECONDS
+        assert name_unit("queue_bytes") == BYTES
+        assert name_unit("rate_bps") == BPS
+        assert name_unit("loss_fraction") == DIMENSIONLESS
 
     def test_prefix_counter_idiom(self):
-        uc = UnitsConfig()
-        assert uc.name_unit("bytes_delivered") == BYTES
-        assert uc.name_unit("packets_lost") == PKTS
+        assert name_unit("bytes_delivered") == BYTES
+        assert name_unit("packets_lost") == PKTS
 
     def test_exact_names(self):
-        uc = UnitsConfig()
-        assert uc.name_unit("MSS") == BYTES
-        assert uc.name_unit("now") == SECONDS
-        assert uc.name_unit("nbytes") == BYTES
+        assert name_unit("MSS") == BYTES
+        assert name_unit("now") == SECONDS
+        assert name_unit("nbytes") == BYTES
 
     def test_dimensionless_names_win(self):
-        uc = UnitsConfig()
-        assert uc.name_unit("beta") == DIMENSIONLESS
-        assert uc.name_unit("seed") == DIMENSIONLESS
+        assert name_unit("beta") == DIMENSIONLESS
+        assert name_unit("seed") == DIMENSIONLESS
+        # the repo's own extras: RED's max_p, a percentile rank p
+        assert name_unit("max_p") == DIMENSIONLESS
+        assert name_unit("p") == DIMENSIONLESS
 
     def test_bare_name_says_nothing(self):
-        assert UnitsConfig().name_unit("value") is None
+        assert name_unit("value") is None
 
     def test_signature_leaf_fallback(self):
-        uc = UnitsConfig()
-        params, returns = uc.signature("Simulator.now")
+        params, returns = signature("Simulator.now")
         assert returns == SECONDS
-        assert uc.signature("no.such.thing") is None
+        assert signature("no.such.thing") is None
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +145,9 @@ class TestGoldenFixtures:
                                       "rep104", "rep105"])
     def test_fixture_matches_markers(self, name):
         path = FIXTURES / f"{name}.py"
-        findings = analyze_units([path], STRICT)
-        assert actual_findings(findings, path) == expected_findings(path)
+        findings = analyze(path)
+        assert actual_findings(findings, STRICT.format(path.name)) == \
+            expected_findings(path)
         own_code = name.upper()
         assert sum(1 for f in findings if f.code == own_code) >= 5
 
@@ -154,7 +156,7 @@ class TestGoldenFixtures:
         call site in another module (the REP102 acceptance demo)."""
         producer = FIXTURES / "cross" / "producer.py"
         consumer = FIXTURES / "cross" / "consumer.py"
-        findings = analyze_units([producer, consumer], STRICT)
+        findings = analyze(producer, consumer, strict=False)
         assert actual_findings(findings, producer) == []
         assert actual_findings(findings, consumer) == \
             expected_findings(consumer)
@@ -180,18 +182,18 @@ class TestPragmaEngine:
             "    second,\n"
             ")  # reprolint: disable=REP104\n"
         )
-        per_line, file_wide = parse_pragmas(source)
-        assert file_wide == set()
-        assert set(per_line) == {1, 2, 3, 4}
-        assert per_line[1] == {"REP104"}
+        [pragma] = _extract_pragmas(source)
+        assert pragma.kind == "disable"
+        assert pragma.span == (1, 4)
+        assert pragma.codes == ("REP104",)
 
     def test_standalone_pragma_covers_only_its_line(self):
         source = (
             "# reprolint: disable=REP104\n"
             "x = 1\n"
         )
-        per_line, _ = parse_pragmas(source)
-        assert set(per_line) == {1}
+        [pragma] = _extract_pragmas(source)
+        assert pragma.span == (1, 1)
 
     def test_pragma_suppresses_units_finding(self, tmp_path):
         mod = tmp_path / "mod.py"
@@ -200,14 +202,13 @@ class TestPragmaEngine:
             "    timeout_s = queue_bytes  # reprolint: disable=REP104\n"
             "    return timeout_s\n"
         )
-        result = lint_paths([mod], LintConfig(), units=True)
+        result = lint_paths([mod])
         assert result.findings == []
 
     def test_unused_pragma_reported(self, tmp_path):
         mod = tmp_path / "mod.py"
         mod.write_text("x = 1  # reprolint: disable=REP104\n")
-        result = lint_paths([mod], LintConfig(), units=True,
-                            report_unused_pragmas=True)
+        result = lint_paths([mod], report_unused_pragmas=True)
         assert [f.code for f in result.findings] == ["REP009"]
 
     def test_used_pragma_not_reported(self, tmp_path):
@@ -217,18 +218,20 @@ class TestPragmaEngine:
             "    timeout_s = queue_bytes  # reprolint: disable=REP104\n"
             "    return timeout_s\n"
         )
-        result = lint_paths([mod], LintConfig(), units=True,
-                            report_unused_pragmas=True)
+        result = lint_paths([mod], report_unused_pragmas=True)
         assert result.findings == []
 
     def test_unused_code_on_blanket_pragma(self, tmp_path):
-        # A coded pragma whose rule never ran (not in the active set)
-        # must not be called unused.
+        # Every run checks every rule, so a code that suppresses nothing
+        # is dead even when no rule emits it any more (REP006, folded
+        # into REP001); the REP001 on the same line is what stays used.
         mod = tmp_path / "mod.py"
-        mod.write_text("x = 1  # reprolint: disable=REP104\n")
-        result = lint_paths([mod], LintConfig(), units=False,
-                            report_unused_pragmas=True)
-        assert result.findings == []
+        mod.write_text("import time\n"
+                       "x = time.time()  # reprolint: disable=REP001,REP006\n")
+        result = lint_paths([mod], report_unused_pragmas=True)
+        assert [(f.code, f.line) for f in result.findings] == [("REP009", 2)]
+        assert "REP006" in result.findings[0].message
+        assert "REP001" not in result.findings[0].message
 
     def test_suppresses_per_file_rules_still(self):
         source = "import random\nr = random.random()  # reprolint: disable=REP002\n"
@@ -247,13 +250,14 @@ class TestEngineIntegration:
         fixtures.mkdir(parents=True)
         (fixtures / "bad.py").write_text(
             "def f(queue_bytes):\n    timeout_s = queue_bytes\n")
-        result = lint_paths([tmp_path], LintConfig(), units=True)
+        result = lint_paths([tmp_path])
         assert result.findings == []
         assert result.files_checked == 0
 
     def test_tree_clean(self):
-        """The whole simulator passes the unit checker."""
+        """The whole tree passes every rule, the unit checker included."""
         root = Path(__file__).resolve().parents[1]
-        config = load_config(root / "pyproject.toml")
-        result = lint_paths([root / "src"], config, units=True)
-        assert result.findings == []
+        result = lint_paths([root / d for d in
+                             ("src", "tests", "benchmarks", "examples")])
+        assert result.findings == [], \
+            "\n".join(f.render() for f in result.findings)
