@@ -86,14 +86,14 @@ class BBR(CongestionController):
     # ------------------------------------------------------------------
     def bw_estimate(self) -> float:
         """Bottleneck bandwidth estimate in bits/s."""
-        bw = self._btl_bw.get()
+        bw = self._btl_bw.value
         if bw is None or bw <= 0:
             # Nothing measured yet: derive from initial cwnd / rtt.
             return self._cwnd * 8.0 / self.min_rtt()
         return bw
 
     def min_rtt(self) -> float:
-        value = self._min_rtt.get()
+        value = self._min_rtt.value
         return value if value is not None else self._initial_rtt_s
 
     def bdp_bytes(self, gain: float = 1.0) -> int:
@@ -109,29 +109,29 @@ class BBR(CongestionController):
         now = sample.now
         self._in_flight = sample.in_flight
         if sample.rtt is not None and sample.rtt > 0:
-            prior = self._min_rtt.get()
+            prior = self._min_rtt.value
             self._min_rtt.update(sample.rtt, now)
             if prior is None or sample.rtt <= prior:
                 self._min_rtt_stamp = now
         if sample.min_rtt is not None and sample.min_rtt > 0:
             # Externally supplied RTT_min (TACK advanced timing).
-            prior = self._min_rtt.get()
+            prior = self._min_rtt.value
             self._min_rtt.update(sample.min_rtt, now)
             if prior is None or sample.min_rtt <= prior:
                 self._min_rtt_stamp = now
         # Read once per feedback: nothing below changes either filter
-        # again, and ``get()`` without a time expires nothing.
-        min_rtt_s = self._min_rtt.get()
+        # again (``value`` is the extremum as of the last change).
+        min_rtt_s = self._min_rtt.value
         if min_rtt_s is None:
             min_rtt_s = self._initial_rtt_s
         btl_bw = self._btl_bw
-        bw_bps = btl_bw.get()
+        bw_bps = btl_bw.value
         rate = sample.delivery_rate_bps
         if rate is not None and rate > 0:
             if not sample.is_app_limited or rate > (bw_bps or 0.0):
                 btl_bw.window = self.bw_window_rtts * min_rtt_s
                 btl_bw.update(rate, now)
-                prior_bw, bw_bps = bw_bps, btl_bw.get()
+                prior_bw, bw_bps = bw_bps, btl_bw.value
                 # Value-change detection on the windowed max, not
                 # clock arithmetic; most updates leave it unchanged.
                 if self._tel is not None and bw_bps != prior_bw:
@@ -154,7 +154,7 @@ class BBR(CongestionController):
         else:
             self._cwnd = self._bdp(self._cwnd_gain, bw_bps, min_rtt_s)
             if self.aggregation_compensation:
-                extra = self._extra_acked.get()
+                extra = self._extra_acked.value
                 if extra is not None:
                     self._cwnd += int(extra)
 
@@ -176,11 +176,11 @@ class BBR(CongestionController):
         self._extra_acked.update(extra, now)
 
     def extra_acked_bytes(self) -> int:
-        value = self._extra_acked.get()
+        value = self._extra_acked.value
         return int(value) if value is not None else 0
 
     def _check_full_pipe(self) -> None:
-        bw = self._btl_bw.get() or 0.0
+        bw = self._btl_bw.value or 0.0
         if bw > self._full_bw * 1.25:
             self._full_bw = bw
             self._full_bw_rounds = 0

@@ -14,13 +14,16 @@ from typing import Optional
 
 
 class _WindowedExtremum:
-    """Shared monotonic-deque machinery; subclasses fix the ordering."""
+    """Shared monotonic-deque machinery; subclasses fix the ordering.
+    ``value`` is the current extremum (``None``: no sample in window),
+    kept by every change, for readers that need no expiry."""
 
     def __init__(self, window: float):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window
         self._samples: collections.deque[tuple[float, float]] = collections.deque()
+        self.value: Optional[float] = None
 
     @staticmethod
     def _better(a: float, b: float) -> bool:
@@ -36,12 +39,14 @@ class _WindowedExtremum:
         horizon = now - self.window
         while samples[0][0] < horizon:      # never empties: the new one stays
             samples.popleft()
+        self.value = samples[0][1]
 
     def _expire(self, now: float) -> None:
         samples = self._samples
         horizon = now - self.window
         while samples and samples[0][0] < horizon:
             samples.popleft()
+        self.value = samples[0][1] if samples else None
 
     def get(self, now: Optional[float] = None) -> Optional[float]:
         """Current extremum, or ``None`` when no sample is in window.
@@ -50,12 +55,11 @@ class _WindowedExtremum:
         """
         if now is not None:
             self._expire(now)
-        if not self._samples:
-            return None
-        return self._samples[0][1]
+        return self.value
 
     def reset(self) -> None:
         self._samples.clear()
+        self.value = None
 
 
 class WindowedMaxFilter(_WindowedExtremum):

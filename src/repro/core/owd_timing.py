@@ -125,17 +125,18 @@ class SenderRttMinEstimator:
 
     ``on_tack`` computes one RTT sample per feedback and runs it
     through a windowed minimum filter (tau <= 10 s, handles route
-    changes).  An initial sample from the handshake seeds the filter.
+    changes).  An initial sample from the handshake seeds the filter;
+    ``filter.value`` is the estimate (``None`` before any sample).
     """
 
     def __init__(self, window_s: float = 10.0):
-        self._filter = WindowedMinFilter(window=window_s)
+        self.filter = WindowedMinFilter(window=window_s)
         self.last_sample: Optional[float] = None
         self.samples = 0
 
     def on_handshake(self, rtt: float, now: float) -> None:
         if rtt > 0:
-            self._filter.update(rtt, now)
+            self.filter.update(rtt, now)
             self.last_sample = rtt
             self.samples += 1
 
@@ -156,15 +157,15 @@ class SenderRttMinEstimator:
         rtt = tack_arrival_ts - echo_departure_ts - delay
         if rtt <= 0:
             return None
-        self._filter.update(rtt, tack_arrival_ts)
+        self.filter.update(rtt, tack_arrival_ts)
         self.last_sample = rtt
         self.samples += 1
         return rtt
 
     def rtt_min(self, default: float = 0.1) -> float:
-        value = self._filter.get()
+        value = self.filter.value
         return value if value is not None else default
 
     @property
     def has_estimate(self) -> bool:
-        return self._filter.get() is not None
+        return self.filter.value is not None

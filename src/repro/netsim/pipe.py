@@ -55,11 +55,12 @@ class Pipe:
     def send(self, packet: Packet) -> bool:
         self.packets_sent += 1
         sim, loss = self.sim, self.loss
-        if loss is not None and loss.should_drop(packet, sim.now()):
+        now = sim.now()
+        if loss is not None and loss.should_drop(packet, now):
             self.packets_lost += 1
             return False
         self._in_transit.append(packet)
-        sim.call_at(sim.now() + self._delay_s, self._deliver_next)
+        sim.call_at(now + self._delay_s, self._deliver_next)
         return True
 
     def _deliver_next(self) -> None:

@@ -30,6 +30,11 @@ paper's correctness rests on:
 ``gap_cache``
     A reused unacked walk equals a fresh one, and first-seen times are
     kept for exactly its gaps.
+``stamp_store``
+    The feedback guard's departure stamps are sorted without repeats,
+    its head index lies inside the list, and from the head on it holds
+    exactly the departures (as this sanitizer saw them) no older than
+    the last one minus ``echo_window_s``.
 ``interval_count``
     The reassembly buffer's maintained ``covered()`` counter equals the
     brute-force sum over its ranges.
@@ -107,7 +112,7 @@ class _FlowState:
     """Per-flow bookkeeping the sanitizer needs across hook calls."""
 
     __slots__ = ("last_pkt_seq", "last_cum_ack", "last_delivered_ptr",
-                 "feedbacks_seen", "rtt_samples")
+                 "feedbacks_seen", "rtt_samples", "departures")
 
     def __init__(self):
         self.last_pkt_seq = 0
@@ -119,6 +124,8 @@ class _FlowState:
         # smaller sample dominates (and outlives) anything larger behind
         # it, so popping those from the back loses nothing.
         self.rtt_samples: Deque[Tuple[float, float]] = collections.deque()
+        # A guarded TACK sender's departures in its echo window.
+        self.departures: Deque[float] = collections.deque()
 
     def push_rtt_sample(self, now: float, sample: float) -> None:
         samples = self.rtt_samples
@@ -205,6 +212,12 @@ class SimSanitizer:
         if rec.seq < 0 or rec.length <= 0:
             self._fail("pkt_seq_monotone", sender.flow_id,
                        f"bad segment seq={rec.seq} length={rec.length}")
+        if sender.guard is not None and sender.receiver_driven:
+            departures = state.departures
+            departures.append(rec.last_sent)
+            horizon = rec.last_sent - sender.guard.cfg.echo_window_s
+            while departures[0] < horizon:
+                departures.popleft()
 
     def on_rtt_sample(self, sender, sample: float, now: float) -> None:
         """Called for every raw RTT sample the sender takes."""
@@ -304,6 +317,23 @@ class SimSanitizer:
             self._fail("byte_conservation", flow,
                        f"in_flight counter {sender.in_flight} != "
                        f"{in_flight} summed from live records")
+        if sender.guard is not None and sender.receiver_driven:
+            self._check_stamp_store(sender)
+
+    def _check_stamp_store(self, sender) -> None:
+        guard, flow = sender.guard, sender.flow_id
+        stamps, head = guard._stamps, guard._stamp_head
+        if not 0 <= head <= len(stamps) or any(
+                b <= a for a, b in zip(stamps, stamps[1:])):
+            self._fail("stamp_store", flow, f"departure stamps unsorted or "
+                       f"repeated, or head {head} outside [0, {len(stamps)}]")
+        truth = set(self._senders[sender].departures)
+        horizon = (stamps[-1] if stamps else 0.0) - guard.cfg.echo_window_s
+        held = {ts for ts in stamps[head:] if ts >= horizon}
+        if held != truth:
+            self._fail("stamp_store", flow, f"echoable stamps lost "
+                       f"{sorted(truth - held)[:3]}, hold unsent or aged "
+                       f"{sorted(held - truth)[:3]}")
 
     def _check_rto_armed(self, sender, now: float, progress: bool) -> None:
         from repro.transport.sender import LOST

@@ -72,8 +72,8 @@ honest ``rto_exhausted``.
 
 from __future__ import annotations
 
-import collections
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
@@ -188,9 +188,10 @@ class FeedbackValidator:
         self.frames = 0
         self.escalated = False
         self.escalation_rule: Optional[str] = None
-        # Echoable departure stamps: membership set + FIFO for pruning.
-        self._stamps: set[float] = set()
-        self._stamp_q: collections.deque[float] = collections.deque()
+        # Departure stamps, ascending; those before the head aged out.
+        self._stamps: list[float] = []
+        self._stamp_head = 0
+        self._stamp_prune_len = 2
         self._fb_seq_max = -1
         self._fb_seq_last: Optional[int] = None
         self._fb_seq_run = 0
@@ -220,19 +221,39 @@ class FeedbackValidator:
     # ------------------------------------------------------------------
     def on_data_sent(self, now: float, length_bytes: int) -> None:
         """Record a data-packet departure stamp (TACK timing ground
-        truth) and segment size.  Time is monotone, so the FIFO prunes
-        in order."""
+        truth) and segment size.  Time is monotone: appending keeps the
+        stamps sorted, and a repeated time is the last entry.  A stamp
+        is echoable until it is older than the last departure minus
+        ``echo_window_s``; the list is pruned when :meth:`admit` asks,
+        and here once it has doubled since the last prune (a flow whose
+        feedback stops stays bounded)."""
         if self._first_sent_s is None:
             self._first_sent_s = now
             self._min_seg_bytes = length_bytes
         elif length_bytes < self._min_seg_bytes:
             self._min_seg_bytes = length_bytes
-        if now not in self._stamps:
-            self._stamps.add(now)
-            self._stamp_q.append(now)
-        horizon = now - self.cfg.echo_window_s
-        while self._stamp_q and self._stamp_q[0] < horizon:
-            self._stamps.discard(self._stamp_q.popleft())
+        stamps = self._stamps
+        if not stamps or stamps[-1] < now:
+            stamps.append(now)
+            if len(stamps) >= self._stamp_prune_len:
+                self._prune_stamps()
+
+    def _prune_stamps(self) -> None:
+        """Move the head past the stamps that aged out; compact once
+        the head passes the middle of the list."""
+        stamps = self._stamps
+        if stamps:
+            head = bisect_left(stamps, stamps[-1] - self.cfg.echo_window_s,
+                               self._stamp_head)
+            if 2 * head > len(stamps):
+                del stamps[:head]
+                head = 0
+            self._stamp_head, self._stamp_prune_len = head, 2 * len(stamps)
+
+    def _stamped(self, ts: float) -> bool:
+        """Is ``ts`` an echoable stamp (asked after a prune)?"""
+        i = bisect_left(self._stamps, ts, self._stamp_head)
+        return i < len(self._stamps) and not ts < self._stamps[i]
 
     # ------------------------------------------------------------------
     # violation machinery
@@ -463,8 +484,10 @@ class FeedbackValidator:
         # consume these fields) ---------------------------------------
         if snd.receiver_driven:
             echo = fb.echo_departure_ts
+            if echo is not None or fb.packet_delays:
+                self._prune_stamps()
             if echo is not None:
-                if echo not in self._stamps or echo > now + _EPS:
+                if not self._stamped(echo) or echo > now + _EPS:
                     self.violate("echo_ts", f"echo_ts={echo!r} never stamped")
                     s = self._sanitized()
                     s.echo_departure_ts = None
@@ -480,7 +503,7 @@ class FeedbackValidator:
             if fb.packet_delays:
                 good_delays = [
                     (ts, d) for ts, d in fb.packet_delays
-                    if ts in self._stamps and -_EPS <= d <= (now - ts) + _EPS
+                    if self._stamped(ts) and -_EPS <= d <= (now - ts) + _EPS
                 ]
                 if len(good_delays) != len(fb.packet_delays):
                     self.violate("echo_ts",

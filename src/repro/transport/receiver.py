@@ -32,6 +32,10 @@ LOW_WINDOW_BYTES = 2 * 1500
 class ReceiverStats:
     """Counters published by the receiver."""
 
+    #: DATA frames dropped for lacking ``seq`` or ``pkt_seq`` (a class
+    #: default, so a clean run's counters read as they always have).
+    malformed_packets = 0
+
     def __init__(self):
         self.data_packets = 0
         self.duplicate_packets = 0
@@ -172,13 +176,15 @@ class TransportReceiver:
             self._port.send(reply)
 
     def _handle_data(self, packet: Packet) -> None:
-        now = self.sim.now()
         seq, pkt_seq = packet.seq, packet.pkt_seq
-        assert seq is not None and pkt_seq is not None
+        if seq is None or pkt_seq is None:      # cannot be placed: drop
+            self.stats.malformed_packets += 1
+            return
+        now = self.sim.now()
         meta = packet.meta
-        if "rtt_min" in meta:
+        if meta and "rtt_min" in meta:
             self.peer_rtt_min = meta["rtt_min"]
-        if "ack_loss_rate" in meta:
+        if meta and "ack_loss_rate" in meta:
             self.peer_ack_loss_rate = meta["ack_loss_rate"]
         # Timing and rate trackers see every arrival, duplicates included.
         if packet.sent_at is not None:
@@ -229,8 +235,10 @@ class TransportReceiver:
             self._san.on_receiver_data(self)
         self.policy.on_data(packet, in_order)
         # A window that is open and was open has no event to raise.
-        if (self._window_was_low or self.rcv_buffer_bytes
-                - intervals.covered() < LOW_WINDOW_BYTES):
+        # ``buffered`` still holds: policies only send feedback, ports
+        # deliver by events, and apps read in _consume or in events.
+        if (self._window_was_low
+                or self.rcv_buffer_bytes - buffered < LOW_WINDOW_BYTES):
             self._check_window_events()
 
     # ------------------------------------------------------------------

@@ -84,9 +84,9 @@ class MinRttTracker:
             self._filter.update(rtt, now)
 
     def get(self, default: float = 0.1) -> float:
-        value = self._filter.get()
+        value = self._filter.value
         return value if value is not None else default
 
     @property
     def has_sample(self) -> bool:
-        return self._filter.get() is not None
+        return self._filter.value is not None

@@ -497,8 +497,9 @@ class TransportSender:
         if cum_ack > self.cum_acked:
             self.cum_acked = cum_ack
             self._dup_count = 0
-            order, records = self._order, self.records
+            order, records, pkt_map = self._order, self.records, self.pkt_map
             head = self._head
+            run = []
             while head < len(order):
                 seq = order[head]
                 rec = records.get(seq)
@@ -506,20 +507,25 @@ class TransportSender:
                     break
                 head += 1
                 if rec.state != SACKED:
-                    newly_acked += self._settle_record(rec, now, sacked=False)
-                    if rec.retx_count == 0 and not receiver_driven:
-                        # Legacy RTT sampling from ACK arrival times
-                        # (delay-biased, paper S4.3).  TACK mode times
-                        # exclusively through the corrected TACK
-                        # references instead.
-                        sample = now - rec.last_sent
-                        self._take_rtt_sample(sample, now)
-                        rtt_sample = sample
-                        rate_sample_bps = self._legacy_rate_sample(rec, now)
+                    run.append(rec)
                 del records[seq]
-                self.pkt_map.pop(rec.pkt_seq, None)
-                self.governor.on_acked(seq)
+                pkt_map.pop(rec.pkt_seq, None)
+                if rec.retx_count:      # only a repair has a governor entry
+                    self.governor.on_acked(seq)
             self._head = head
+            if run:
+                acked, rates = self._settle_run(run, now, sacked=False)
+                newly_acked += acked
+                if rates:   # legacy: the last first transmission's sample
+                    rate_sample_bps = rates[-1]
+                    # RTT samples from ACK arrival times (delay-biased,
+                    # paper S4.3); TACK mode times through TACK references.
+                    for rec in run:
+                        if rec.retx_count == 0:
+                            rtt_sample = now - rec.last_sent
+                            self.rtt.on_sample(rtt_sample)
+                            self.min_rtt_legacy.on_sample(rtt_sample, now)
+                            self._obs_rtt(rtt_sample, now)
             if self._sacked or self._holes:
                 # The scoreboard indexes live records only.
                 first_live = self._first_live_seq()
@@ -546,11 +552,12 @@ class TransportSender:
                 # has no gap left: it costs this one bisect.
                 for gap_start, gap_end in gaps(
                         end, start if start > first_live else first_live):
-                    acked, rate = self._sack_gap(gap_start, gap_end, end, now)
+                    acked, rates = self._sack_gap(gap_start, gap_end, end, now)
                     newly_acked += acked
-                    if rate is not None:
-                        best = rate_sample_bps or 0.0
-                        rate_sample_bps = rate if rate > best else best
+                    for rate in rates:
+                        if rate is not None:
+                            best = rate_sample_bps or 0.0
+                            rate_sample_bps = rate if rate > best else best
 
         # --- TACK timing --------------------------------------------
         if receiver_driven:
@@ -647,54 +654,58 @@ class TransportSender:
         return self.next_seq
 
     def _sack_gap(self, gap_start: int, gap_end: int, block_end: int,
-                  now: float) -> tuple[int, Optional[float]]:
+                  now: float) -> tuple[int, list]:
         """Settle the records starting in ``[gap_start, gap_end)``, a
         stretch of a SACK block no SACKED record covers yet, so every
-        record found is new information.  Returns the newly-acked byte
-        count and the best delivery-rate sample taken (or ``None``).
+        record found is new information (see :meth:`_settle_run`).
         """
-        order, records = self._order, self.records
+        order, records, holes = self._order, self.records, self._holes
         first = i = bisect_left(order, gap_start, self._head)
-        newly_acked = 0
-        best_rate: Optional[float] = None
-        run_end = gap_start
+        run = []
         while i < len(order):
             seq = order[i]
             if seq >= gap_end:
                 break
             rec = records[seq]
-            end = seq + rec.length
-            if end > block_end:
+            if seq + rec.length > block_end:
                 break       # straddles the block edge: not acknowledged
-            newly_acked += self._settle_record(rec, now, sacked=True)
             if seq < self._frontier:
-                del self._holes[bisect_left(self._holes, seq)]
-            if rec.retx_count == 0:
-                rate = self._legacy_rate_sample(rec, now)
-                if rate is not None and (best_rate is None or rate > best_rate):
-                    best_rate = rate
-            run_end = end
+                del holes[bisect_left(holes, seq)]
+            run.append(rec)
             i += 1
-        if i > first:
-            # Records tile the sequence space, so what was settled is
-            # one contiguous run.
-            self._sacked.add(order[first], run_end)
-        return newly_acked, best_rate
+        if not run:
+            return 0, []
+        # Records tile the sequence space: what was settled is one run.
+        self._sacked.add(order[first], run[-1].end)
+        return self._settle_run(run, now, sacked=True)
 
-    def _settle_record(self, rec: SendRecord, now: float, sacked: bool) -> int:
-        """Mark a record delivered; returns newly-acked byte count."""
-        if rec.state == IN_FLIGHT:
-            self.in_flight -= rec.length
-        if sacked:
-            rec.state = SACKED
-        self.delivered += rec.length
-        self.rack.on_delivered(rec.last_sent)
-        return rec.length
-
-    def _take_rtt_sample(self, sample: float, now: float) -> None:
-        self.rtt.on_sample(sample)
-        self.min_rtt_legacy.on_sample(sample, now)
-        self._obs_rtt(sample, now)
+    def _settle_run(self, run: list[SendRecord], now: float,
+                    sacked: bool) -> tuple[int, list]:
+        """Mark a run of records delivered in one pass: counters, state,
+        one RACK update.  Returns the newly-acked bytes and, in legacy
+        mode, each first transmission's BBR-style delivery-rate sample
+        in order (``None`` where no time has passed)."""
+        in_flight, delivered = self.in_flight, self.delivered
+        latest = run[0].last_sent
+        rates: list[Optional[float]] = []
+        legacy = not self.receiver_driven
+        for rec in run:
+            length = rec.length
+            if rec.state == IN_FLIGHT:
+                in_flight -= length
+            if sacked:
+                rec.state = SACKED
+            delivered += length
+            if rec.last_sent > latest:
+                latest = rec.last_sent
+            if legacy and rec.retx_count == 0:
+                elapsed = now - rec.delivered_time
+                rates.append((delivered - rec.delivered_snapshot) * 8.0 / elapsed
+                             if elapsed > 0 else None)
+        acked = delivered - self.delivered
+        self.in_flight, self.delivered = in_flight, delivered
+        self.rack.on_delivered(latest)
+        return acked, rates
 
     def _obs_rtt(self, sample: float, now: float) -> None:
         """Count one RTT sample and show it to the planes: sanitizer
@@ -707,15 +718,6 @@ class TransportSender:
             self._bus.emit("timing", "rtt_sample", self.flow_id, {
                 "rtt_s": sample, "srtt_s": srtt,
                 "rtt_min_s": self._rtt_min_of(srtt)})
-
-    def _legacy_rate_sample(self, rec: SendRecord, now: float) -> Optional[float]:
-        """BBR-style delivery-rate sample from a newly acked record."""
-        if self.receiver_driven:
-            return None
-        elapsed = now - rec.delivered_time
-        if elapsed <= 0:
-            return None
-        return (self.delivered - rec.delivered_snapshot) * 8.0 / elapsed
 
     # ------------------------------------------------------------------
     # loss detection
@@ -1014,15 +1016,16 @@ class TransportSender:
             flow_id=self.flow_id,
         )
         pkt.sent_at = now
-        receiver_driven = self.receiver_driven
-        if receiver_driven and self.guard is not None:
-            # Departure-stamp ground truth for the echo_ts rule: only
-            # timestamps recorded here may come back in a TACK.
-            self.guard.on_data_sent(now, length)
         if self._san is not None:
             self._san.on_data_sent(self, rec)
-        if receiver_driven:
-            rtt_min = self.current_rtt_min()
+        if self.receiver_driven:
+            if self.guard is not None:
+                # Departure-stamp ground truth for the echo_ts rule:
+                # only timestamps recorded here may come back in a TACK.
+                self.guard.on_data_sent(now, length)
+            # current_rtt_min() read in place (samples are > 0; srtt
+            # before the first one).
+            rtt_min = self.rtt_min_est.filter.value or self.rtt.smoothed()
             meta = pkt.meta
             meta["rtt_min"] = rtt_min
             # rho' sync for the Eq. (6) adaptive block budget: the

@@ -50,8 +50,10 @@ class WirelessMedium:
         self.per_mpdu_error_rate = per_mpdu_error_rate
         self.rng = sim.fork_rng("wlan-medium")
         self.stations: list["Station"] = []
-        self._busy = False
-        self._round_scheduled = False
+        # A PPDU is on the air / a contention round is pending: while
+        # either holds, a new frame needs no notify_backlog call.
+        self.busy = False
+        self.round_scheduled = False
         # statistics
         self.transmissions = 0
         self.collisions = 0
@@ -67,7 +69,7 @@ class WirelessMedium:
     def notify_backlog(self) -> None:
         """A station enqueued a frame; start a contention round if the
         medium is idle and no round is already pending."""
-        if not self._busy and not self._round_scheduled:
+        if not self.busy and not self.round_scheduled:
             self._schedule_round()
 
     # ------------------------------------------------------------------
@@ -78,7 +80,7 @@ class WirelessMedium:
         contenders = self._contenders()
         if not contenders:
             return
-        self._round_scheduled = True
+        self.round_scheduled = True
         for s in contenders:
             s.ensure_backoff(self.rng)
         min_slots = min(s.backoff_slots for s in contenders)
@@ -86,8 +88,8 @@ class WirelessMedium:
         self.sim.call_in(wait, lambda: self._fire_round(min_slots))
 
     def _fire_round(self, elapsed_slots: int) -> None:
-        self._round_scheduled = False
-        if self._busy:  # defensive: a round never overlaps a transmission
+        self.round_scheduled = False
+        if self.busy:  # defensive: a round never overlaps a transmission
             return
         contenders = self._contenders()
         if not contenders:
@@ -108,7 +110,7 @@ class WirelessMedium:
                                       station.current_rate_bps())
             for station, txop in zip(winners, txops)
         )
-        self._busy = True
+        self.busy = True
         self.transmissions += len(txops)
         self.airtime_busy_s += airtime
         collided = len(winners) > 1
@@ -125,7 +127,7 @@ class WirelessMedium:
         txops: list["TxOp"],
         collided: bool,
     ) -> None:
-        self._busy = False
+        self.busy = False
         for station, txop in zip(winners, txops):
             if collided:
                 station.note_tx_outcome(ok=False)
@@ -142,10 +144,6 @@ class WirelessMedium:
         self._schedule_round()
 
     # ------------------------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
     def collision_rate(self) -> float:
         """Fraction of transmissions that ended in a collision."""
         if self.transmissions == 0:

@@ -135,7 +135,9 @@ class Station:
             self.frames_dropped_queue += 1
             return False
         queue.append(packet)
-        self.medium.notify_backlog()
+        medium = self.medium
+        if not (medium.busy or medium.round_scheduled):
+            medium.notify_backlog()
         return True
 
     def _select_queue(self) -> "collections.deque[Packet]":
@@ -179,16 +181,21 @@ class Station:
         if self._inflight is not None:
             # Retransmission of the collided PPDU.
             return self._inflight
-        limit = self.phy.max_ampdu_frames if self.aggregate else 1
-        byte_limit = self.phy.max_ampdu_bytes if self.aggregate else None
+        phy = self.phy
+        limit = phy.max_ampdu_frames if self.aggregate else 1
+        byte_limit = phy.max_ampdu_bytes if self.aggregate else None
         queue = self._select_queue()
         packets: list[Packet] = []
         total = 0
         small = 0
+        # Without a peer map every frame goes to ``peer``; frames of a
+        # TXOP mostly share a size, whose MPDU size is kept.
+        mapped = self._peer_map is not None
         dest: Optional["Station"] = None
+        size = mpdu = -1
         while queue and len(packets) < limit:
             nxt = queue[0]
-            if packets and self.peer_for(nxt) is not dest:
+            if packets and mapped and self.peer_for(nxt) is not dest:
                 # An A-MPDU addresses a single receiver; frames for a
                 # different client wait for their own TXOP.
                 break
@@ -199,12 +206,14 @@ class Station:
                 and small >= self.control_aggregate_limit
             ):
                 break
-            mpdu = self.phy.mpdu_bytes(nxt.size)
+            if nxt.size != size:
+                size = nxt.size
+                mpdu = phy.mpdu_bytes(size)
             if packets and byte_limit is not None and total + mpdu > byte_limit:
                 break
-            if nxt.size < self.SMALL_FRAME_BYTES:
+            if size < self.SMALL_FRAME_BYTES:
                 small += 1
-            if not packets:
+            if not packets and mapped:
                 dest = self.peer_for(nxt)
             packets.append(queue.popleft())
             total += mpdu
@@ -221,6 +230,8 @@ class Station:
         self._retries = 0
         self.backoff_slots = -1
         retry: list[Packet] = []
+        mapped = self._peer_map is not None
+        receiver = self.peer
         for packet, bad in zip(txop.packets, errored):
             self.frames_sent += 1
             if bad:
@@ -230,7 +241,8 @@ class Station:
                     packet.meta["mac_retried"] = True
                     retry.append(packet)
             else:
-                receiver = self.peer_for(packet)
+                if mapped:
+                    receiver = self.peer_for(packet)
                 if receiver is not None:
                     receiver.deliver(packet)
         for packet in reversed(retry):

@@ -31,6 +31,7 @@ from repro.telemetry import TraceCollector
 from repro.transport.sender import SACKED, TransportSender
 
 from conftest import build_wired_connection, run_bulk
+from stamp_store_oracle import SetDequeStampStore
 from wire_form_oracle import check_wire_form as oracle_check_wire_form
 
 
@@ -523,6 +524,72 @@ class TestTimingRules:
         feed(sender, fb_for(MSS, packet_delays=[(sim.now() - 1e-5, 0.0)]),
              kind=PacketType.TACK)
         assert sender.guard.counts["echo_ts"] == 1
+
+
+stamp_steps = st.lists(st.one_of(
+    # Departures: a time step (0 repeats the last time) and how many.
+    st.tuples(st.just("send"),
+              st.sampled_from([0.0, 1e-4, 1e-3, 4e-3, 0.02, 0.07]),
+              st.integers(1, 3)),
+    # An admit some time after the last departure, asking about stamps
+    # that were sent (echoable or aged out) or never sent.
+    st.tuples(st.just("admit"), st.sampled_from([0.0, 1e-3, 0.3]),
+              st.lists(st.tuples(st.sampled_from(["sent", "never"]),
+                                 st.integers(0, 1 << 20)),
+                       min_size=1, max_size=4)),
+), min_size=1, max_size=150)
+
+
+class TestStampStoreOracle:
+    """The echo_ts ground truth is one append-only list, pruned only
+    when asked and when it has doubled; at every admit it must echo
+    exactly what the parent's set + deque
+    (``tests/stamp_store_oracle.py``) echoed."""
+
+    @given(st.sampled_from([0.005, 0.03, 0.2]), stamp_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_admit_answers_what_the_set_and_deque_answered(self, window,
+                                                           steps):
+        sim = Simulator(seed=1, simsan=False)
+        never = 10 ** 9     # no rule may escalate mid-example
+        sender, _ = tack_sender(sim, guard=GuardConfig(
+            echo_window_s=window, strict=False, escalate_after=never,
+            escalate_total=never, escalate_consecutive=never))
+        guard = sender.guard
+        oracle = SetDequeStampStore(window)
+        sent: list[float] = []
+        t = sim.now()
+
+        def ask(kind, k):
+            # A sent stamp (echoable or aged out), or a time just
+            # before one, which no departure ever had.
+            ts = sent[k % len(sent)] if sent else t
+            return ts if kind == "sent" and sent else ts - 1e-7
+
+        for step in steps:
+            if step[0] == "send":
+                t += step[1]
+                for _ in range(step[2]):
+                    guard.on_data_sent(t, MSS)
+                    oracle.on_data_sent(t)
+                    sent.append(t)
+            else:
+                _, wait, queries = step
+                asked = [ask(kind, k) for kind, k in queries]
+                out = guard.admit(fb_for(0, echo_departure_ts=asked[0],
+                                         packet_delays=[(ts, 0.0)
+                                                        for ts in asked]),
+                                  t + wait)
+                assert ((out.echo_departure_ts is not None)
+                        == oracle.stamped(asked[0]))
+                assert [ts for ts, _ in out.packet_delays] == [
+                    ts for ts in asked if oracle.stamped(ts)]
+            # Unpruned, the list may still hold aged stamps, but it
+            # never loses an echoable one.
+            stamps, head = guard._stamps, guard._stamp_head
+            horizon = stamps[-1] - window if stamps else 0.0
+            assert ({ts for ts in stamps[head:] if ts >= horizon}
+                    == oracle._stamps)
 
 
 class TestRateRules:

@@ -1,7 +1,10 @@
 """State-growth hygiene: long-running connections must not leak
 per-packet bookkeeping."""
 
-from repro.netsim.packet import MSS
+from repro.cc import BBR
+from repro.netsim.packet import MSS, Packet, PacketType
+from repro.transport.guard import GuardConfig
+from repro.transport.sender import TransportSender
 
 from conftest import build_wired_connection
 
@@ -38,6 +41,38 @@ class TestSenderStateBounded:
         assert conn.completed
         # All retransmitted ranges were eventually acked and removed.
         assert len(conn.sender.governor) == 0
+
+    def test_departure_stamps_bounded_while_feedback_is_withheld(self, sim):
+        """No feedback, so no admit ever prunes the guard's stamps: the
+        list prunes itself once it has doubled, and so holds at most
+        four horizons' worth of departures."""
+        window = 0.05
+        sender = TransportSender(
+            sim, BBR(initial_rtt_s=5.0, initial_cwnd_mss=40_000),
+            receiver_driven=True, guard=GuardConfig(echo_window_s=window))
+        departures = []
+
+        class Port:
+            def send(self, packet):
+                if packet.kind is PacketType.DATA:
+                    departures.append(packet.sent_at)
+                return True
+
+        sender.connect(Port())
+        sender.start()
+        syn_ack = Packet(PacketType.SYN_ACK, size=64)
+        syn_ack.meta["syn_sent_at"] = 0.0   # a 1 s handshake: no RTO
+        sim.call_at(1.0, lambda: sender.on_packet(syn_ack))
+        sim.run(until=1.0)
+        sender.set_unlimited()
+        stamps, longest, widest = sender.guard._stamps, 0, 0
+        while sim.now() < 1.0 + 10 * window:
+            sim.run(until=sim.now() + window / 10)
+            live = len({t for t in departures if t >= sim.now() - window})
+            longest, widest = max(longest, len(stamps)), max(widest, live)
+        assert sender.stats.feedback_received == sender.stats.rtos == 0
+        assert len(set(departures)) > 8 * widest > 0
+        assert longest <= 4 * widest + 2
 
     def test_retx_queue_drains(self, sim):
         conn, _ = build_wired_connection(sim, "tcp-tack", rate_bps=10e6,

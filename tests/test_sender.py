@@ -1,13 +1,18 @@
 """Unit tests for the transport sender over a controlled pipe."""
 
 import math
+import os
+import sys
 
 import pytest
 
+import repro
 from repro.cc import BBR, NewReno
 from repro.cc.rack import RackState
+from repro.core.flavors import make_connection
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import MSS, Packet, PacketType
+from repro.netsim.paths import wlan_path
 from repro.netsim.pipe import Pipe
 from repro.transport.feedback import AckFeedback, make_feedback_packet
 from repro.transport.sender import IN_FLIGHT, LOST, TransportSender
@@ -428,6 +433,25 @@ class TestRackDeadline:
         assert marked() == {MSS, 3 * MSS, 4 * MSS}
         assert sender.stats.fast_retransmits == 0
 
+    def test_a_settled_run_leaves_rack_at_its_latest_send(self, sim):
+        """A cumulative ACK settles its records as one run with one
+        RACK update: the latest send among them, which need not be the
+        last record's (a repair of the first one left later)."""
+        sender, port = established_sender(sim, NewReno(initial_cwnd_mss=50))
+        sender.set_total(4 * MSS)
+        sim.run(until=0.029)
+        for _ in range(3):
+            ack_for(sender, 0, sack_blocks=[(MSS, 2 * MSS)])
+        sim.run(until=0.05)
+        repaired = sender.records[0]
+        assert repaired.retx_count == 1
+        latest = repaired.last_sent
+        assert latest > max(rec.last_sent for seq, rec in
+                            sender.records.items() if seq)
+        ack_for(sender, 4 * MSS)
+        assert not sender.records
+        assert sender.rack.latest_delivered_send_time == pytest.approx(latest)
+
 
 class PushCountingSimulator(Simulator):
     """Records the callback of every event pushed onto the heap."""
@@ -553,6 +577,66 @@ class TestTransmitCost:
         sim.run(until=timer.time)
         assert [(p.seq, p.sent_at) for p in port.sent] == [
             (0, pytest.approx(timer.time))]
+
+
+    def test_a_departure_costs_the_guard_one_append_and_no_pop(self, sim):
+        cc = BBR(initial_rtt_s=0.01, initial_cwnd_mss=self.WINDOW)
+        sender, port = established_sender(sim, cc, receiver_driven=True)
+        sender.guard._stamps = stamps = CountingList()
+        sender.set_unlimited()
+        sim.run(max_events=300)
+        departures = [p.sent_at for p in port.sent]
+        assert len(departures) == len(set(departures)) >= 250
+        assert stamps == departures
+        assert stamps.appends == len(departures) and stamps.removals == 0
+
+    def test_python_calls_per_data_packet_on_a_tack_wlan_flow(self):
+        """Calls into ``repro`` per data packet of a seeded ``tcp-tack``
+        flow over 802.11n (``sys.setprofile``, ``call`` events, CPython
+        3.11): 42.60, and 52.00 before the path of a data packet was
+        one pass per layer (the RTT_min read through four calls, three
+        calls per acked record, the WLAN peer looked up per MPDU)."""
+        sim = Simulator(seed=1, simsan=False)
+        path = wlan_path(sim, "802.11n", extra_rtt_s=0.08)
+        conn = make_connection(sim, "tcp-tack", initial_rtt_s=0.08)
+        conn.wire(path.forward, path.reverse)
+        conn.start_bulk()
+        sim.run(until=0.5)          # past start-up, into the steady state
+        root = os.path.dirname(repro.__file__)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls += 1
+
+        sent = conn.sender.stats.data_packets_sent
+        sys.setprofile(count)
+        try:
+            sim.run(until=1.0)
+        finally:
+            sys.setprofile(None)
+        packets = conn.sender.stats.data_packets_sent - sent
+        assert packets > 4000
+        assert calls / packets <= 43.0
+
+
+class CountingList(list):
+    """A list with its appends and removals counted."""
+
+    appends = removals = 0
+
+    def append(self, item):
+        self.appends += 1
+        super().append(item)
+
+    def pop(self, *args):
+        self.removals += 1
+        return super().pop(*args)
+
+    def __delitem__(self, key):
+        self.removals += 1
+        super().__delitem__(key)
 
 
 class TestFeedbackCost:

@@ -6,6 +6,7 @@ import pytest
 from repro import sanitize
 from repro.ack import DelayedAck
 from repro.cc import NewReno
+from repro.core.flavors import make_connection
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import MSS
 from repro.netsim.paths import wired_path
@@ -200,6 +201,29 @@ class TestInvariantsTrip:
         # corrupt: the governor holds back a hole that was never repaired
         sender.governor.on_retransmit(sender._holes[0], sim.now())
         with pytest.raises(InvariantViolation, match="rack_index"):
+            sim.san.check_sender_ledger(sender)
+
+    def test_stamp_store_lost_or_repeated_a_stamp(self):
+        sim = Simulator(seed=7, simsan=True)
+        conn = make_connection(sim, "tcp-tack", initial_rtt_s=0.04)
+        path = wired_path(sim, 20e6, 0.04)
+        conn.wire(path.forward, path.reverse)
+        conn.start_transfer(400 * MSS)
+        sim.run(until=0.3)
+        sender, guard = conn.sender, conn.sender.guard
+        sim.san.check_sender_ledger(sender)     # consistent so far
+        stamps = guard._stamps
+        assert len(stamps) > 10 and guard._stamp_head == 0
+        guard._stamp_head = 1   # corrupt: a live stamp no echo may match
+        with pytest.raises(InvariantViolation, match="stamp_store"):
+            sim.san.check_sender_ledger(sender)
+        guard._stamp_head = len(stamps) + 1     # corrupt: past the end
+        with pytest.raises(InvariantViolation, match="stamp_store"):
+            sim.san.check_sender_ledger(sender)
+        guard._stamp_head = 0
+        sim.san.check_sender_ledger(sender)     # consistent again
+        stamps.insert(5, stamps[5])     # corrupt: a repeated stamp
+        with pytest.raises(InvariantViolation, match="stamp_store"):
             sim.san.check_sender_ledger(sender)
 
     def test_gap_cache_reused_list_drifted(self):

@@ -8,6 +8,7 @@ from repro.ack import TackPolicy
 from repro.cc import BBR
 from repro.core.params import TackParams
 from repro.netsim.loss import BernoulliLoss
+from repro.netsim.packet import HEADER_SIZE, MSS, Packet, PacketType
 from repro.netsim.paths import wired_path
 from repro.transport.connection import Connection, ConnectionConfig
 from repro.transport.errors import ConnectionAborted, abort_result
@@ -235,3 +236,26 @@ class TestAckPathLossEndToEnd:
         assert conn.completed
         assert conn.sender.ack_loss.loss_rate == pytest.approx(0.5, abs=0.15)
         assert conn.receiver.policy._degraded
+
+
+class TestMalformedData:
+    """A DATA frame without ``seq`` or ``pkt_seq`` cannot be placed in
+    the stream: the receiver drops and counts it, and the flow goes on
+    (it used to fail an ``assert`` inside the event loop, and raise a
+    ``TypeError`` under ``python -O``)."""
+
+    @pytest.mark.parametrize("scheme", ["tcp-tack", "tcp-bbr"])
+    def test_injected_mid_flow_the_flow_still_delivers_in_full(self, sim,
+                                                                scheme):
+        conn, path = build_wired_connection(sim, scheme)
+        conn.start_transfer(300 * MSS)
+        sim.run(until=0.1)
+        assert 0 < conn.receiver.stats.bytes_delivered < 300 * MSS
+        for seq, pkt_seq in ((None, 10 ** 6), (0, None), (None, None)):
+            path.forward.send(Packet(PacketType.DATA, size=HEADER_SIZE + MSS,
+                                     seq=seq, pkt_seq=pkt_seq,
+                                     payload_len=MSS, flow_id=0))
+        sim.run(until=10.0)
+        assert conn.completed and conn.aborted is None
+        assert conn.receiver.stats.bytes_delivered == 300 * MSS
+        assert conn.receiver.stats.malformed_packets == 3
