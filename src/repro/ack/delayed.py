@@ -41,8 +41,11 @@ class DelayedAck(AckPolicy):
     def _fills_hole(self) -> bool:
         # A segment that advanced cum_ack past previously buffered
         # out-of-order data "filled a hole"; approximate by checking
-        # whether out-of-order data remains queued.
-        return self.receiver.holb_blocked_bytes() > 0
+        # whether out-of-order data remains queued: the receiver's
+        # holb_blocked_bytes() > 0, read off the interval set in place.
+        receiver = self.receiver
+        intervals, ptr = receiver.intervals, receiver.delivered_ptr
+        return intervals.covered() + ptr > intervals.first_missing(ptr)
 
     def _on_timer(self) -> None:
         self._timer = None

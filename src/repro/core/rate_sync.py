@@ -108,17 +108,18 @@ class AckPathLossEstimator:
         """Record one arrived feedback packet (any flavor)."""
         if fb_seq is None:  # peer does not number its feedback
             return
-        if self._base is None:
-            self._base = fb_seq
-            self._highest = fb_seq
+        base = self._base
+        if base is None:
+            self._base = self._highest = fb_seq
             self._received = 1
             return
-        if fb_seq < self._base:  # straggler from a folded window
+        if fb_seq < base:  # straggler from a folded window
             return
         self._received += 1
-        if self._highest is None or fb_seq > self._highest:
-            self._highest = fb_seq
-        span = self._highest - self._base + 1
+        highest = self._highest
+        if highest is None or fb_seq > highest:
+            self._highest = highest = fb_seq
+        span = highest - base + 1
         if span >= self.window:
             lost = max(0, span - self._received)  # dups can exceed span
             sample = lost / span

@@ -158,7 +158,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def call_at(self, t: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run at absolute time ``t``."""
-        if not t >= self.now():  # also rejects NaN
+        # The clock's slot, read in place: every packet schedules here.
+        if not t >= self.clock._now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule in the past: {t} < {self.now()}"
             )

@@ -101,10 +101,6 @@ class Packet:
         self.hops = 0
 
     # ------------------------------------------------------------------
-    def is_ack_like(self) -> bool:
-        """True for every acknowledgment flavor (ACK, TACK, IACK)."""
-        return self.kind in ACK_KINDS
-
     def end_seq(self) -> int:
         """Sequence number one past the last payload byte."""
         if self.seq is None:

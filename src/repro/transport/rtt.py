@@ -55,12 +55,18 @@ class RttEstimator:
         self._backoff = 1.0
 
     def rto(self) -> float:
-        """Current retransmission timeout with exponential backoff."""
+        """Current retransmission timeout with exponential backoff:
+        ``min(max(srtt + max(4 rttvar, 1 ms), min_rto) x backoff,
+        max_rto)``, written as the comparisons the builtins make."""
         if self.srtt is None:
             base = self.initial_rto_s
         else:
-            base = self.srtt + max(4.0 * self.rttvar, 1e-3)
-        return min(max(base, self.min_rto_s) * self._backoff, self.max_rto_s)
+            var = 4.0 * self.rttvar
+            base = self.srtt + (1e-3 if var < 1e-3 else var)
+        if base < self.min_rto_s:
+            base = self.min_rto_s
+        rto = base * self._backoff
+        return self.max_rto_s if rto > self.max_rto_s else rto
 
     def back_off(self) -> None:
         """Double the RTO after a timeout (Karn)."""

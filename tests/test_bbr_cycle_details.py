@@ -1,6 +1,10 @@
 """Deeper BBR state-machine behaviors (gain cycle, drain, recovery)."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cc.base import RateSample
 from repro.cc.bbr import (
@@ -129,3 +133,32 @@ class TestBandwidthWindow:
             t += 0.05
             cc.on_feedback(fb(t, rate=30e6))
         assert cc.bw_estimate() == pytest.approx(30e6)
+
+
+class TestPacingRateOracle:
+    """``pacing_rate_bps()`` reads the bandwidth filter in place; it
+    must equal ``pacing gain x bw_estimate()`` to the last bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(bw=st.one_of(st.none(), st.just(0.0), st.floats(-1e9, 1e10)),
+           min_rtt=st.one_of(st.none(), st.floats(1e-6, 10.0)),
+           cwnd=st.one_of(st.integers(4 * MSS, 1 << 30),
+                          st.floats(4.0 * MSS, 1e9)),
+           gain=st.sampled_from(sorted({2.885, 1 / 2.885, 1.0,
+                                        *_PROBE_BW_GAINS})))
+    def test_bit_identical_to_gain_times_bw_estimate(self, bw, min_rtt,
+                                                     cwnd, gain):
+        cc = BBR(initial_rtt_s=0.04)
+        cc._btl_bw.value, cc._min_rtt.value = bw, min_rtt
+        cc._cwnd, cc._pacing_gain = cwnd, gain
+        expected = cc._pacing_gain * cc.bw_estimate()
+        assert struct.pack("<d", cc.pacing_rate_bps()) == struct.pack(
+            "<d", expected)
+
+    def test_along_a_flow(self):
+        cc = BBR()
+        t = drive_to_probe_bw(cc)
+        for k in range(40):
+            t += 0.013
+            cc.on_feedback(fb(t, rate=40e6 + k * 1e5))
+            assert cc.pacing_rate_bps() == cc._pacing_gain * cc.bw_estimate()

@@ -33,6 +33,7 @@ from repro.transport.sender import SACKED, TransportSender
 from conftest import build_wired_connection, run_bulk
 from stamp_store_oracle import SetDequeStampStore
 from wire_form_oracle import check_wire_form as oracle_check_wire_form
+from wire_form_oracle import getattr_check_wire_form
 
 
 class StubPort:
@@ -221,6 +222,54 @@ _FRAMES = st.fixed_dictionaries({
 })
 
 
+_PAIRS = st.lists(st.tuples(st.integers(0, 1 << 40), st.integers(0, 1 << 40)),
+                  max_size=4)
+_SECONDS = st.floats(0.0, 1e3)
+# Every field of a frame as the receiver builds it ...
+_VALID_FIELDS = {
+    "cum_ack": st.integers(0, 1 << 40),
+    "awnd": st.integers(0, 1 << 40),
+    "sack_blocks": _PAIRS,
+    "unacked_blocks": _PAIRS,
+    "pull_pkt_range": st.one_of(st.none(), st.tuples(st.integers(0, 99),
+                                                     st.integers(0, 99))),
+    "tack_delay": st.one_of(st.none(), _SECONDS),
+    "echo_departure_ts": st.one_of(st.none(), _SECONDS),
+    "delivery_rate_bps": st.one_of(st.none(), st.floats(0.0, 1e10)),
+    "rx_loss_rate": st.one_of(st.none(), st.floats(0.0, 1.0)),
+    "largest_pkt_seq": st.one_of(st.none(), st.integers(0, 1 << 30)),
+    "packet_delays": st.lists(st.tuples(_SECONDS, _SECONDS), max_size=3),
+    "reason": st.one_of(st.none(), st.sampled_from(["loss", "window"])),
+    "fb_seq": st.one_of(st.none(), st.integers(0, 1 << 30)),
+}
+_VALID_FRAMES = st.fixed_dictionaries(_VALID_FIELDS)
+# ... and what a decoder may put in one instead: a bool, an int
+# subclass, a tuple where a list belongs, NaN and infinities, a str,
+# pairs of the wrong length or with a wrong part.
+_BAD_PAIRS = st.lists(
+    st.one_of(st.lists(st.integers(0, 9), max_size=3),
+              st.tuples(st.integers(0, 9)),
+              st.tuples(st.integers(0, 9), st.integers(0, 9),
+                        st.integers(0, 9)),
+              st.tuples(st.integers(0, 9), st.booleans()),
+              st.tuples(st.floats(allow_nan=True), st.integers()),
+              st.tuples(st.integers(0, 9), st.integers(0, 9)).map(_Pair)),
+    min_size=1, max_size=3)
+_WRONG = st.one_of(
+    st.booleans(), st.integers(0, 9).map(_Int),
+    _PAIRS.map(tuple), _PAIRS.map(_Blocks),
+    st.sampled_from([math.nan, math.inf, -math.inf, "7", ""]),
+    # a valid pair list with bad entries mixed in
+    st.tuples(_PAIRS, _BAD_PAIRS).map(lambda lists: lists[0] + lists[1]))
+# Up to two fields replaced, half the time among the pair lists.
+_WRONG_FIELDS = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(_VALID_FIELDS)), _WRONG,
+                    max_size=2),
+    st.dictionaries(st.sampled_from(["sack_blocks", "unacked_blocks",
+                                     "packet_delays"]), _WRONG,
+                    min_size=1, max_size=2))
+
+
 class TestWireFormOracle:
     """``check_wire_form`` passes exact built-in types inline; the
     helper-only version it replaced (``tests/wire_form_oracle.py``)
@@ -288,6 +337,20 @@ class TestWireFormOracle:
     def test_non_feedback_objects(self):
         for junk in GARBAGE:
             assert self.same(junk) is not None
+
+    @settings(max_examples=600, deadline=None)
+    @given(_VALID_FRAMES, _WRONG_FIELDS)
+    def test_by_name_matches_the_getattr_version(self, fields, wrong):
+        """The version that read the block lists and the real fields
+        through ``getattr`` loops: same verdict, same first field."""
+        fb = AckFeedback(cum_ack=0, awnd=0)
+        for field, value in {**fields, **wrong}.items():
+            setattr(fb, field, value)
+        expected = wire_verdict(getattr_check_wire_form, fb)
+        assert wire_verdict(check_wire_form, fb) == expected
+        assert wire_verdict(oracle_check_wire_form, fb) == expected
+        if not wrong:
+            assert expected is None
 
 
 class TestCumAckRule:

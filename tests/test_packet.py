@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim.packet import (
+    ACK_KINDS,
     ACK_PACKET_SIZE,
     DATA_PACKET_SIZE,
     HEADER_SIZE,
@@ -59,11 +60,5 @@ class TestAckPackets:
         with pytest.raises(ValueError):
             make_ack_packet(extra_bytes=-1)
 
-    @pytest.mark.parametrize(
-        "kind", [PacketType.ACK, PacketType.TACK, PacketType.IACK]
-    )
-    def test_is_ack_like(self, kind):
-        assert make_ack_packet(kind=kind).is_ack_like()
-
     def test_data_not_ack_like(self):
-        assert not make_data_packet(0, 1).is_ack_like()
+        assert make_data_packet(0, 1).kind not in ACK_KINDS
