@@ -16,15 +16,9 @@ class RackState:
 
     def __init__(self, reo_wnd_fraction: float = 0.25):
         self.reo_wnd_fraction = reo_wnd_fraction
+        # Raised, never lowered, by the sender as it settles (s)acked
+        # records (TransportSender._settle_run).
         self.latest_delivered_send_time: Optional[float] = None
-
-    def on_delivered(self, send_time: float) -> None:
-        """Record that a packet sent at ``send_time`` was (s)acked."""
-        if (
-            self.latest_delivered_send_time is None
-            or send_time > self.latest_delivered_send_time
-        ):
-            self.latest_delivered_send_time = send_time
 
     def reo_wnd(self, srtt: float) -> float:
         return self.reo_wnd_fraction * srtt
