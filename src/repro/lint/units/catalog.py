@@ -10,7 +10,7 @@ Three layers:
    ``packets_lost``): the quantity leads instead of trailing.
 3. **Signatures** — a curated table of APIs whose parameter/return
    units the names alone don't state (``sim.now() -> s``,
-   ``Clock.advance_to(t: s)``, ``serialization_delay(...) -> s``).
+   ``Clock.advance_to(t: s)``, ``Link.set_rate(rate_bps: bps)``).
    Entries are keyed ``Class.method`` or bare ``function``; bare keys
    also match method calls through *any* receiver, which is what makes
    ``self.sim.now()`` resolvable without whole-program type inference.
@@ -97,7 +97,6 @@ SIGNATURES: Dict[str, _SIG] = {
     "call_at": ({"t": SECONDS, "when": SECONDS}, None),
     "Simulator.run": ({"until": SECONDS}, None),
     # links
-    "serialization_delay": ({"size_bytes": BYTES}, SECONDS),
     "Link.set_rate": ({"rate_bps": BPS}, None),
     "Link.set_delay": ({"delay_s": SECONDS}, None),
     # Eq. (3) machinery

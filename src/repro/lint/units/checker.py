@@ -2,9 +2,8 @@
 
 One inference engine serves two rounds.  The *infer* round runs every
 function body silently to learn return units for functions whose names
-declare nothing (``def serialization_delay(...)`` returning
-``size_bytes * 8.0 / self.rate_bps`` infers ``s``... well, ``bps``
-inverted — the algebra decides).  The *check* round runs the same
+declare nothing (a ``def ppdu_airtime(...)`` returning a sum of
+``_s`` terms infers ``s`` — the algebra decides).  The *check* round runs the same
 dataflow again, now against the completed :class:`UnitIndex`, and
 emits findings:
 

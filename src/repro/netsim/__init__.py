@@ -14,7 +14,6 @@ from repro.netsim.loss import (
     BurstLoss,
     GilbertElliottLoss,
     LossModel,
-    NoLoss,
     PatternLoss,
 )
 from repro.netsim.packet import Packet, PacketType
@@ -31,7 +30,6 @@ __all__ = [
     "Link",
     "LinkConfig",
     "LossModel",
-    "NoLoss",
     "Packet",
     "PacketType",
     "PathConfig",

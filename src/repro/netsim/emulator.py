@@ -17,6 +17,10 @@ from repro.netsim.loss import BernoulliLoss, LossModel
 from repro.netsim.packet import Packet
 
 
+def _bernoulli(rate: float, rng) -> Optional[LossModel]:
+    return BernoulliLoss(rate, rng) if rate else None
+
+
 class PathConfig:
     """Parameters for a symmetric-rate, possibly asymmetric-loss path.
 
@@ -77,12 +81,12 @@ class EmulatedPath:
     ):
         self.sim = sim
         self.config = config
-        fwd_loss = forward_loss or BernoulliLoss(
-            config.data_loss, sim.fork_rng(f"{name}-fwd-loss")
-        )
-        rev_loss = reverse_loss or BernoulliLoss(
-            config.ack_loss, sim.fork_rng(f"{name}-rev-loss")
-        )
+        # The RNG is forked even for a zero rate (no model, lossless),
+        # so the simulator's stream does not depend on the rates.
+        fwd_loss = forward_loss or _bernoulli(
+            config.data_loss, sim.fork_rng(f"{name}-fwd-loss"))
+        rev_loss = reverse_loss or _bernoulli(
+            config.ack_loss, sim.fork_rng(f"{name}-rev-loss"))
         self.forward = Link(
             sim,
             LinkConfig(

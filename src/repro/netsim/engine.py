@@ -224,7 +224,7 @@ class Simulator:
         fired = 0
         queue = self._queue
         heappop = heapq.heappop
-        advance_to = self.clock.advance_to
+        clock = self.clock
         prof = self.profiler  # hoisted: attach happens before run()
         while queue:
             t, _, ev = queue[0]
@@ -242,7 +242,10 @@ class Simulator:
             heappop(queue)
             if self.san is not None:
                 self.san.on_event(t, ev)
-            advance_to(t)
+            # Clock.advance_to in place, rewind check included.
+            if not t >= clock._now:
+                raise ValueError(f"clock cannot rewind: {t} < {clock._now}")
+            clock._now = t
             self._events_fired += 1
             fired += 1
             if prof is not None:
@@ -254,7 +257,7 @@ class Simulator:
             else:
                 ev.fn()
         if until is not None and self.now() < until:
-            advance_to(until)
+            clock.advance_to(until)
         return self.now()
 
     def pending(self) -> int:

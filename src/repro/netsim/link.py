@@ -20,12 +20,13 @@ Two chaos-plane extensions live here (see :mod:`repro.chaos`):
 
 from __future__ import annotations
 
+import collections
+import heapq
 from typing import Callable, Optional
 
 from repro.netsim.engine import Simulator
-from repro.netsim.loss import LossModel, NoLoss, RngLike, coerce_rng
+from repro.netsim.loss import LossModel, RngLike, coerce_rng
 from repro.netsim.packet import Packet
-from repro.netsim.queue import DropTailQueue
 
 
 class LinkConfig:
@@ -47,17 +48,39 @@ class LinkConfig:
         self.rate_bps = float(rate_bps)
         self.delay_s = float(delay_s)
         self.queue_bytes = queue_bytes
-        self.loss = loss or NoLoss()
-
-    def serialization_delay(self, size_bytes: int) -> float:
-        """Time to clock ``size_bytes`` onto the wire."""
-        return size_bytes * 8.0 / self.rate_bps
+        #: Ingress loss model; ``None`` is a lossless link.
+        self.loss = loss
 
     def __repr__(self) -> str:
         return (
             f"LinkConfig(rate={self.rate_bps / 1e6:.3f}Mbps, "
             f"delay={self.delay_s * 1e3:.3f}ms, queue={self.queue_bytes})"
         )
+
+
+class DropTailQueue:
+    """A link's byte-limited FIFO, the paper's emulator queue: the
+    waiting packets, their bytes, and the counters.  :meth:`Link.send`
+    applies the drop-tail rule; a packet that goes straight onto an
+    idle wire counts as enqueued and in the peak.  ``capacity_bytes``
+    of ``None`` means unbounded (an access link that is never the
+    bottleneck)."""
+
+    __slots__ = ("capacity_bytes", "packets", "bytes_queued", "drops",
+                 "enqueued", "peak_bytes")
+
+    def __init__(self, capacity_bytes: Optional[int] = None):
+        if capacity_bytes is not None and capacity_bytes <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity_bytes}")
+        self.capacity_bytes = capacity_bytes
+        self.packets: collections.deque[Packet] = collections.deque()
+        self.bytes_queued = 0
+        self.drops = 0
+        self.enqueued = 0
+        self.peak_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self.packets)
 
 
 class LinkImpairments:
@@ -105,13 +128,19 @@ class Link:
     busy for ``size * 8 / rate`` per packet, then the packet propagates
     for ``delay_s`` and is handed to ``sink``.
 
+    Each leg is one pass: :meth:`send` applies the drop-tail rule and
+    puts a packet that finds the wire idle straight onto it; the
+    serialization finish schedules the arrival and starts the next
+    queued packet; a delivery pops its packet off a FIFO.
+
     Fleet-scale shards construct and drive thousands of links'
     packets through one process, so the class is slotted; new state
     belongs in the slots tuple, not ad-hoc attributes.
     """
 
-    __slots__ = ("sim", "config", "sink", "name", "queue", "_busy",
-                 "_on_wire", "packets_sent", "packets_delivered", "packets_lost",
+    __slots__ = ("sim", "config", "sink", "name", "queue", "_on_wire",
+                 "_in_flight", "_last_arrival", "_overtaking",
+                 "packets_sent", "packets_delivered", "packets_lost",
                  "packets_duplicated", "packets_corrupted",
                  "packets_reordered", "bytes_delivered", "_tel",
                  "_tel_stride", "_tel_n", "_imp", "_en")
@@ -128,11 +157,18 @@ class Link:
         self.sink = sink
         self.name = name
         self.queue = DropTailQueue(config.queue_bytes)
-        self._busy = False
-        # The packet being clocked onto the wire while ``_busy``: the
-        # transmitter serializes one at a time, so its completion event
-        # needs no closure to know which.
+        # The packet being serialized, ``None`` while the transmitter
+        # is idle (and the queue empty): the finish event needs no
+        # closure to know which.
         self._on_wire: Optional[Packet] = None
+        # Propagating packets in arrival order (the engine fires equal
+        # times in scheduling order), and the last one's arrival time;
+        # a packet due earlier than that (set_delay lowered, jitter,
+        # reordering) waits in a heap in the engine's own firing
+        # order, ``(arrival, event seq, packet)``.
+        self._in_flight: collections.deque[Packet] = collections.deque()
+        self._last_arrival = 0.0
+        self._overtaking: list[tuple[float, int, Packet]] = []
         # counters
         self.packets_sent = 0
         self.packets_delivered = 0
@@ -152,6 +188,8 @@ class Link:
         self._en = sim.energy
         # chaos impairment stage: same null-guard pattern.
         self._imp: Optional[LinkImpairments] = None
+        if sim.san is not None:
+            sim.san.register_link(self)
 
     # ------------------------------------------------------------------
     def connect(self, sink: Callable[[Packet], None]) -> None:
@@ -176,11 +214,11 @@ class Link:
             raise ValueError(f"negative propagation delay: {delay_s}")
         self.config.delay_s = float(delay_s)
 
-    def set_loss(self, model: Optional[LossModel]) -> LossModel:
-        """Swap the ingress loss model; returns the previous one so a
-        fault window can restore it when it closes."""
+    def set_loss(self, model: Optional[LossModel]) -> Optional[LossModel]:
+        """Swap the ingress loss model (``None``: lossless); returns the
+        previous one so a fault window can restore it when it closes."""
         previous = self.config.loss
-        self.config.loss = model or NoLoss()
+        self.config.loss = model
         return previous
 
     def impairments(self, rng: RngLike) -> LinkImpairments:
@@ -202,37 +240,73 @@ class Link:
         either way.
         """
         self.packets_sent += 1
+        imp = self._imp
+        if imp is not None and imp.blackout:
+            self._drop(packet, "blackout")
+            return False
+        loss = self.config.loss
+        if loss is not None and loss.should_drop(packet, self.sim.clock._now):
+            self._drop(packet, "loss")
+            return False
+        # Drop-tail: the bytes waiting behind the wire, this packet
+        # counted, against the capacity.
+        queue = self.queue
+        size = packet.size
+        queued_bytes = queue.bytes_queued + size
+        if queue.capacity_bytes is not None and queued_bytes > queue.capacity_bytes:
+            queue.drops += 1
+            self._drop(packet, "queue")
+            return False
+        queue.enqueued += 1
+        if queued_bytes > queue.peak_bytes:
+            queue.peak_bytes = queued_bytes
         # Hot path: the site-local stride counter decides keep/drop
         # with plain attribute arithmetic, so a sampled-out event
         # costs neither a collector call nor its field dict (see
         # TraceCollector.sampling_stride).
-        if self._imp is not None and self._imp.blackout:
-            self._drop(packet, "blackout")
-            return False
-        if self.config.loss.should_drop(packet, self.sim.now()):
-            self._drop(packet, "loss")
-            return False
-        if not self.queue.try_enqueue(packet):
-            self._drop(packet, "queue")
-            return False
         if self._tel_stride:
             n = self._tel_n + 1
             if n >= self._tel_stride:
                 self._tel_n = 0
                 self._tel.emit_kept("netsim", "enqueue", packet.flow_id,
                                     link=self.name, kind=packet.kind.value,
-                                    size=packet.size,
-                                    queued_bytes=self.queue.bytes_queued)
+                                    size=size, queued_bytes=queued_bytes)
             else:
                 self._tel_n = n
-        if (self._imp is not None and self._imp.duplicate_prob > 0.0
-                and self._imp.rng.random() < self._imp.duplicate_prob
-                and self.queue.try_enqueue(packet)):
+        if (imp is not None and imp.duplicate_prob > 0.0
+                and imp.rng.random() < imp.duplicate_prob):
             # A duplicated packet consumes queue space and airtime like
             # any other; overflow silently cancels the duplication.
-            self.packets_duplicated += 1
-        if not self._busy:
-            self._start_transmission()
+            queued_bytes += size
+            if (queue.capacity_bytes is not None
+                    and queued_bytes > queue.capacity_bytes):
+                queue.drops += 1
+            else:
+                queue.packets.append(packet)
+                queue.bytes_queued += size
+                queue.enqueued += 1
+                queue.peak_bytes = max(queue.peak_bytes, queued_bytes)
+                self.packets_duplicated += 1
+        if self._on_wire is not None:
+            queue.packets.append(packet)
+            queue.bytes_queued += size
+            return True
+        # Idle transmitter, empty queue: straight onto the wire.
+        if self._tel_stride:
+            n = self._tel_n + 1
+            if n >= self._tel_stride:
+                self._tel_n = 0
+                self._tel.emit_kept("netsim", "tx_start", packet.flow_id,
+                                    link=self.name, kind=packet.kind.value,
+                                    size=size)
+            else:
+                self._tel_n = n
+        if self._en is not None:
+            self._en.on_tx(packet)
+        self._on_wire = packet
+        sim = self.sim
+        sim.call_at(sim.clock._now + size * 8.0 / self.config.rate_bps,
+                    self._finish_transmission)
         return True
 
     def _drop(self, packet: Packet, reason: str) -> None:
@@ -256,55 +330,60 @@ class Link:
         return False
 
     # ------------------------------------------------------------------
-    def _start_transmission(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            if self._busy and self._tel_stride and self._tick():
+    def _finish_transmission(self) -> None:
+        """The packet on the wire is serialized: schedule its arrival
+        (or lose it to corruption), then clock out the next one."""
+        packet = self._on_wire
+        sim = self.sim
+        now = sim.clock._now
+        extra = 0.0 if self._imp is None else self._propagation_impairment(packet)
+        if extra is None:
+            # Corruption: the packet evaporates mid-flight.
+            self.packets_corrupted += 1
+            self._drop(packet, "corrupt")
+        else:
+            # call_at, not call_in: its not-in-the-past test also
+            # rejects the negative or NaN delay the extra frame would
+            # test for.
+            t = now + (self.config.delay_s + extra)
+            if t >= self._last_arrival:
+                self._in_flight.append(packet)
+                self._last_arrival = t
+                sim.call_at(t, self._deliver)
+            else:
+                heapq.heappush(self._overtaking, (
+                    t, sim.call_at(t, self._deliver_overtaking).seq, packet))
+        queue = self.queue
+        if not queue.packets:
+            if self._tel_stride and self._tick():
                 self._tel.emit_kept("netsim", "idle", 0, link=self.name)
-            self._busy = False
             self._on_wire = None
             return
-        self._busy = True
+        packet = queue.packets.popleft()
+        size = packet.size
+        queue.bytes_queued -= size
         if self._tel_stride:
             n = self._tel_n + 1
             if n >= self._tel_stride:
                 self._tel_n = 0
                 self._tel.emit_kept("netsim", "tx_start", packet.flow_id,
                                     link=self.name, kind=packet.kind.value,
-                                    size=packet.size)
+                                    size=size)
             else:
                 self._tel_n = n
         if self._en is not None:
             self._en.on_tx(packet)
         self._on_wire = packet
-        # call_at, not call_in: its not-in-the-past test also rejects
-        # the negative or NaN delay the extra frame would test for.
-        sim = self.sim
-        sim.call_at(sim.now() + self.config.serialization_delay(packet.size),
+        sim.call_at(now + size * 8.0 / self.config.rate_bps,
                     self._finish_transmission)
 
-    def _finish_transmission(self) -> None:
-        packet = self._on_wire
-        delay = self.config.delay_s
-        if self._imp is not None:
-            delay += self._propagation_impairment(packet)
-            if delay < 0:
-                # Corruption: the packet evaporates mid-flight.
-                self.packets_corrupted += 1
-                self._drop(packet, "corrupt")
-                self._start_transmission()
-                return
-        sim = self.sim
-        sim.call_at(sim.now() + delay, lambda p=packet: self._deliver(p))
-        self._start_transmission()
-
-    def _propagation_impairment(self, packet: Packet) -> float:
-        """Extra propagation delay from the impairment stage, or a
-        negative sentinel when the packet is corrupted away."""
+    def _propagation_impairment(self, packet: Packet) -> Optional[float]:
+        """Extra propagation delay from the impairment stage, or
+        ``None`` when the packet is corrupted away."""
         imp = self._imp
         extra = 0.0
         if imp.corrupt_prob > 0.0 and imp.rng.random() < imp.corrupt_prob:
-            return -1.0
+            return None
         if imp.jitter_s > 0.0:
             extra += imp.rng.random() * imp.jitter_s
         if imp.reorder_prob > 0.0 and imp.rng.random() < imp.reorder_prob:
@@ -312,7 +391,14 @@ class Link:
             extra += imp.reorder_extra_s
         return extra
 
-    def _deliver(self, packet: Packet) -> None:
+    def _deliver_overtaking(self) -> None:
+        """Deliver the earliest overtaking packet: the engine fires
+        their events in ``(time, seq)`` order, the heap's own."""
+        self._in_flight.appendleft(heapq.heappop(self._overtaking)[2])
+        self._deliver()
+
+    def _deliver(self) -> None:
+        packet = self._in_flight.popleft()
         self.packets_delivered += 1
         self.bytes_delivered += packet.size
         packet.hops += 1

@@ -54,13 +54,6 @@ class LossModel:
         """Restore construction state (models with memory override)."""
 
 
-class NoLoss(LossModel):
-    """Lossless link."""
-
-    def should_drop(self, packet: Packet, now: float) -> bool:
-        return False
-
-
 class BernoulliLoss(LossModel):
     """Independent drops with fixed probability ``rate``."""
 

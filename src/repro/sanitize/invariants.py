@@ -55,6 +55,12 @@ paper's correctness rests on:
     one RTO from now (the deadline is moved, not re-created; a move
     that was skipped or applied to a dead event shows here).
 
+``link_queue``
+    Every Nth event, a wired link's queue bytes are its packets' sizes
+    within capacity, packets wait only behind one on the wire, and each
+    packet enqueued is queued, on the wire, propagating, delivered or
+    corrupted.
+
 ``doctor_state``
     After every event the live flow doctor folds, the flow's timeline
     state is the one its flags classify to — so a handler wrongly
@@ -76,7 +82,7 @@ from typing import Deque, Optional, Tuple
 #: Absolute slack for float comparisons on clock-derived quantities.
 _EPS = 1e-9
 
-#: Expensive O(window) ledger walks run every Nth feedback per flow.
+#: Expensive audits run every Nth feedback per flow, or event (links).
 LEDGER_CHECK_PERIOD = 32
 
 
@@ -153,6 +159,7 @@ class SimSanitizer:
         self._senders: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._receivers: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._peer_sender: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._links: list = []
         self.checks_run = 0
 
     # ------------------------------------------------------------------
@@ -171,6 +178,11 @@ class SimSanitizer:
         self.register_sender(sender)
         self.register_receiver(receiver)
         self._peer_sender[receiver] = sender
+
+    def register_link(self, link) -> None:
+        """Audit ``link`` from :meth:`on_event`, so its own per-packet
+        path carries no hook."""
+        self._links.append(link)
 
     def _fail(self, invariant: str, flow_id: Optional[int], detail: str):
         raise InvariantViolation(invariant, self.sim.now(), flow_id, detail)
@@ -195,6 +207,30 @@ class SimSanitizer:
                        f"event fires at {t!r} after one at "
                        f"{self._last_event_time!r} (queue order broken)")
         self._last_event_time = t
+        if self.sim.events_fired % LEDGER_CHECK_PERIOD == 0:
+            for link in self._links:
+                self.check_link(link)
+
+    def check_link(self, link) -> None:
+        """The drop-tail queue and the packet ledger of one wired link."""
+        self.checks_run += 1
+        queue, cap = link.queue, link.queue.capacity_bytes
+        queued = sum(packet.size for packet in queue.packets)
+        admitted = (link.packets_sent + link.packets_duplicated
+                    - link.packets_lost + link.packets_corrupted)
+        held = (len(queue) + (link._on_wire is not None)
+                + len(link._in_flight) + len(link._overtaking)
+                + link.packets_delivered + link.packets_corrupted)
+        if (queue.bytes_queued != queued or (cap is not None and queued > cap)
+                or (queue.packets and link._on_wire is None)
+                or not queue.enqueued == admitted == held):
+            self._fail("link_queue", None,
+                       f"{link.name}: {queue.bytes_queued} bytes counted, "
+                       f"{queued} queued (capacity {cap}), on the wire "
+                       f"{link._on_wire!r}; {queue.enqueued} enqueued, "
+                       f"{admitted} sent - lost + corrupted + duplicated, "
+                       f"{held} queued, on the wire, propagating, "
+                       "delivered or corrupted")
 
     # ------------------------------------------------------------------
     # sender hooks

@@ -1,91 +1,99 @@
 """Unit tests for queues, links, pipes, and the WAN emulator."""
 
+import os
+import sys
+
 import pytest
 
+import repro
 from repro.netsim.emulator import EmulatedPath, PathConfig
-from repro.netsim.link import Link, LinkConfig
+from repro.netsim.engine import Simulator
+from repro.netsim.link import DropTailQueue, Link, LinkConfig
 from repro.netsim.loss import BernoulliLoss, PatternLoss
 from repro.netsim.packet import make_ack_packet, make_data_packet
 from repro.netsim.pipe import Pipe
-from repro.netsim.queue import DropTailQueue, REDQueue
 
 
 class TestDropTail:
-    def test_fifo_order(self):
-        q = DropTailQueue()
-        a, b = make_data_packet(0, 1), make_data_packet(1500, 2)
-        q.try_enqueue(a)
-        q.try_enqueue(b)
-        assert q.dequeue() is a
-        assert q.dequeue() is b
-        assert q.dequeue() is None
+    """The drop-tail rule as ``Link.send`` applies it: a packet that
+    finds the transmitter idle goes straight onto the wire (counted as
+    enqueued and in the peak, never in the waiting bytes); the rest
+    wait behind it within the byte capacity."""
 
-    def test_byte_capacity_enforced(self):
-        q = DropTailQueue(capacity_bytes=3000)
-        assert q.try_enqueue(make_data_packet(0, 1))
-        assert not q.try_enqueue(make_data_packet(1500, 2))
-        assert q.drops == 1
+    # 1518 B at 1.2144 Mbit/s: 10 ms on the wire.
+    RATE_BPS = 1518 * 8 / 0.01
 
-    def test_bytes_tracked(self):
-        q = DropTailQueue()
-        q.try_enqueue(make_data_packet(0, 1))
-        assert q.bytes_queued == 1518
-        q.dequeue()
-        assert q.bytes_queued == 0
+    def slow_link(self, sim, capacity=None, got=None):
+        return Link(sim, LinkConfig(rate_bps=self.RATE_BPS, delay_s=0.0,
+                                    queue_bytes=capacity),
+                    sink=None if got is None else got.append)
 
-    def test_peak_tracked(self):
-        q = DropTailQueue()
-        for i in range(3):
-            q.try_enqueue(make_data_packet(i * 1500, i + 1))
-        q.dequeue()
-        assert q.peak_bytes == 3 * 1518
+    def test_fifo_order(self, sim):
+        got = []
+        link = self.slow_link(sim, got=got)
+        packets = [make_data_packet(i * 1500, i + 1) for i in range(3)]
+        for packet in packets:
+            assert link.send(packet)
+        sim.run()
+        assert got == packets
+        assert len(link.queue) == 0 and link.queue.bytes_queued == 0
+
+    def test_byte_capacity_enforced(self, sim):
+        link = self.slow_link(sim, capacity=3000)
+        assert link.send(make_data_packet(0, 1))        # on the wire
+        assert link.send(make_data_packet(1500, 2))     # 1518 B waiting
+        assert not link.send(make_data_packet(3000, 3))  # would be 3036 B
+        assert link.queue.drops == 1 and link.packets_lost == 1
+
+    def test_bytes_tracked(self, sim):
+        link = self.slow_link(sim)
+        link.send(make_data_packet(0, 1))
+        assert link.queue.bytes_queued == 0
+        link.send(make_data_packet(1500, 2))
+        assert link.queue.bytes_queued == 1518
+        sim.run(until=0.015)         # the first is serialized at 10 ms
+        assert link.queue.bytes_queued == 0 and len(link.queue) == 0
+
+    def test_peak_tracked(self, sim):
+        link = self.slow_link(sim)
+        link.send(make_data_packet(0, 1))
+        assert (link.queue.peak_bytes, link.queue.enqueued) == (1518, 1)
+        for i in range(1, 4):
+            link.send(make_data_packet(i * 1500, i + 1))
+        sim.run()
+        assert link.queue.peak_bytes == 3 * 1518
+        assert link.queue.enqueued == 4
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             DropTailQueue(capacity_bytes=0)
 
-    def test_overflow_accounting(self):
+    def test_overflow_accounting(self, sim):
         # A rejected packet must not perturb any occupancy accounting:
         # not enqueued, not counted in bytes/peak, and the queue still
         # accepts a later packet that fits.
-        q = DropTailQueue(capacity_bytes=3200)
-        assert q.try_enqueue(make_data_packet(0, 1))        # 1518B
-        assert q.try_enqueue(make_data_packet(1500, 2))     # 3036B
-        assert not q.try_enqueue(make_data_packet(3000, 3))  # would be 4554B
+        link = self.slow_link(sim, capacity=3200)
+        q = link.queue
+        assert link.send(make_data_packet(0, 1))          # on the wire
+        assert link.send(make_data_packet(1500, 2))       # 1518B
+        assert link.send(make_data_packet(3000, 3))       # 3036B
+        assert not link.send(make_data_packet(4500, 4))   # would be 4554B
         assert q.drops == 1
-        assert q.enqueued == 2
+        assert q.enqueued == 3
         assert q.bytes_queued == 2 * 1518
         assert q.peak_bytes == 2 * 1518
         assert len(q) == 2
-        q.dequeue()
+        sim.run(until=0.015)          # the second is now on the wire
         ack = make_ack_packet()  # small enough to fit now
-        assert q.try_enqueue(ack)
-        assert q.enqueued == 3
+        assert link.send(ack)
+        assert q.enqueued == 4
         assert q.drops == 1
 
-
-class TestRed:
-    def test_no_drops_below_min_thresh(self):
-        import random
-        q = REDQueue(capacity_bytes=100_000, min_thresh=50_000,
-                     max_thresh=80_000, rng=random.Random(1))
-        for i in range(30):
-            assert q.try_enqueue(make_data_packet(i * 1500, i + 1))
-        assert q.drops == 0
-
-    def test_probabilistic_drops_between_thresholds(self):
-        import random
-        q = REDQueue(capacity_bytes=10_000_000, min_thresh=10_000,
-                     max_thresh=20_000, max_p=1.0, rng=random.Random(1))
-        dropped = 0
-        for i in range(100):
-            if not q.try_enqueue(make_data_packet(i * 1500, i + 1)):
-                dropped += 1
-        assert dropped > 0
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            REDQueue(capacity_bytes=1000, min_thresh=500, max_thresh=400)
+    def test_packet_larger_than_the_capacity_is_dropped_at_an_idle_link(self, sim):
+        link = self.slow_link(sim, capacity=1000)
+        assert not link.send(make_data_packet(0, 1))
+        assert (link.queue.drops, link.queue.enqueued, link.queue.peak_bytes,
+                sim.pending()) == (1, 0, 0, 0)
 
 
 class TestLink:
@@ -136,11 +144,93 @@ class TestLink:
         assert len(got) == 2
         assert link.loss_rate_observed == pytest.approx(1 / 3)
 
+    def test_corruption_drops_on_a_long_delay_link(self, sim):
+        """A corrupted packet is lost whatever the propagation delay
+        (a negative-delay sentinel once delivered it one second early
+        on a link of 1 s or more)."""
+        link = Link(sim, LinkConfig(rate_bps=1e9, delay_s=1.5))
+        got = []
+        link.connect(got.append)
+        link.impairments(1).corrupt_prob = 1.0
+        for i in range(3):
+            link.send(make_data_packet(i * 1500, i + 1))
+        sim.run()
+        assert got == [] and link.packets_corrupted == link.packets_lost == 3
+
+    def test_lossless_link_holds_no_loss_model(self, sim):
+        config = LinkConfig(rate_bps=1e6)
+        assert config.loss is None
+        link = Link(sim, config)
+        model = PatternLoss([0])
+        assert link.set_loss(model) is None
+        assert link.set_loss(None) is model and config.loss is None
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             LinkConfig(rate_bps=0)
         with pytest.raises(ValueError):
             LinkConfig(rate_bps=1e6, delay_s=-1)
+
+
+class TestLinkCost:
+    """Python calls into ``repro`` per packet of a ``Link`` driven
+    directly (``sys.setprofile``, ``call`` events, CPython 3.11): 7.01
+    idle and backlogged -- ``send``, the serialization finish and the
+    delivery, and a ``call_at`` with its ``Event`` for the finish and
+    for the arrival.  The parent made 21.01 idle and 18.02 backlogged:
+    a loss model on every lossless link and two clock reads, the
+    queue's enqueue and dequeue, the serialization formula, a second
+    start call per finish, a closure per arrival and ``advance_to`` per
+    event."""
+
+    PACKETS = 200
+
+    @pytest.fixture
+    def sim(self):
+        return Simulator(seed=1, simsan=False)    # no sanitizer hooks
+
+    def calls_per_packet(self, sim, drive):
+        root = os.path.dirname(repro.__file__)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            drive()
+        finally:
+            sys.setprofile(None)
+        return calls / self.PACKETS
+
+    def test_idle_link(self, sim):
+        got = []
+        link = Link(sim, LinkConfig(rate_bps=100e6, delay_s=1e-4),
+                    sink=got.append)
+        for i in range(self.PACKETS):     # each finds the wire idle
+            packet = make_data_packet(i * 1500, i + 1)
+            sim.call_at(i * 1e-3, lambda p=packet: link.send(p))
+        assert self.calls_per_packet(sim, sim.run) <= 7.05
+        assert len(got) == link.queue.enqueued == self.PACKETS
+        assert link.queue.peak_bytes == 1518
+
+    def test_backlogged_link(self, sim):
+        got = []
+        link = Link(sim, LinkConfig(rate_bps=100e6, delay_s=1e-4),
+                    sink=got.append)
+        packets = [make_data_packet(i * 1500, i + 1)
+                   for i in range(self.PACKETS)]
+
+        def burst():
+            for packet in packets:
+                link.send(packet)
+            sim.run()
+
+        assert self.calls_per_packet(sim, burst) <= 7.05
+        assert len(got) == self.PACKETS
+        assert link.queue.peak_bytes == (self.PACKETS - 1) * 1518
 
 
 class TestPipe:
@@ -233,6 +323,17 @@ class TestEmulatedPath:
         sim.run()
         assert fwd == []
         assert len(rev) == 1
+
+    def test_zero_loss_rates_hold_no_model_and_keep_the_rng_stream(self):
+        draws = []
+        for rate in (0.0, 0.1):
+            sim = Simulator(seed=3)
+            path = EmulatedPath(sim, PathConfig(rate_bps=1e9, rtt_s=0.01,
+                                                data_loss=rate, ack_loss=rate))
+            losses = (path.forward.config.loss, path.reverse.config.loss)
+            assert all((model is None) == (rate == 0.0) for model in losses)
+            draws.append(sim.rng.random())
+        assert draws[0] == draws[1]
 
     def test_bdp_helper(self):
         cfg = PathConfig(rate_bps=100e6, rtt_s=0.2)

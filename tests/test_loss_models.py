@@ -8,7 +8,6 @@ from repro.netsim.loss import (
     BernoulliLoss,
     BurstLoss,
     GilbertElliottLoss,
-    NoLoss,
     PatternLoss,
 )
 from repro.netsim.packet import make_data_packet
@@ -16,12 +15,6 @@ from repro.netsim.packet import make_data_packet
 
 def _pkt():
     return make_data_packet(0, 1)
-
-
-class TestNoLoss:
-    def test_never_drops(self):
-        model = NoLoss()
-        assert not any(model.should_drop(_pkt(), t * 0.1) for t in range(100))
 
 
 class TestBernoulli:

@@ -8,7 +8,7 @@ from repro.ack import DelayedAck
 from repro.cc import NewReno
 from repro.core.flavors import make_connection
 from repro.netsim.engine import Simulator
-from repro.netsim.packet import MSS
+from repro.netsim.packet import MSS, Packet, PacketType
 from repro.netsim.paths import wired_path
 from repro.sanitize import InvariantViolation, SimSanitizer
 from repro.transport.connection import Connection, ConnectionConfig
@@ -225,6 +225,40 @@ class TestInvariantsTrip:
         stamps.insert(5, stamps[5])     # corrupt: a repeated stamp
         with pytest.raises(InvariantViolation, match="stamp_store"):
             sim.san.check_sender_ledger(sender)
+
+    def test_link_queue_counts_drift(self):
+        sim = Simulator(seed=7, simsan=True)
+        conn = make_connection(sim, "tcp-bbr", initial_rtt_s=0.04)
+        path = wired_path(sim, 20e6, 0.04, queue_bytes=30_000)
+        conn.wire(path.forward, path.reverse)
+        conn.start_transfer(400 * MSS)
+        sim.run(until=0.2)
+        link = path.forward_link
+        while not link.queue.packets:       # a backlog behind the wire
+            sim.step()
+        sim.san.check_link(link)            # consistent so far
+        link.queue.bytes_queued += 1        # corrupt: bytes not held
+        with pytest.raises(InvariantViolation, match="link_queue"):
+            sim.san.check_link(link)
+        link.queue.bytes_queued -= 1
+        on_wire, link._on_wire = link._on_wire, None    # corrupt: idle
+        with pytest.raises(InvariantViolation, match="link_queue"):
+            sim.san.check_link(link)
+        link._on_wire = on_wire
+        link.queue.enqueued += 1            # corrupt: a packet unaccounted
+        with pytest.raises(InvariantViolation, match="link_queue"):
+            sim.san.check_link(link)
+        link.queue.enqueued -= 1
+        sim.san.check_link(link)            # consistent again
+        # corrupt: a packet admitted past the capacity, every count
+        # kept consistent; the periodic audit finds it.
+        giant = Packet(PacketType.DATA, 10**6)
+        link.queue.packets.append(giant)
+        link.queue.bytes_queued += giant.size
+        link.queue.enqueued += 1
+        link.packets_sent += 1
+        with pytest.raises(InvariantViolation, match="link_queue"):
+            sim.run(until=sim.now() + 0.05)
 
     def test_gap_cache_reused_list_drifted(self):
         from repro.netsim.packet import make_data_packet
