@@ -7,8 +7,6 @@
 * :mod:`repro.app.video` -- Miracast-like screen projection (S6.4,
   Fig. 11): CBR frame source, playback buffer, rebuffering ratio and
   macroblocking counters.
-* :mod:`repro.app.rpc` -- request/response workload (the
-  latency-sensitive flows of Appendix B.3).
 * :mod:`repro.app.cross_traffic` -- background flows for contended
   WAN trials (Fig. 14/15).
 """
@@ -16,12 +14,9 @@
 from repro.app.udp_blast import UdpBlaster, UdpAckResponder, run_contention_trial
 from repro.app.bulk import BulkFlow
 from repro.app.video import VideoSession, VideoStats
-from repro.app.rpc import RpcClient, RpcStats
 
 __all__ = [
     "BulkFlow",
-    "RpcClient",
-    "RpcStats",
     "UdpAckResponder",
     "UdpBlaster",
     "VideoSession",

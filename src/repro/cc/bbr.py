@@ -86,7 +86,8 @@ class BBR(CongestionController):
     # ------------------------------------------------------------------
     def bw_estimate(self) -> float:
         """Bottleneck bandwidth estimate in bits/s."""
-        # Inlined in on_feedback and pacing_rate_bps: change all three.
+        # Inlined in on_feedback and pacing_rate_bps; checked by
+        # test_bbr_cycle_details.py TestWindowOracle, TestPacingRateOracle.
         bw = self._btl_bw.value
         if bw is None or bw <= 0:
             # Nothing measured yet: derive from initial cwnd / rtt.
@@ -94,15 +95,13 @@ class BBR(CongestionController):
         return bw
 
     def min_rtt(self) -> float:
-        # Inlined in on_feedback: change both.
+        # Inlined in on_feedback; checked by TestWindowOracle.
         value = self._min_rtt.value
         return value if value is not None else self._initial_rtt_s
 
-    def bdp_bytes(self, gain: float = 1.0) -> int:
-        return self._bdp(gain, self.bw_estimate(), self.min_rtt())
-
     def _bdp(self, gain: float, bw_bps: float, min_rtt_s: float) -> int:
-        # Inlined in on_feedback's window update: change both.
+        # Inlined in on_feedback's window update; checked by
+        # TestWindowOracle.
         return max(int(gain * bw_bps * min_rtt_s / 8.0), 4 * self.mss)
 
     # ------------------------------------------------------------------

@@ -100,56 +100,6 @@ def run_ideal(duration_s: float = 2.0, seed: int = 7,
     return table
 
 
-def run_doctor_compare(scheme: str = "tcp-tack", seed: int = 7) -> dict:
-    """Fig. 9 companion: *why* does goodput drop under ACK impairment?
-
-    Runs the same bulk transfer twice — clean path vs the Fig. 5(b)
-    ``ack-path-loss`` chaos profile — diagnoses both with the live flow
-    doctor, and returns the run-diff explanation attributing the
-    goodput delta to send-limit states and anomalies (the programmatic
-    twin of ``python -m repro.diagnose explain clean.json impaired.json``).
-    """
-    from repro.chaos.faults import FaultSchedule
-    from repro.chaos.runner import run_scenario
-    from repro.chaos.scenarios import Scenario, get_scenario
-    from repro.diagnose import explain_reports
-
-    impaired_scenario = get_scenario("ack-path-loss")
-    clean_scenario = Scenario(
-        "fig09-clean", "ack-path-loss topology with no faults armed",
-        lambda: FaultSchedule([]),
-        rate_bps=impaired_scenario.rate_bps,
-        rtt_s=impaired_scenario.rtt_s,
-        transfer_bytes=impaired_scenario.transfer_bytes,
-        time_limit_s=impaired_scenario.time_limit_s,
-    )
-    clean = run_scenario(clean_scenario, scheme=scheme, seed=seed)
-    impaired = run_scenario(impaired_scenario, scheme=scheme, seed=seed)
-    explanation = explain_reports(clean.diagnosis, impaired.diagnosis,
-                                  label_a="clean", label_b="impaired")
-    return {
-        "scheme": scheme,
-        "seed": seed,
-        "clean": clean.to_dict(),
-        "impaired": impaired.to_dict(),
-        "explanation": explanation,
-    }
-
-
-def doctor_compare_table(result: dict) -> Table:
-    """Render :func:`run_doctor_compare` as the repo's standard table."""
-    explanation = result["explanation"]
-    table = Table(
-        "Fig. 9 companion: goodput delta attribution (clean vs impaired)",
-        ["state", "delta_s", "share"],
-        note=explanation["headline"],
-    )
-    for entry in explanation["attribution"]:
-        table.add_row(state=entry["state"], delta_s=entry["delta_s"],
-                      share=entry.get("share"))
-    return table
-
-
 def run(**kwargs) -> Table:
     return run_improvement(**kwargs)
 

@@ -18,7 +18,7 @@ digest bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.diagnose import ALL_STATES as DIAG_STATES
 from repro.energy import TOTAL_KEYS as ENERGY_TOTAL_KEYS
@@ -331,11 +331,3 @@ def report_table(report: Dict[str, Any]) -> Table:
             **{"ack_airtime_%": row["ack_airtime_share"] * 100.0},
         )
     return table
-
-
-def merge_scheme_digest_order_check(shards: List[Dict[str, Any]]) -> bool:
-    """True when aggregation is order-insensitive for these shards
-    (sanity helper used by tests)."""
-    forward = aggregate_digest(aggregate(shards))
-    backward = aggregate_digest(aggregate(list(reversed(shards))))
-    return forward == backward

@@ -361,8 +361,3 @@ def run_shard(spec: Dict[str, Any],
     fingerprints).
     """
     return _ShardRun(ShardSpec.from_dict(spec), simsan=simsan).run()
-
-
-def expected_flows(workload: WorkloadConfig) -> float:
-    """Expected flow count of one shard (planning aid)."""
-    return workload.mean_arrival_hz * workload.duration_s

@@ -60,8 +60,8 @@ STRICT_PACKAGES = ("netsim", "transport", "ack", "cc", "core", "wlan")
 
 #: Parameter names REP004 accepts without a unit suffix: dimensionless
 #: or contextual (`beta` is the paper's ACKs-per-RTT, S4.1; `start` the
-#: Clock epoch; `max_p` RED's marking probability).
-ALLOW_NAMES = ("seed", "default", "beta", "start", "max_p")
+#: Clock epoch).
+ALLOW_NAMES = ("seed", "default", "beta", "start")
 
 
 def repro_path(path: str) -> str:

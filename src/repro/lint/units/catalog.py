@@ -112,10 +112,10 @@ SIGNATURES: Dict[str, _SIG] = {
 }
 
 #: Parameter/variable names that are deliberately unitless (`beta` is
-#: the paper's ACKs-per-RTT; `seed` never enters arithmetic; `max_p` is
-#: RED's marking probability, `p` a percentile rank).
+#: the paper's ACKs-per-RTT; `seed` never enters arithmetic; `p` is a
+#: percentile rank).
 DIMENSIONLESS_NAMES = ("beta", "seed", "alpha", "gamma", "rho", "weight",
-                       "scale", "jobs", "max_p", "p")
+                       "scale", "jobs", "p")
 
 #: Suffixes longest first, so ``_mbps`` wins over ``_bps`` and ``_s``.
 _SUFFIXES_LONGEST_FIRST = sorted(SUFFIX_UNITS, key=len, reverse=True)

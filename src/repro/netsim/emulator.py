@@ -123,9 +123,3 @@ class EmulatedPath:
         receive callbacks."""
         self.forward.connect(forward_sink)
         self.reverse.connect(reverse_sink)
-
-    def send_forward(self, packet: Packet) -> bool:
-        return self.forward.send(packet)
-
-    def send_reverse(self, packet: Packet) -> bool:
-        return self.reverse.send(packet)

@@ -416,13 +416,5 @@ class Link:
         if self.sink is not None:
             self.sink(packet)
 
-    # ------------------------------------------------------------------
-    @property
-    def loss_rate_observed(self) -> float:
-        """Fraction of offered packets dropped so far."""
-        if self.packets_sent == 0:
-            return 0.0
-        return self.packets_lost / self.packets_sent
-
     def __repr__(self) -> str:
         return f"Link({self.name}, {self.config!r})"

@@ -20,16 +20,15 @@ Typical use::
 """
 
 from repro.runner.cache import ResultCache, code_fingerprint
-from repro.runner.campaign import Campaign, CampaignResult, run_campaign
-from repro.runner.manifest import (build_manifest, read_manifest,
-                                   write_manifest)
+from repro.runner.campaign import Campaign, CampaignResult
+from repro.runner.manifest import build_manifest, write_manifest
 from repro.runner.pool import execute_tasks
 from repro.runner.task import Task, TaskResult, derive_seed, task_signature
 
 __all__ = [
-    "Campaign", "CampaignResult", "run_campaign",
+    "Campaign", "CampaignResult",
     "Task", "TaskResult", "derive_seed", "task_signature",
     "ResultCache", "code_fingerprint",
     "execute_tasks",
-    "build_manifest", "write_manifest", "read_manifest",
+    "build_manifest", "write_manifest",
 ]

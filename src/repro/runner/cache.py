@@ -98,12 +98,3 @@ class ResultCache:
             with open(meta_path, "w") as f:
                 json.dump(meta, f, indent=2, sort_keys=True, default=repr)
         return True
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of files removed."""
-        removed = 0
-        for fname in os.listdir(self.root):
-            if fname.endswith((".pkl", ".json")):
-                os.unlink(os.path.join(self.root, fname))
-                removed += 1
-        return removed

@@ -18,12 +18,10 @@ results/manifest and the caller decides what a failure means.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.runner.cache import ResultCache, code_fingerprint
-from repro.telemetry.trace_io import trace_digest
 from repro.runner.manifest import build_manifest, write_manifest
 from repro.runner.pool import execute_tasks
 from repro.runner.task import Task, TaskResult, derive_seed, task_signature
@@ -35,10 +33,6 @@ class CampaignResult:
     def __init__(self, results: List[TaskResult], manifest: Dict[str, Any]):
         self.results = results
         self.manifest = manifest
-        self._by_name = {r.name: r for r in results}
-
-    def result(self, name: str) -> TaskResult:
-        return self._by_name[name]
 
     @property
     def ok(self) -> List[TaskResult]:
@@ -47,17 +41,6 @@ class CampaignResult:
     @property
     def failed(self) -> List[TaskResult]:
         return [r for r in self.results if not r.ok]
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.failed
-
-    @property
-    def wall_time_s(self) -> float:
-        return self.manifest["wall_time_s"]
-
-    def __len__(self) -> int:
-        return len(self.results)
 
 
 class Campaign:
@@ -70,36 +53,16 @@ class Campaign:
         self._names: set[str] = set()
 
     def add(self, name: str, fn: Callable[..., Any],
-            seed: Optional[int] = None, trace_path: Optional[str] = None,
-            **kwargs: Any) -> Task:
-        """Append a task; its seed defaults to ``derive_seed(base, name)``.
-
-        Passing *trace_path* opts the task into telemetry capture: the
-        path is forwarded to *fn* as a ``trace_path`` keyword and the
-        finished trace's sha256 lands in the manifest (see
-        :class:`repro.runner.task.Task`).
-        """
+            seed: Optional[int] = None, **kwargs: Any) -> Task:
+        """Append a task; its seed defaults to ``derive_seed(base, name)``."""
         if name in self._names:
             raise ValueError(f"duplicate task name {name!r}")
-        if trace_path is not None:
-            kwargs["trace_path"] = trace_path
         task = Task(name=name, fn=fn, kwargs=kwargs,
                     seed=derive_seed(self.base_seed, name)
-                    if seed is None else seed,
-                    trace_path=trace_path)
+                    if seed is None else seed)
         self._names.add(name)
         self.tasks.append(task)
         return task
-
-    def add_grid(self, name_fmt: str, fn: Callable[..., Any],
-                 grid: Sequence[Dict[str, Any]], **common: Any) -> List[Task]:
-        """Parameter-grid sweep: one task per grid cell.
-
-        ``name_fmt`` is formatted with the cell's parameters, e.g.
-        ``add_grid("beta{beta}_L{L}", run, [{"beta": 2, "L": 44}, ...])``.
-        """
-        return [self.add(name_fmt.format(**cell), fn, **{**common, **cell})
-                for cell in grid]
 
     # ------------------------------------------------------------------
     def run(self, jobs: int = 1, *,
@@ -123,9 +86,7 @@ class Campaign:
         misses: List[Task] = []
         keys: Dict[str, str] = {}
         for task in self.tasks:
-            if cache is None or task.trace_path is not None:
-                # Traced tasks bypass the cache: a hit would return
-                # the table without regenerating the trace.
+            if cache is None:
                 misses.append(task)
                 continue
             key = cache.key_for(task)
@@ -146,7 +107,7 @@ class Campaign:
 
         def settle(result: TaskResult) -> None:
             task = next(t for t in self.tasks if t.name == result.name)
-            if cache is not None and task.trace_path is None:
+            if cache is not None:
                 result.cache = "miss"
                 if result.ok:
                     cache.store(
@@ -157,12 +118,6 @@ class Campaign:
                             "wall_time_s": result.wall_time_s,
                             "stored_unix": time.time(),
                         })
-            if (task.trace_path is not None and result.ok
-                    and os.path.isfile(task.trace_path)):
-                result.trace = {
-                    "path": task.trace_path,
-                    "sha256": trace_digest(task.trace_path),
-                }
             results[result.name] = result
             if on_result is not None:
                 on_result(result)
@@ -183,16 +138,3 @@ class Campaign:
         if manifest_path is not None:
             write_manifest(manifest_path, manifest)
         return CampaignResult(ordered, manifest)
-
-
-def run_campaign(tasks: Sequence[Task] | Campaign, jobs: int = 1,
-                 **kwargs: Any) -> CampaignResult:
-    """Convenience wrapper: run a Campaign or a plain task sequence."""
-    if isinstance(tasks, Campaign):
-        return tasks.run(jobs=jobs, **kwargs)
-    campaign = Campaign()
-    campaign.tasks = list(tasks)
-    campaign._names = {t.name for t in tasks}
-    if len(campaign._names) != len(campaign.tasks):
-        raise ValueError("task names must be unique")
-    return campaign.run(jobs=jobs, **kwargs)

@@ -20,8 +20,7 @@ reproduce the run.  Schema (version 1)::
       "tasks": [
         {"name": ..., "status": "ok"|"failed", "failure": null|"error"|
          "timeout"|"crashed", "cache": "hit"|"miss"|"off",
-         "attempts": 1, "wall_time_s": 0.8, "seed": 123, "error": null,
-         "trace": null|{"path": ..., "sha256": "..."}},
+         "attempts": 1, "wall_time_s": 0.8, "seed": 123, "error": null},
         ...
       ]
     }
@@ -67,7 +66,6 @@ def build_manifest(campaign: str, results: Sequence[TaskResult], *,
         "wall_time_s": round(r.wall_time_s, 4),
         "seed": r.seed,
         "error": r.error,
-        "trace": r.trace,
     } for r in results]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -105,8 +103,3 @@ def write_manifest(path: str, manifest: Dict[str, Any]) -> None:
         json.dump(manifest, f, indent=2, sort_keys=False)
         f.write("\n")
     os.replace(tmp, path)
-
-
-def read_manifest(path: str) -> Dict[str, Any]:
-    with open(path) as f:
-        return json.load(f)

@@ -32,20 +32,12 @@ def derive_seed(base_seed: int, name: str) -> int:
 
 @dataclass
 class Task:
-    """One schedulable experiment.
-
-    ``trace_path`` opts the task into telemetry capture: the path is
-    passed to the callable as a ``trace_path`` keyword argument and the
-    finished trace is digested into the run manifest.  Traced tasks
-    always execute (the result cache is bypassed) — a cache hit would
-    return the table without regenerating the trace file.
-    """
+    """One schedulable experiment."""
 
     name: str
     fn: Callable[..., Any]
     kwargs: Dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
-    trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not callable(self.fn):
@@ -95,7 +87,6 @@ class TaskResult:
     wall_time_s: float = 0.0
     cache: str = "off"              # "hit" | "miss" | "off"
     seed: Optional[int] = None
-    trace: Optional[Dict[str, Any]] = None  # {"path", "sha256"} if traced
 
     @property
     def ok(self) -> bool:

@@ -335,7 +335,8 @@ class FeedbackValidator:
     def _admit_blocks(self, attr: str, rule: str) -> None:
         """Keep the blocks of one non-empty list that lie inside the
         sent byte range; one violation of ``rule`` if any does not.
-        ``admit`` tests the same bounds in place first: change both."""
+        ``admit`` tests the same bounds in place first; checked by
+        test_guard.py ``test_in_place_check_agrees_with_the_helper``."""
         blocks = getattr(self._frame, attr)
         snd_nxt = self.sender.next_seq
         for bad in blocks:

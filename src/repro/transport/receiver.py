@@ -283,12 +283,13 @@ class TransportReceiver:
     def holb_blocked_bytes(self) -> int:
         """Out-of-order bytes blocked behind the first hole."""
         # DelayedAck._fills_hole reads this off the interval set in
-        # place: change both.
+        # place; checked by test_holb_matches_delayed_ack_hole_check.
         return self.intervals.covered() - self.available_bytes()
 
     def awnd(self) -> int:
         """Advertised window: free receive-buffer space."""
-        # Inlined in build_feedback: change both.
+        # Inlined in build_feedback; checked by
+        # test_awnd_matches_build_feedback.
         return max(0, self.rcv_buffer_bytes - self.intervals.covered())
 
     def _check_window_events(self) -> None:

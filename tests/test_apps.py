@@ -4,7 +4,6 @@ import pytest
 
 from repro.app.bulk import BulkFlow
 from repro.app.cross_traffic import OnOffCrossTraffic
-from repro.app.rpc import RpcClient
 from repro.app.udp_blast import UdpAckResponder, UdpBlaster, run_contention_trial
 from repro.app.video import RtpUdpVideoSession, VideoSession
 from repro.netsim.paths import wired_path, wlan_path
@@ -102,29 +101,6 @@ class TestVideo:
         stats = v.finish()
         assert stats.frames_macroblocked > 0
         assert stats.stall_time_s == pytest.approx(0.0)
-
-
-class TestRpc:
-    def test_latency_tracks_rtt(self, sim):
-        path = wired_path(sim, 100e6, 0.04)
-        client = RpcClient(sim, path, "tcp-tack", response_bytes=15_000,
-                           interval_s=0.2, initial_rtt_s=0.04)
-        client.start()
-        sim.run(until=3.0)
-        client.stop()
-        assert client.stats.completed >= 10
-        # ~1 RTT plus transmission; far below two RTTs at this size.
-        assert client.stats.mean_latency_s() < 0.12
-
-    def test_all_issued_eventually_complete(self, sim):
-        path = wired_path(sim, 100e6, 0.02)
-        client = RpcClient(sim, path, "tcp-bbr", response_bytes=8_000,
-                           interval_s=0.1, initial_rtt_s=0.02)
-        client.start()
-        sim.run(until=2.0)
-        client.stop()
-        sim.run(until=3.0)
-        assert client.stats.completed == client.stats.issued
 
 
 class TestCrossTraffic:

@@ -16,7 +16,7 @@ class TestAsymmetricConfig:
         times = []
         path.connect(lambda p: None, lambda p: times.append(sim.now()))
         for _ in range(10):
-            path.send_reverse(make_ack_packet())
+            path.reverse.send(make_ack_packet())
         sim.run()
         # 64 B at 1 Mbps = 0.512 ms apart.
         spacing = times[1] - times[0]

@@ -162,3 +162,44 @@ class TestPacingRateOracle:
             t += 0.013
             cc.on_feedback(fb(t, rate=40e6 + k * 1e5))
             assert cc.pacing_rate_bps() == cc._pacing_gain * cc.bw_estimate()
+
+
+class TestWindowOracle:
+    """``on_feedback`` reads both filters in place and computes the
+    window inline; outside PROBE_RTT the window must equal
+    ``_bdp(cwnd_gain, bw_estimate(), min_rtt())`` plus the aggregation
+    credit, to the byte, after every feedback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(compensate=st.booleans(),
+           samples=st.lists(st.tuples(
+               st.floats(0.0, 0.2),                                # dt
+               st.one_of(st.none(), st.floats(1e-3, 0.5)),         # rtt
+               st.one_of(st.none(), st.floats(1e-3, 0.5)),         # min_rtt
+               st.one_of(st.none(), st.just(0.0),
+                         st.floats(1e5, 1e9)),                     # rate
+               st.integers(0, 64 * MSS),                           # acked
+               st.integers(0, 600 * MSS),                          # in flight
+               st.booleans()),                                     # app-limited
+               min_size=1, max_size=80))
+    def test_window_equals_bdp_of_the_helpers(self, compensate, samples):
+        cc = BBR(initial_rtt_s=0.04, min_rtt_window=0.5,
+                 aggregation_compensation=compensate)
+        t = 0.0
+        for dt, rtt, min_rtt, rate, acked, in_flight, limited in samples:
+            t += dt
+            prior_cwnd = cc._cwnd
+            cc.on_feedback(RateSample(
+                now=t, newly_acked=acked, rtt=rtt, delivery_rate_bps=rate,
+                in_flight=in_flight, is_app_limited=limited, min_rtt=min_rtt))
+            if cc.state == PROBE_RTT:
+                assert cc._cwnd == 4 * MSS
+                continue
+            cwnd = cc._cwnd
+            # With no bandwidth measured yet, the inline fallback reads
+            # the window as it stood before this feedback.
+            cc._cwnd = prior_cwnd
+            bw = cc.bw_estimate()
+            cc._cwnd = cwnd
+            assert cwnd == (cc._bdp(cc._cwnd_gain, bw, cc.min_rtt())
+                            + cc.extra_acked_bytes())

@@ -191,7 +191,7 @@ class TestBBR:
         for _ in range(50):
             t += 0.05
             cc.on_feedback(fb(t, rate=50e6, rtt=0.05, in_flight=10 * MSS))
-        base = cc.bdp_bytes(2.0)
+        base = cc._bdp(2.0, cc.bw_estimate(), cc.min_rtt())
         # A large burst of acked bytes in a short span -> extra_acked.
         cc.on_feedback(fb(t + 0.001, acked=40 * MSS, rate=50e6, rtt=0.05))
         assert cc.cwnd_bytes() > base

@@ -14,7 +14,7 @@ from doctor_ladder_oracle import LadderEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import get_scenario, run_scenario
+from repro.chaos import FaultSchedule, Scenario, get_scenario, run_scenario
 from repro.core.flavors import make_connection
 from repro.diagnose import (
     ALL_STATES,
@@ -471,6 +471,26 @@ class TestExplain:
         assert explanation["goodput_delta_frac"] == pytest.approx(0.0)
         assert explanation["attribution"] == []
         assert "matches" in explanation["headline"]
+
+    def test_ack_path_loss_attributed_to_a_send_limit_state(self):
+        """A clean run against fig. 5(b)'s ``ack-path-loss`` profile on
+        the same topology: the impaired run loses goodput, and the
+        explanation pins the loss on a send-limit state delta."""
+        impaired = get_scenario("ack-path-loss")
+        clean = Scenario(
+            "fig09-clean", "ack-path-loss topology with no faults armed",
+            lambda: FaultSchedule([]), rate_bps=impaired.rate_bps,
+            rtt_s=impaired.rtt_s, transfer_bytes=impaired.transfer_bytes,
+            time_limit_s=impaired.time_limit_s)
+        explanation = explain_reports(
+            run_scenario(clean, "tcp-tack", seed=7).diagnosis,
+            run_scenario(impaired, "tcp-tack", seed=7).diagnosis,
+            label_a="clean", label_b="impaired")
+        assert explanation["goodput_delta_frac"] < 0
+        assert explanation["attribution"]
+        top = explanation["attribution"][0]
+        assert top["state"] != "closing" and top["delta_s"] > 0
+        assert "impaired" in explanation["headline"]
 
 
 class TestCli:

@@ -17,7 +17,7 @@ class TestQueueingDelay:
         path.connect(lambda p: arrivals.append((p.pkt_seq, sim.now())),
                      lambda p: None)
         for i in range(20):
-            path.send_forward(make_data_packet(i * 1500, i + 1))
+            path.forward.send(make_data_packet(i * 1500, i + 1))
         sim.run()
         per_pkt = 1518 * 8 / 12e6
         for (seq_a, t_a), (seq_b, t_b) in zip(arrivals, arrivals[1:]):
@@ -28,7 +28,7 @@ class TestQueueingDelay:
         order = []
         path.connect(lambda p: order.append(p.pkt_seq), lambda p: None)
         for i in range(50):
-            path.send_forward(make_data_packet(i * 1500, i + 1))
+            path.forward.send(make_data_packet(i * 1500, i + 1))
         sim.run()
         assert order == sorted(order)
 
@@ -37,7 +37,7 @@ class TestQueueingDelay:
         got = []
         path.connect(lambda p: got.append(p.pkt_seq), lambda p: None)
         for i in range(10):
-            path.send_forward(make_data_packet(i * 1500, i + 1))
+            path.forward.send(make_data_packet(i * 1500, i + 1))
         sim.run()
         # Whatever survived is a prefix-ordered subset; the earliest
         # enqueued packets survive (droptail).
@@ -68,4 +68,6 @@ class TestPathHandleHelpers:
         for i in range(2000):
             handle.forward.send(make_data_packet(i * 1500, i + 1))
         sim.run()
-        assert handle.forward.loss_rate_observed == pytest.approx(0.5, abs=0.05)
+        link = handle.forward
+        assert link.packets_lost / link.packets_sent == pytest.approx(
+            0.5, abs=0.05)

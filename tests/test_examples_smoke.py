@@ -21,7 +21,8 @@ class TestExamplesImportAndRun:
         names = {p.name for p in EXAMPLES_DIR.glob("*.py")}
         assert {"quickstart.py", "wireless_projection.py",
                 "wan_bulk_transfer.py", "ack_frequency_explorer.py",
-                "hybrid_wlan_wan.py", "crowded_ap.py"} <= names
+                "hybrid_wlan_wan.py", "crowded_ap.py",
+                "goodput_timeline.py"} <= names
 
     def test_quickstart_runs_reduced(self):
         mod = load_example("quickstart.py")
@@ -63,3 +64,9 @@ class TestExamplesImportAndRun:
         mod.WARMUP_S = 0.5
         result = mod.run("tcp-tack", mod.CASES[0])
         assert result["goodput_mbps"] > 5
+
+    def test_goodput_timeline_reduced(self):
+        mod = load_example("goodput_timeline.py")
+        mod.DURATION_S = 1.0
+        rows = mod.chart().splitlines()
+        assert [row.split("|")[0].strip() for row in rows] == list(mod.SCHEMES)

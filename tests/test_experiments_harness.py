@@ -81,19 +81,3 @@ class TestFastExperiments:
         assert burst < paced
         paced_retx, burst_retx = table.column("retx")
         assert burst_retx > paced_retx
-
-    def test_fig09_doctor_compare_attributes_impairment(self):
-        from repro.experiments.fig09_goodput_trend import (
-            doctor_compare_table, run_doctor_compare)
-        result = run_doctor_compare(scheme="tcp-tack", seed=7)
-        explanation = result["explanation"]
-        # the impaired run must lose goodput, and the explanation must
-        # attribute the loss to at least one send-limit state delta
-        assert explanation["goodput_delta_frac"] < 0
-        assert explanation["attribution"]
-        top = explanation["attribution"][0]
-        assert top["state"] != "closing" and top["delta_s"] > 0
-        assert "impaired" in explanation["headline"]
-        table = doctor_compare_table(result)
-        assert len(table) == len(explanation["attribution"])
-        assert explanation["headline"] in table.format_text()

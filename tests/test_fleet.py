@@ -25,8 +25,6 @@ from repro.fleet import (
     run_shard,
 )
 from repro.fleet.manifest import canonical_json
-from repro.fleet.report import merge_scheme_digest_order_check
-from repro.fleet.shard import expected_flows
 
 
 def tiny_workload(**overrides):
@@ -71,7 +69,7 @@ class TestWorkload:
     def test_poisson_mean_rate_tracks_config(self):
         cfg = tiny_workload(mean_arrival_hz=60.0, duration_s=40.0)
         n = len(list(generate_flows(cfg, random.Random(1))))
-        expected = expected_flows(cfg)
+        expected = cfg.mean_arrival_hz * cfg.duration_s
         assert n == pytest.approx(expected, rel=0.15)
 
     def test_start_index_offsets_flow_indices(self):
@@ -263,7 +261,8 @@ class TestCampaign:
                             .to_dict())
                   for i, s in enumerate(("tcp-tack", "tcp-tack",
                                          "tcp-bbr"))]
-        assert merge_scheme_digest_order_check(shards)
+        assert (aggregate_digest(aggregate(shards))
+                == aggregate_digest(aggregate(list(reversed(shards)))))
         by_scheme = aggregate(shards)
         assert sorted(by_scheme) == ["tcp-bbr", "tcp-tack"]
         assert by_scheme["tcp-tack"].shards == 2

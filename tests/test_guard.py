@@ -493,6 +493,41 @@ class TestRangeRules:
              kind=PacketType.TACK)
         assert sender.guard.counts["unacked_range"] == 1
 
+    # Edges of [0, snd_nxt) with snd_nxt = 4 * MSS, and one step past.
+    EDGES = (-1, 0, 1, MSS, 4 * MSS - 1, 4 * MSS, 4 * MSS + 1)
+    BLOCKS = st.lists(st.tuples(st.sampled_from(EDGES),
+                                st.sampled_from(EDGES)), max_size=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sack=BLOCKS, unacked=BLOCKS)
+    def test_in_place_check_agrees_with_the_helper(self, sack, unacked):
+        """``admit`` tests each block list in place and calls
+        ``_admit_blocks`` only for a list holding a bad block; the
+        helper keeps exactly the good blocks and counts one violation.
+        Both must read the same bounds."""
+        sim = Simulator(seed=1)
+        sender, _ = established_sender(sim)
+        sender.set_total(4 * MSS)
+        sim.run(until=0.05)
+        assert sender.next_seq == 4 * MSS
+        guard = sender.guard
+        helper, called = guard._admit_blocks, []
+        guard._admit_blocks = lambda attr, rule: (called.append(attr),
+                                                  helper(attr, rule))
+
+        def good(block):
+            return 0 <= block[0] < block[1] <= 4 * MSS
+
+        out = guard.admit(fb_for(0, sack_blocks=list(sack),
+                                 unacked_blocks=list(unacked)), sim.now())
+        lists = (("sack_blocks", "sack_range", sack),
+                 ("unacked_blocks", "unacked_range", unacked))
+        assert called == [attr for attr, _, blocks in lists
+                          if not all(map(good, blocks))]
+        for attr, rule, blocks in lists:
+            assert getattr(out, attr) == [b for b in blocks if good(b)]
+            assert guard.counts.get(rule, 0) == (not all(map(good, blocks)))
+
 
 class TestPullRules:
     def test_out_of_range_pull_ignored(self, sim):

@@ -145,7 +145,7 @@ class World:
                 link.packets_sent, link.packets_delivered, link.packets_lost,
                 link.packets_duplicated, link.packets_corrupted,
                 link.packets_reordered, link.bytes_delivered,
-                link.loss_rate_observed, queue.drops, queue.enqueued,
+                queue.drops, queue.enqueued,
                 queue.peak_bytes, queue.bytes_queued, len(queue))
 
     def planes(self):

@@ -1,11 +1,10 @@
-"""Unit tests for topology composition (paths, chains, demux, node)."""
+"""Unit tests for topology composition (paths, chains, demux)."""
 
 import pytest
 
 from repro.core.flavors import make_connection
 from repro.netsim.demux import FlowDemux, share_path
 from repro.netsim.emulator import EmulatedPath, PathConfig
-from repro.netsim.node import Forwarder
 from repro.netsim.packet import make_ack_packet, make_data_packet
 from repro.netsim.paths import (
     ChainPort,
@@ -88,36 +87,6 @@ class TestHybridPath:
         handle.reverse.send(make_ack_packet())
         sim.run(until=1.0)
         assert len(got) == 1
-
-
-class TestForwarder:
-    def test_bidirectional_forwarding(self, sim):
-        fwd = Forwarder()
-        a_out, b_out = [], []
-
-        class _Port:
-            def __init__(self, store):
-                self.store = store
-
-            def send(self, p):
-                self.store.append(p)
-                return True
-
-            def connect(self, sink):
-                pass
-
-        fwd.attach_a(_Port(a_out))
-        fwd.attach_b(_Port(b_out))
-        fwd.from_a(make_data_packet(0, 1))
-        fwd.from_b(make_ack_packet())
-        assert len(b_out) == 1 and len(a_out) == 1
-        assert fwd.forwarded_a_to_b == 1
-        assert fwd.forwarded_b_to_a == 1
-
-    def test_unattached_counts_drop(self):
-        fwd = Forwarder()
-        fwd.from_a(make_data_packet(0, 1))
-        assert fwd.dropped == 1
 
 
 class TestDemux:

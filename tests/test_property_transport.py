@@ -7,7 +7,7 @@ from repro.core.loss_detect import PktSeqTracker
 from repro.core.owd_timing import ReceiverOwdTracker
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import MSS, make_data_packet
-from repro.ack import PerPacketAck
+from repro.ack import DelayedAck, PerPacketAck
 from repro.transport.receiver import TransportReceiver
 
 
@@ -54,6 +54,56 @@ def test_reassembly_with_duplicates(order, dup_set):
         rx.on_packet(pkt)
     assert rx.delivered_ptr == 12 * MSS
     assert rx.stats.bytes_delivered == 12 * MSS
+
+
+def _delayed_ack_receiver(rcv_buffer_bytes, auto_drain):
+    sim = Simulator(seed=1)
+    policy = DelayedAck()
+    rx = TransportReceiver(sim, policy, rcv_buffer_bytes=rcv_buffer_bytes,
+                           auto_drain=auto_drain)
+    rx.connect(_NullPort())
+    return rx, policy
+
+
+# Segment index to deliver, then bytes the application reads (slow-reader
+# mode only); small buffers drive the advertised window to zero.
+_ARRIVALS = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 4 * MSS)),
+                     min_size=1, max_size=40)
+_RECEIVERS = dict(rcv_buffer_bytes=st.sampled_from((2 * MSS, 6 * MSS, 1 << 20)),
+                  auto_drain=st.booleans())
+
+
+@given(arrivals=_ARRIVALS, **_RECEIVERS)
+@settings(max_examples=150, deadline=None)
+def test_awnd_matches_build_feedback(arrivals, rcv_buffer_bytes, auto_drain):
+    """build_feedback computes the advertised window in place; it must
+    equal ``awnd()`` after every arrival and read."""
+    rx, _ = _delayed_ack_receiver(rcv_buffer_bytes, auto_drain)
+    for pkt_seq, (idx, read) in enumerate(arrivals, 1):
+        pkt = make_data_packet(idx * MSS, pkt_seq)
+        pkt.sent_at = 0.0
+        rx.on_packet(pkt)
+        assert rx.build_feedback().awnd == rx.awnd()
+        if not auto_drain:
+            rx.read(read)
+            assert rx.build_feedback().awnd == rx.awnd()
+
+
+@given(arrivals=_ARRIVALS, **_RECEIVERS)
+@settings(max_examples=150, deadline=None)
+def test_holb_matches_delayed_ack_hole_check(arrivals, rcv_buffer_bytes,
+                                             auto_drain):
+    """DelayedAck reads "out-of-order data still queued" off the
+    interval set in place; it must agree with ``holb_blocked_bytes()``."""
+    rx, policy = _delayed_ack_receiver(rcv_buffer_bytes, auto_drain)
+    for pkt_seq, (idx, read) in enumerate(arrivals, 1):
+        pkt = make_data_packet(idx * MSS, pkt_seq)
+        pkt.sent_at = 0.0
+        rx.on_packet(pkt)
+        assert policy._fills_hole() == (rx.holb_blocked_bytes() > 0)
+        if not auto_drain:
+            rx.read(read)
+            assert policy._fills_hole() == (rx.holb_blocked_bytes() > 0)
 
 
 @given(st.lists(st.integers(1, 100), min_size=1, max_size=100, unique=True))

@@ -290,10 +290,9 @@ class TestConfig:
         assert codes("def f(xs=[]):\n    pass\n", path=HOST) == ["REP005"]
 
     def test_repo_allow_names_folded_in(self):
-        assert {"beta", "start", "max_p"} <= set(ALLOW_NAMES)
-        assert "seed" in ALLOW_NAMES
-        src = ("class Red:\n"
-               "    def __init__(self, max_p=0.1, beta=0.5):\n"
+        assert {"beta", "start", "seed"} <= set(ALLOW_NAMES)
+        src = ("class Clocked:\n"
+               "    def __init__(self, start=0.0, beta=0.5):\n"
                "        pass\n")
         assert codes(src) == []
 

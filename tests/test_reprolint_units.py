@@ -124,8 +124,7 @@ class TestCatalog:
     def test_dimensionless_names_win(self):
         assert name_unit("beta") == DIMENSIONLESS
         assert name_unit("seed") == DIMENSIONLESS
-        # the repo's own extras: RED's max_p, a percentile rank p
-        assert name_unit("max_p") == DIMENSIONLESS
+        # the repo's own extra: a percentile rank p
         assert name_unit("p") == DIMENSIONLESS
 
     def test_bare_name_says_nothing(self):

@@ -73,57 +73,16 @@ class TestEq3FromTrace:
 
 
 class TestRunnerTraceCapture:
-    def test_traced_task_lands_in_manifest(self, tmp_path):
-        trace_path = str(tmp_path / "task.jsonl")
-        campaign = Campaign("telemetry-it", base_seed=3)
-        campaign.add("fig08-traced", run_traced, trace_path=trace_path,
-                     duration_s=1.0, warmup_s=0.5)
-        outcome = campaign.run(jobs=1)
-        assert outcome.all_ok
-        result = outcome.result("fig08-traced")
-        assert result.trace is not None
-        assert result.trace["path"] == trace_path
-        assert result.trace["sha256"] == trace_digest(trace_path)
-        entry = next(t for t in outcome.manifest["tasks"]
-                     if t["name"] == "fig08-traced")
-        assert entry["trace"] == result.trace
-        assert outcome.manifest["schema_version"] == 1
-
-    def test_traced_task_bypasses_cache(self, tmp_path):
-        trace_path = str(tmp_path / "task.jsonl")
-        cache_dir = str(tmp_path / "cache")
-
-        def build():
-            campaign = Campaign("telemetry-cache", base_seed=3)
-            campaign.add("traced", run_traced, trace_path=trace_path,
-                         duration_s=1.0, warmup_s=0.5)
-            return campaign.run(jobs=1, cache_dir=cache_dir)
-
-        first = build()
-        digest_one = first.result("traced").trace["sha256"]
-        second = build()
-        # Second run re-executed (no hit) and regenerated the trace.
-        assert second.result("traced").cache == "off"
-        assert second.result("traced").attempts == 1
-        assert second.result("traced").trace["sha256"] == digest_one
-
-    def test_untraced_tasks_are_unaffected(self, tmp_path):
-        campaign = Campaign("telemetry-plain", base_seed=3)
-        campaign.add("plain", run_traced, duration_s=1.0, warmup_s=0.5)
-        outcome = campaign.run(jobs=1,
-                               cache_dir=str(tmp_path / "cache"))
-        result = outcome.result("plain")
-        assert result.ok
-        assert result.trace is None
-        assert result.cache == "miss"
-
     def test_trace_is_deterministic_across_runs(self, tmp_path):
+        """A traced task run twice in a campaign worker writes the same
+        trace byte for byte."""
         digests = []
         for name in ("a", "b"):
             path = str(tmp_path / f"{name}.jsonl")
             campaign = Campaign(f"det-{name}", base_seed=3)
             campaign.add("traced", run_traced, trace_path=path,
                          duration_s=1.0, warmup_s=0.5)
-            outcome = campaign.run(jobs=1)
-            digests.append(outcome.result("traced").trace["sha256"])
+            (result,) = campaign.run(jobs=1).results
+            assert result.ok
+            digests.append(trace_digest(path))
         assert digests[0] == digests[1]
