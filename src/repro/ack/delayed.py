@@ -55,7 +55,7 @@ class DelayedAck(AckPolicy):
     def _emit(self) -> None:
         self._unacked_segments = 0
         if self._timer is not None:
-            self._timer.cancel()
+            self.receiver.sim.cancel(self._timer)
             self._timer = None
         fb = self.receiver.build_feedback(max_sack_blocks=self.max_sack_blocks)
         self.receiver.emit_feedback(PacketType.ACK, fb)
@@ -66,6 +66,6 @@ class DelayedAck(AckPolicy):
 
     def detach(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self.receiver.sim.cancel(self._timer)
             self._timer = None
         super().detach()

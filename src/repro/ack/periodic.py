@@ -48,6 +48,6 @@ class PeriodicAck(AckPolicy):
 
     def detach(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self.receiver.sim.cancel(self._timer)
             self._timer = None
         super().detach()

@@ -143,7 +143,7 @@ class TackPolicy(AckPolicy):
     # ------------------------------------------------------------------
     def on_data(self, packet: Packet, in_order: bool) -> None:
         self._bytes_since_tack += packet.payload_len
-        self._last_arrival = self.receiver.sim.now()
+        self._last_arrival = self.receiver.sim.clock._now
         if self._timer is None:
             self._arm(self.periodic_interval())
 
@@ -258,6 +258,6 @@ class TackPolicy(AckPolicy):
 
     def detach(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self.receiver.sim.cancel(self._timer)
             self._timer = None
         super().detach()

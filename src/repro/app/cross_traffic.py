@@ -50,7 +50,7 @@ class OnOffCrossTraffic:
     def stop(self) -> None:
         self._stopped = True
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
 
     def _toggle(self) -> None:
@@ -60,10 +60,13 @@ class OnOffCrossTraffic:
         mean = self.mean_on_s if self._on else self.mean_off_s
         duration = self.rng.expovariate(1.0 / mean)
         self.sim.call_in(duration, self._toggle)
-        if self._on:
+        # One tick chain: a tick still pending from before a short OFF
+        # period carries on with it.
+        if self._on and self._timer is None:
             self._send_tick()
 
     def _send_tick(self) -> None:
+        self._timer = None
         if self._stopped or not self._on:
             return
         pkt = Packet(

@@ -52,7 +52,7 @@ class UdpBlaster:
 
     def stop(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
 
     def _tick(self) -> None:

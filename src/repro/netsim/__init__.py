@@ -7,7 +7,7 @@ fire, so simulated goodput is independent of interpreter speed.
 """
 
 from repro.netsim.clock import Clock
-from repro.netsim.engine import Event, Simulator
+from repro.netsim.engine import Simulator
 from repro.netsim.link import Link, LinkConfig
 from repro.netsim.loss import (
     BernoulliLoss,
@@ -25,7 +25,6 @@ __all__ = [
     "BurstLoss",
     "Clock",
     "EmulatedPath",
-    "Event",
     "GilbertElliottLoss",
     "Link",
     "LinkConfig",

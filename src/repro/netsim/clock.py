@@ -4,9 +4,10 @@
 class Clock:
     """Monotonic virtual clock measured in seconds.
 
-    Only the simulator advances the clock; every other component reads
-    it through :meth:`now`.  Keeping the clock separate from the event
-    queue lets protocol modules be unit-tested with a hand-driven clock.
+    Only the simulator advances the clock.  Cold paths read it through
+    :meth:`now`, the engine and the per-packet handlers its ``_now``
+    slot in place.  Keeping the clock separate from the event queue
+    lets protocol modules be unit-tested with a hand-driven clock.
     """
 
     __slots__ = ("_now",)

@@ -1,73 +1,46 @@
 """Event queue and simulation driver.
 
-The pending set is a binary heap (:mod:`heapq`) of
-``(time, seq, event)`` tuples.  Three properties matter:
+The pending set is a binary heap (:mod:`heapq`) of entries
+``[time, seq, fn, mark]``, one exact ``list`` per scheduled callback,
+and the entry is the handle :meth:`Simulator.call_at` returns.  Three
+properties matter:
 
 * **Determinism** -- ties in firing time are broken by insertion order
   (``seq``, a monotonically increasing sequence number), never by
   callback identity, so a given seed always replays the same
   trajectory.
-* **Ordering runs in C** -- tuples compare element by element and
+* **Ordering runs in C** -- lists compare element by element and
   ``seq`` is unique, so a comparison is always decided by ``time`` or
-  ``seq`` (two floats, or two ints) and never reaches the third
-  element.  :class:`Event` therefore defines no ordering at all, and a
-  push or pop costs no Python-level call however deep the heap is.
-  A NaN time would compare false against everything and silently break
-  the heap invariant, which is why :meth:`Simulator.call_at` rejects it.
+  ``seq`` (two floats, or two ints) and never reaches ``fn``; a push
+  or pop costs no Python-level call however deep the heap is.  A NaN
+  time would compare false against everything and silently break the
+  heap invariant, which is why :meth:`Simulator.call_at` rejects it.
 * **Cancellation** -- protocol timers (RTO, delayed-ACK, TACK period)
-  are rescheduled constantly; events carry a state and the queue skips
-  dead entries lazily instead of paying for removal.  A deadline that
-  only recedes (the RTO) is not even re-pushed: :meth:`Simulator.move`.
+  are rescheduled constantly; ``mark`` is ``None`` while the event is
+  live, and the queue skips an entry whose mark is set instead of
+  paying for removal: :data:`_CANCELLED` once the event is cancelled,
+  or the ``(time, seq)`` it is due under once :meth:`Simulator.move`
+  moved a receding deadline (the RTO) later without a push.
+
+Holders go through the simulator (:meth:`~Simulator.cancel`,
+:meth:`~Simulator.due`, :meth:`~Simulator.move`); only per-packet code
+reads an entry in place.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
+import sys
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Optional
 
 from repro import sanitize
 from repro.netsim.clock import Clock
 
-#: ``Event._state``, what the run loop does with the heap entry it
-#: surfaces: fire it (falsy), drop it, or replace it with the event's
-#: current key (the entry is the one from before ``Simulator.move``).
-_LIVE, _CANCELLED, _MOVED = range(3)
-
-
-class Event:
-    """A scheduled callback: the handle :meth:`Simulator.call_at` and
-    :meth:`Simulator.call_in` return, to :meth:`cancel` or to hand to
-    :meth:`Simulator.move`.
-
-    It rides as the third element of its one ``(time, seq, event)``
-    heap entry and is never compared (``seq`` is unique, see the module
-    docstring), so it deliberately has no ``__lt__``.  ``time`` and
-    ``seq`` are the key it fires under, which after a move is not yet
-    the key of the entry; a holder reads ``time`` to decide whether
-    re-arming would move the event at all.
-    """
-
-    __slots__ = ("time", "seq", "fn", "_state")
-
-    def __init__(self, time: float, seq: int, fn: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self._state = _LIVE
-
-    @property
-    def cancelled(self) -> bool:
-        return self._state == _CANCELLED
-
-    def cancel(self) -> None:
-        """Mark the event dead; the queue drops it when it surfaces."""
-        self._state = _CANCELLED
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.9f}, seq={self.seq}, {state})"
+#: The mark of a cancelled entry: the run loop drops it when it surfaces.
+_CANCELLED = "cancelled"
+_INF = float("inf")
 
 
 class Simulator:
@@ -113,11 +86,11 @@ class Simulator:
                  telemetry=None, profiler=None, energy=None, diagnosis=None):
         self.clock = Clock()
         #: Current simulated time in seconds: ``sim.now()`` is the
-        #: clock's own bound method, one call deep, because every
-        #: handler reads the time at least once.
+        #: clock's own bound method, one call deep; the per-packet
+        #: handlers read ``sim.clock._now`` in place instead.
         self.now: Callable[[], float] = self.clock.now
         self.rng = random.Random(seed)
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[list] = []
         self._seq = itertools.count()
         self._events_fired = 0
         self.san = (sanitize.SimSanitizer(self)
@@ -142,7 +115,9 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def events_fired(self) -> int:
-        """Number of callbacks executed so far (profiling aid)."""
+        """Number of callbacks executed so far: counted in a local by
+        :meth:`run` and stored when it returns, and before every
+        sanitizer hook."""
         return self._events_fired
 
     def fork_rng(self, label: str) -> random.Random:
@@ -156,49 +131,60 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def call_at(self, t: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` to run at absolute time ``t``."""
+    def call_at(self, t: float, fn: Callable[[], None]) -> list:
+        """Schedule ``fn`` to run at absolute time ``t``; returns the
+        event's heap entry, its handle."""
         # The clock's slot, read in place: every packet schedules here.
         if not t >= self.clock._now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule in the past: {t} < {self.now()}"
             )
-        seq = next(self._seq)
-        ev = Event(t, seq, fn)
-        heapq.heappush(self._queue, (t, seq, ev))
+        ev = [t, next(self._seq), fn, None]
+        heappush(self._queue, ev)
         return ev
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
+    def call_in(self, delay: float, fn: Callable[[], None]) -> list:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay: {delay}")
-        return self.call_at(self.now() + delay, fn)
+        return self.call_at(self.clock._now + delay, fn)
 
-    def move(self, ev: Event, t: float) -> None:
+    @staticmethod
+    def cancel(ev: list) -> None:
+        """Mark ``ev`` dead; the queue drops it when it surfaces."""
+        ev[3] = _CANCELLED
+
+    @staticmethod
+    def due(ev: list) -> Optional[float]:
+        """When ``ev`` is due (or fired); ``None`` once it is cancelled."""
+        mark = ev[3]
+        if mark is None:
+            return ev[0]
+        return None if mark is _CANCELLED else mark[0]
+
+    def move(self, ev: list, t: float) -> None:
         """Move the pending event ``ev`` to time ``t``, not earlier
         than the time it is due.
 
-        The outcome is that of ``ev.cancel()`` followed by
-        ``call_at(t, ev.fn)``, with the handle kept and nothing pushed:
+        The outcome is that of ``cancel(ev)`` followed by
+        ``call_at(t, fn)``, with the handle kept and nothing pushed:
         ``ev`` takes the key ``(t, next seq)`` that pair would have
         pushed -- one sequence number drawn, so equal-time ties against
-        every other event fall exactly as they would have -- and its
-        heap entry stays under the old key.  The old key is not above
-        the new one, so the entry surfaces before anything that must
-        fire after ``ev`` does, and :meth:`run` replaces it there.  An
-        earlier ``t`` would surface too late, which is why it is
-        rejected; ``ev`` must not have fired (its holder drops the
-        handle when it does).
+        every other event fall exactly as they would have -- as its
+        mark, and its heap entry stays under the old key.  The old key
+        is not above the new one, so the entry surfaces before anything
+        that must fire after ``ev`` does, and :meth:`run` re-keys it
+        there.  An earlier ``t`` would surface too late, which is why
+        it is rejected; ``ev`` must not have fired (its holder drops
+        the handle when it does).
         """
-        if not t >= ev.time:  # also rejects NaN
-            raise ValueError(
-                f"cannot move an event earlier: {t} < {ev.time}"
-            )
-        if ev._state == _CANCELLED:
+        mark = ev[3]
+        if mark is _CANCELLED:
             raise ValueError(f"cannot move a cancelled event: {ev!r}")
-        ev.time = t
-        ev.seq = next(self._seq)
-        ev._state = _MOVED
+        due = ev[0] if mark is None else mark[0]
+        if not t >= due:  # also rejects NaN
+            raise ValueError(f"cannot move an event earlier: {t} < {due}")
+        ev[3] = (t, next(self._seq))
 
     # ------------------------------------------------------------------
     # execution
@@ -221,48 +207,55 @@ class Simulator:
         last event fired earlier, mirroring how a wall-clock testbed
         measurement window behaves.
         """
-        fired = 0
-        queue = self._queue
-        heappop = heapq.heappop
-        clock = self.clock
-        prof = self.profiler  # hoisted: attach happens before run()
-        while queue:
-            t, _, ev = queue[0]
-            if ev._state:
-                if ev._state == _MOVED:
-                    ev._state = _LIVE
-                    heapq.heapreplace(queue, (ev.time, ev.seq, ev))
+        queue, clock = self._queue, self.clock
+        # One test per event for both bounds, one for every plane: all
+        # attach before run() (see the class docstring).
+        limit = _INF if until is None else until
+        fired = self._events_fired
+        cap = sys.maxsize if max_events is None else fired + max_events
+        san, prof = self.san, self.profiler
+        hooked = san is not None or prof is not None
+        try:
+            while queue:
+                ev = queue[0]
+                t, _, fn, mark = ev
+                if mark is not None:
+                    if mark is _CANCELLED:
+                        heappop(queue)
+                    else:   # moved: re-key the entry at the root
+                        ev[0], ev[1] = mark
+                        ev[3] = None
+                        heapreplace(queue, ev)
+                    continue
+                if t > limit or fired >= cap:
+                    break
+                heappop(queue)
+                if hooked:
+                    self._events_fired = fired
+                    if san is not None:
+                        san.on_event(t, ev)
+                # Clock.advance_to in place, rewind check included.
+                if not t >= clock._now:
+                    raise ValueError(f"clock cannot rewind: {t} < {clock._now}")
+                clock._now = t
+                fired += 1
+                if hooked and prof is not None:
+                    prof.event_begin(fn, len(queue))
+                    try:
+                        fn()
+                    finally:
+                        prof.event_end()
                 else:
-                    heappop(queue)
-                continue
-            if until is not None and t > until:
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            heappop(queue)
-            if self.san is not None:
-                self.san.on_event(t, ev)
-            # Clock.advance_to in place, rewind check included.
-            if not t >= clock._now:
-                raise ValueError(f"clock cannot rewind: {t} < {clock._now}")
-            clock._now = t
-            self._events_fired += 1
-            fired += 1
-            if prof is not None:
-                prof.event_begin(ev.fn, len(queue))
-                try:
-                    ev.fn()
-                finally:
-                    prof.event_end()
-            else:
-                ev.fn()
-        if until is not None and self.now() < until:
+                    fn()
+        finally:
+            self._events_fired = fired
+        if until is not None and clock._now < until:
             clock.advance_to(until)
-        return self.now()
+        return clock._now
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for _, _, ev in self._queue if ev._state != _CANCELLED)
+        return sum(1 for ev in self._queue if ev[3] is not _CANCELLED)
 
     def __repr__(self) -> str:
         return (

@@ -352,7 +352,7 @@ class Link:
                 sim.call_at(t, self._deliver)
             else:
                 heapq.heappush(self._overtaking, (
-                    t, sim.call_at(t, self._deliver_overtaking).seq, packet))
+                    t, sim.call_at(t, self._deliver_overtaking)[1], packet))
         queue = self.queue
         if not queue.packets:
             if self._tel_stride and self._tick():

@@ -55,7 +55,7 @@ class Pipe:
     def send(self, packet: Packet) -> bool:
         self.packets_sent += 1
         sim, loss = self.sim, self.loss
-        now = sim.now()
+        now = sim.clock._now
         if loss is not None and loss.should_drop(packet, now):
             self.packets_lost += 1
             return False

@@ -5,8 +5,8 @@ paper's correctness rests on:
 
 ``event_clock``
     Events fire in non-decreasing simulated time, never at a negative
-    or non-finite instant, and under their own key: a moved event
-    (``Simulator.move``) never fires from the heap entry it left behind.
+    or non-finite instant, and under their own key: an event never
+    fires while its entry carries a move mark (``Simulator.move``).
 ``pkt_seq_monotone``
     ``PKT.SEQ`` strictly increases per flow (paper S5.1 — this is what
     removes retransmission ambiguity for receiver-based loss
@@ -192,13 +192,12 @@ class SimSanitizer:
     # ------------------------------------------------------------------
     def on_event(self, t: float, ev=None) -> None:
         """Called by the engine for every event about to fire, with the
-        time of the heap entry it surfaced under."""
+        time of the heap entry it surfaced under and the entry."""
         self.checks_run += 1
-        # The entry's key is a copy of the event's own, not arithmetic:
-        if ev is not None and ev.time != t:  # reprolint: disable=REP003
+        if ev is not None and ev[3] is not None:
             self._fail("event_clock", None,
-                       f"{ev!r} fires from a heap entry at {t!r} "
-                       "(moved, and the stale entry was not replaced)")
+                       f"{ev!r} fires from a heap entry at {t!r} carrying "
+                       "a mark (moved, and the stale entry was not re-keyed)")
         if not math.isfinite(t) or t < 0.0:
             self._fail("event_clock", None, f"event time {t!r} is not a "
                        "finite non-negative instant")
@@ -381,22 +380,23 @@ class SimSanitizer:
                 for seq in sender.retx_queue):
             return
         timer = sender._rto_timer
-        if timer is None or timer.cancelled:
+        armed_at = None if timer is None else self.sim.due(timer)
+        if armed_at is None:
             self._fail("rto_armed", sender.flow_id,
                        f"in_flight={sender.in_flight}, "
                        f"{len(sender.retx_queue)} retransmissions queued, "
                        f"but the retransmission timeout is {timer!r}")
-        if timer.time < now:
+        if armed_at < now:
             self._fail("rto_armed", sender.flow_id,
                        f"{timer!r} was due before now: it fired or was "
                        "lost, and the sender still holds it")
         # The sender's own expression on its own operands, so the same
         # float to the last bit:
         due = now + sender.rtt.rto()
-        if progress and timer.time != due:  # reprolint: disable=REP003
+        if progress and armed_at != due:  # reprolint: disable=REP003
             self._fail("rto_armed", sender.flow_id,
                        f"progress at {now!r} with RTO {sender.rtt.rto()!r} "
-                       f"left the timeout due at {timer.time!r}")
+                       f"left the timeout due at {armed_at!r}")
 
     def _check_rtt_min_window(self, sender, state: _FlowState,
                               now: float) -> None:

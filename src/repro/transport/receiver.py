@@ -180,7 +180,7 @@ class TransportReceiver:
         if seq is None or pkt_seq is None:      # cannot be placed: drop
             self.stats.malformed_packets += 1
             return
-        now = self.sim.now()
+        now = self.sim.clock._now
         meta = packet.meta
         if meta and "rtt_min" in meta:
             self.peer_rtt_min = meta["rtt_min"]
@@ -333,7 +333,7 @@ class TransportReceiver:
             largest_pkt_seq=self.pkt_tracker.largest_seen, reason=reason)
         if not (max_unacked_blocks > 0 or include_timing or include_rate):
             return fb       # a legacy ACK: nothing below reads the clock
-        now = self.sim.now()
+        now = self.sim.clock._now
         if max_unacked_blocks > 0:
             # Gaps from cum_ack up: everything below it was consumed
             # (removed from the interval set), not lost.  A settling
@@ -398,7 +398,7 @@ class TransportReceiver:
         fb.fb_seq = self._fb_seq_next
         self._fb_seq_next += 1
         pkt = make_feedback_packet(kind, fb, flow_id=self.flow_id)
-        pkt.sent_at = self.sim.now()
+        pkt.sent_at = self.sim.clock._now
         if kind is PacketType.TACK:
             self.stats.tacks_sent += 1
         elif kind is PacketType.IACK:

@@ -417,7 +417,7 @@ class TransportSender:
                 # up rejecting — is liveness for the ACK-withholding
                 # watchdog: withholding means *silence*, mangling is
                 # the escalation counters' job.
-                self._last_fb_s = now = self.sim.now()
+                self._last_fb_s = now = self.sim.clock._now
                 self._wd_probes = 0
                 self._accepts_since_probe = 0
                 guard = self.guard
@@ -454,7 +454,7 @@ class TransportSender:
             self.rtt_min_est.on_handshake(rtt0, now)
         self._obs("established", rtt_s=rtt0)
         if self._rto_timer is not None:
-            self._rto_timer.cancel()
+            self.sim.cancel(self._rto_timer)
             self._rto_timer = None
         self.pacer.release_at = now
         self.pacer.set_rate(self.cc.pacing_rate_bps())
@@ -469,7 +469,7 @@ class TransportSender:
         # Read once per feedback (DESIGN.md, transport): the clock, the
         # controller and the paradigm; the RTO where the timeout is
         # re-armed.
-        now = self.sim.now()
+        now = self.sim.clock._now
         cc = self.cc
         receiver_driven = self.receiver_driven
         stats = self.stats
@@ -906,7 +906,7 @@ class TransportSender:
     def _try_send(self) -> None:
         if not self.established or self.closed or self._port is None:
             return
-        now = self.sim.now()
+        now = self.sim.clock._now
         # Read once per call: nothing below processes feedback or a
         # timeout, and cwnd_bytes() is a pure state read (cc.base).
         cwnd = self.cc.cwnd_bytes()
@@ -942,12 +942,13 @@ class TransportSender:
             if now < release_at:
                 limit = "pacing"
                 timer = self._send_timer
-                # An armed timer already due at the release time is
-                # kept, not cancelled and re-pushed.  Equality of one
-                # stored float with its own copy, not clock arithmetic:
-                if timer is None or timer.time != release_at:  # reprolint: disable=REP003
+                # An armed timer already due at the release time (its
+                # entry's key: it is never moved) is kept, not cancelled
+                # and re-pushed.  Equality of one stored float with its
+                # own copy, not clock arithmetic:
+                if timer is None or timer[0] != release_at:  # reprolint: disable=REP003
                     if timer is not None:
-                        timer.cancel()
+                        self.sim.cancel(timer)
                     self._send_timer = self.sim.call_at(
                         release_at, self._on_send_timer)
                 break
@@ -1080,16 +1081,17 @@ class TransportSender:
             return
         if self.in_flight > 0 or self._has_retx():
             sim = self.sim
-            deadline = sim.now() + self.rtt.rto()
+            deadline = sim.clock._now + self.rtt.rto()
             if timer is None:
                 self._rto_timer = sim.call_at(deadline, self._on_rto)
-            elif deadline >= timer.time:
+            # Due at its entry's key or its move mark's (never cancelled).
+            elif deadline >= (timer[0] if timer[3] is None else timer[3][0]):
                 sim.move(timer, deadline)
             else:
-                timer.cancel()
+                sim.cancel(timer)
                 self._rto_timer = sim.call_at(deadline, self._on_rto)
         elif timer is not None:
-            timer.cancel()
+            self.sim.cancel(timer)
             self._rto_timer = None
 
     def _on_rto(self) -> None:
@@ -1195,7 +1197,7 @@ class TransportSender:
         for timer in (self._send_timer, self._rto_timer,
                       self._persist_timer, self._wd_timer):
             if timer is not None:
-                timer.cancel()
+                self.sim.cancel(timer)
         self._send_timer = self._rto_timer = self._persist_timer = None
         self._wd_timer = None
         if self._en is not None:

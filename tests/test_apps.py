@@ -6,6 +6,7 @@ from repro.app.bulk import BulkFlow
 from repro.app.cross_traffic import OnOffCrossTraffic
 from repro.app.udp_blast import UdpAckResponder, UdpBlaster, run_contention_trial
 from repro.app.video import RtpUdpVideoSession, VideoSession
+from repro.netsim.packet import DATA_PACKET_SIZE
 from repro.netsim.paths import wired_path, wlan_path
 
 
@@ -120,6 +121,19 @@ class TestCrossTraffic:
         count = x.packets_sent
         sim.run(until=2.0)
         assert x.packets_sent == count
+
+    def test_short_off_periods_keep_one_tick_chain(self, sim):
+        # An OFF period shorter than a packet interval used to start a
+        # second chain beside the pending tick (8 000+ packets here).
+        path = wired_path(sim, 10e6, 0.02)
+        x = OnOffCrossTraffic(sim, path.forward, rate_bps=1e6,
+                              mean_on_s=0.05, mean_off_s=0.0005)
+        x.start()
+        sim.run(until=5.0)
+        # One chain, always on: a packet at 0 and one per interval of
+        # DATA_PACKET_SIZE * 8 / 1e6 = 12.144 ms after, 412 in 5 s.
+        assert DATA_PACKET_SIZE == 1518
+        assert 300 < x.packets_sent <= 412
 
     def test_deterministic_given_seed(self):
         from repro.netsim.engine import Simulator

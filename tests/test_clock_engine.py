@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.clock import Clock
-from repro.netsim.engine import Event, Simulator
+from repro.netsim import engine
+from repro.netsim.engine import Simulator
 
 NAN = float("nan")
 
@@ -91,14 +92,14 @@ class TestScheduling:
     def test_cancelled_event_skipped(self, sim):
         fired = []
         ev = sim.call_in(0.1, lambda: fired.append("x"))
-        ev.cancel()
+        sim.cancel(ev)
         sim.run()
         assert fired == []
 
     def test_cancel_mid_run(self, sim):
         fired = []
         later = sim.call_in(0.2, lambda: fired.append("later"))
-        sim.call_in(0.1, later.cancel)
+        sim.call_in(0.1, lambda: sim.cancel(later))
         sim.run()
         assert fired == []
 
@@ -155,10 +156,22 @@ class TestRun:
         sim.run()
         assert sim.events_fired == 5
 
+    def test_events_fired_is_exact_at_every_sanitizer_hook(self):
+        sim = Simulator(seed=1, simsan=True)
+        seen = []
+        on_event = sim.san.on_event
+        sim.san.on_event = lambda t, ev: (seen.append(sim.events_fired),
+                                          on_event(t, ev))
+        for i in range(5):
+            sim.call_in(0.1 * i, lambda: None)
+        sim.run(max_events=2)
+        sim.run()
+        assert seen == [0, 1, 2, 3, 4] and sim.events_fired == 5
+
     def test_pending_excludes_cancelled(self, sim):
         ev = sim.call_in(1.0, lambda: None)
         sim.call_in(2.0, lambda: None)
-        ev.cancel()
+        sim.cancel(ev)
         assert sim.pending() == 1
 
 
@@ -211,7 +224,7 @@ class _HeapSim:
         self.step = self.sim.step
 
     def cancel(self, event):
-        event.cancel()
+        self.sim.cancel(event)
 
     @property
     def fired(self):
@@ -272,16 +285,35 @@ class TestOrdering:
         assert [t for t, _ in heap_log] == sorted(t for t, _ in heap_log)
 
     def test_heap_never_compares_events(self, sim):
-        # ``seq`` is unique, so a heap entry's third element is
-        # unreachable; Event must not grow an ordering again.
-        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-            assert getattr(Event, name) is getattr(object, name)
-        a = sim.call_at(1.0, lambda: None)
-        b = sim.call_at(1.0, lambda: None)
+        # ``seq`` is unique, so two heap entries compare on their time
+        # or their seq and never reach the callback: callbacks whose
+        # every comparison raises still fire, in (time, seq) order.
+        fired = []
+
+        class Uncomparable:
+            def __call__(self):
+                fired.append(self)
+
+            def _refuse(self, other):
+                raise TypeError("a callback was compared")
+
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+            __hash__ = object.__hash__
+
+        fns = [Uncomparable() for _ in range(30)]
         with pytest.raises(TypeError):
-            a < b
+            fns[0] < fns[1]
+        for i, fn in enumerate(fns):
+            sim.call_at(float(i % 3), fn)
+        a = sim.call_at(5.0, fns[0])
+        sim.call_at(5.0, fns[1])
+        sim.move(a, 5.0)            # re-keyed at the root, behind fns[1]
         sim.run()
-        assert sim.events_fired == 2
+        assert sim.events_fired == 32
+        expected = [fns[i] for r in range(3) for i in range(r, 30, 3)]
+        expected += [fns[1], fns[0]]
+        assert len(fired) == len(expected)
+        assert all(f is e for f, e in zip(fired, expected))
 
     def test_call_in_dispatches_through_call_at(self):
         # The seam benchmarks/perf/tracing.py relies on: a subclass
@@ -324,11 +356,12 @@ class TestDeterminism:
 class _CancelAndPush(Simulator):
     """``move`` as the cancel + ``call_at`` pair it replaces: the
     reference for firing order, ``events_fired`` and ``pending()``.
-    Handles are boxes, because the pair returns a new event."""
+    Handles are ``[event, callback]`` boxes, because the pair returns a
+    new event."""
 
     def move(self, box, t):
-        box[0].cancel()
-        box[0] = self.call_at(t, box[0].fn)
+        self.cancel(box[0])
+        box[0] = self.call_at(t, box[1])
 
 
 class _Moving(Simulator):
@@ -365,7 +398,7 @@ def _drive(sim, ops):
     fired = set()
 
     def pending(k):
-        return k not in fired and not boxes[k][0].cancelled
+        return k not in fired and sim.due(boxes[k][0]) is not None
 
     def arm(dt, then=None):
         k = len(boxes)
@@ -376,18 +409,18 @@ def _drive(sim, ops):
             if then is not None:
                 then()
 
-        boxes.append([sim.call_at(sim.now() + dt, fire)])
+        boxes.append([sim.call_at(sim.now() + dt, fire), fire])
 
     def move(k, dt):
         if boxes and pending(k % len(boxes)):
             box = boxes[k % len(boxes)]
-            sim.move(box, box[0].time + dt)
+            sim.move(box, sim.due(box[0]) + dt)
 
     for op in ops:
         if op[0] == "at":
             arm(op[1])
         elif op[0] == "cancel" and boxes:
-            boxes[op[1] % len(boxes)][0].cancel()
+            sim.cancel(boxes[op[1] % len(boxes)][0])
         elif op[0] == "move":
             move(op[1], op[2])
         elif op[0] == "mover":
@@ -412,8 +445,8 @@ class TestMove:
         fired = []
         ev = sim.call_at(1.0, lambda: fired.append(sim.now()))
         sim.move(ev, 3.0)
-        assert ev.time == pytest.approx(3.0) and not ev.cancelled
-        assert "pending" in repr(ev) and "t=3.0" in repr(ev)
+        assert sim.due(ev) == pytest.approx(3.0)
+        assert repr(ev).endswith(", (3.0, 1)]")    # the mark move drew
         assert sim.pending() == 1
         sim.run(until=2.0)          # the stale entry surfaces here
         assert fired == [] and sim.pending() == 1
@@ -437,15 +470,20 @@ class TestMove:
         sim.run()
         assert fired == ["other", "moved"]
 
-    def test_moved_twice_keeps_one_entry(self, sim):
+    def test_moved_twice_keeps_one_entry(self, sim, monkeypatch):
+        pushes = []
+        push = engine.heappush
+        monkeypatch.setattr(engine, "heappush",
+                            lambda heap, item: (pushes.append(item),
+                                                push(heap, item)))
         fired = []
         ev = sim.call_at(1.0, lambda: fired.append(sim.now()))
         sim.move(ev, 2.0)
         sim.move(ev, 5.0)
-        assert len(sim._queue) == 1 and sim.pending() == 1
+        assert pushes == [ev] and sim.pending() == 1
         sim.run(until=3.0)
-        sim.move(ev, 6.0)           # again, after the entry was replaced
-        assert len(sim._queue) == 1
+        sim.move(ev, 6.0)           # again, after the entry was re-keyed
+        assert pushes == [ev]
         sim.run()
         assert fired == [6.0] and sim.events_fired == 1
 
@@ -453,8 +491,8 @@ class TestMove:
         fired = []
         ev = sim.call_at(1.0, lambda: fired.append("x"))
         sim.move(ev, 2.0)
-        ev.cancel()
-        assert ev.cancelled and sim.pending() == 0
+        sim.cancel(ev)
+        assert sim.due(ev) is None and sim.pending() == 0
         assert sim.run() == 0.0
         assert fired == [] and sim.events_fired == 0
 
@@ -465,7 +503,7 @@ class TestMove:
         sim.move(ev, 2.5)
         assert sim.run(until=2.0) == 2.0
         assert fired == [] and sim.pending() == 1
-        assert ev.time == pytest.approx(4.0)
+        assert sim.due(ev) == pytest.approx(4.0)
         assert sim.run(until=3.0) == 3.0
         assert fired == []
         sim.run()
@@ -485,22 +523,163 @@ class TestMove:
             sim.move(ev, 1.0)
         with pytest.raises(ValueError):
             sim.move(ev, NAN)
-        assert ev.time == pytest.approx(2.0) and sim.pending() == 1
+        assert sim.due(ev) == pytest.approx(2.0) and sim.pending() == 1
         sim.run()
         assert sim.events_fired == 1
 
     def test_cancelled_event_cannot_be_moved(self, sim):
         ev = sim.call_at(2.0, lambda: None)
-        ev.cancel()
+        sim.cancel(ev)
         with pytest.raises(ValueError):
             sim.move(ev, 3.0)
-        assert ev.cancelled and sim.pending() == 0
+        assert sim.due(ev) is None and sim.pending() == 0
 
     def test_sanitizer_catches_an_event_fired_from_its_stale_entry(self):
         from repro.sanitize import InvariantViolation
         sim = Simulator(seed=1, simsan=True)
         ev = sim.call_at(1.0, lambda: None)
         sim.move(ev, 2.0)
-        ev._state = 0       # corrupt: the move forgotten, the key kept
+        # corrupt: a run loop that fires the entry it surfaced under its
+        # old key, move mark and all
         with pytest.raises(InvariantViolation, match="event_clock"):
-            sim.run()
+            sim.san.on_event(1.0, ev)
+
+
+class _ModelScheduler:
+    """An independent model of the engine: one plain list re-sorted by
+    ``(time, seq)`` after every change, handles ``[time, seq, fn,
+    state]`` rewritten in place by ``move``.  No heap, no marks."""
+
+    def __init__(self):
+        self.t, self.seq, self.events_fired = 0.0, 0, 0
+        self.live = []
+
+    def now(self):
+        return self.t
+
+    def call_at(self, t, fn):
+        if not t >= self.t:
+            raise ValueError(t)
+        handle = [t, self.seq, fn, "live"]
+        self.seq += 1
+        self.live.append(handle)
+        self.live.sort(key=lambda h: (h[0], h[1]))
+        return handle
+
+    def call_in(self, dt, fn):
+        return self.call_at(self.t + dt, fn)
+
+    def cancel(self, handle):
+        handle[3] = "cancelled"
+        self.live = [h for h in self.live if h is not handle]
+
+    def due(self, handle):
+        return None if handle[3] == "cancelled" else handle[0]
+
+    def move(self, handle, t):
+        if handle[3] != "live" or not t >= handle[0]:
+            raise ValueError(t)
+        handle[0], handle[1] = t, self.seq
+        self.seq += 1
+        self.live.sort(key=lambda h: (h[0], h[1]))
+
+    def pending(self):
+        return len(self.live)
+
+    def run(self, until=None, max_events=None):
+        n = 0
+        while (self.live and (until is None or self.live[0][0] <= until)
+               and (max_events is None or n < max_events)):
+            handle = self.live.pop(0)
+            handle[3] = "fired"
+            self.t = handle[0]
+            self.events_fired += 1
+            n += 1
+            handle[2]()
+        if until is not None and self.t < until:
+            self.t = until
+        return self.t
+
+    def step(self):
+        fired = self.events_fired
+        self.run(max_events=1)
+        return self.events_fired > fired
+
+
+#: Few distinct offsets, zero among them: equal-time ties everywhere.
+#: A move by a negative offset must be refused by both schedulers.
+_MODEL_DTS = (0.0, 0.0, 0.25, 1.0)
+_MODEL_ACTION = st.one_of(
+    st.tuples(st.just("at"), st.sampled_from(_MODEL_DTS), st.none()),
+    st.tuples(st.just("in"), st.sampled_from(_MODEL_DTS), st.none()),
+    st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("move"), st.integers(0, 1 << 16),
+              st.sampled_from(_MODEL_DTS + (-0.25,))))
+_MODEL_SCRIPT = st.lists(st.one_of(
+    _MODEL_ACTION, _MODEL_ACTION,
+    # An event whose callback schedules, cancels or moves when it fires.
+    st.tuples(st.sampled_from(("at", "in")), st.sampled_from(_MODEL_DTS),
+              _MODEL_ACTION),
+    # One op in four runs the queue, so ties pile up between runs.
+    st.one_of(st.tuples(st.just("until"), st.sampled_from(_MODEL_DTS)),
+              st.tuples(st.just("max_events"), st.integers(0, 3)),
+              st.tuples(st.sampled_from(("step", "run"))))), max_size=60)
+
+
+class _Player:
+    """Plays a script on one scheduler and reports what it observes."""
+
+    def __init__(self, sched):
+        self.sched = sched
+        self.handles = []       # one per scheduled callback, in order
+        self.fired = set()
+        self.trace = []         # (callback index, time), firing order
+
+    def act(self, op):
+        sched, handles = self.sched, self.handles
+        if op[0] in ("at", "in"):
+            k, then = len(handles), op[2]
+
+            def fire():
+                self.fired.add(k)
+                self.trace.append((k, sched.now()))
+                if then is not None:
+                    self.act(then)
+
+            handles.append(sched.call_at(sched.now() + op[1], fire)
+                           if op[0] == "at" else sched.call_in(op[1], fire))
+        elif op[0] == "cancel" and handles:
+            sched.cancel(handles[op[1] % len(handles)])
+        elif op[0] == "move" and handles:
+            k = op[1] % len(handles)
+            due = sched.due(handles[k])
+            if k not in self.fired and due is not None:
+                try:
+                    sched.move(handles[k], due + op[2])
+                except ValueError:
+                    self.trace.append((k, "refused"))
+        elif op[0] == "until":
+            return sched.run(until=sched.now() + op[1])
+        elif op[0] == "max_events":
+            return sched.run(max_events=op[1])
+        elif op[0] == "step":
+            return sched.step()
+        elif op[0] == "run":
+            return sched.run()
+
+    def observe(self, op):
+        sched = self.sched
+        returned = self.act(op)
+        return (returned, list(self.trace), sched.events_fired,
+                sched.pending(), sched.now(),
+                [sched.due(h) for h in self.handles])
+
+
+class TestEngineModel:
+    @settings(max_examples=300, deadline=None)
+    @given(_MODEL_SCRIPT)
+    def test_engine_matches_a_sorted_list_model(self, script):
+        real, model = _Player(Simulator(seed=1)), _Player(_ModelScheduler())
+        for op in script + [("run",)]:
+            assert real.observe(op) == model.observe(op), op
+        assert real.sched.pending() == model.sched.pending() == 0

@@ -337,7 +337,7 @@ def feedback_flow(scheme: str) -> dict:
         feedbacks.update(
             f"{sim.now()!r},{sender.cum_acked},{sender.in_flight},"
             f"{sender.cc.cwnd_bytes()},{sender.cc.pacing_rate_bps()!r},"
-            f"{None if rto is None else rto.time!r}\n".encode())
+            f"{None if rto is None else sim.due(rto)!r}\n".encode())
 
     sender._on_feedback = hashed
     conn.start_bulk()

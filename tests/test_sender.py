@@ -456,18 +456,21 @@ class TestRackDeadline:
 
 
 class PushCountingSimulator(Simulator):
-    """Records the callback of every event pushed onto the heap."""
+    """Records the callback of every event pushed onto the heap, and
+    every event cancelled (a dead heap entry until it surfaces)."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.pushed = []
+        self.cancelled = []
 
     def call_at(self, t, fn):
         self.pushed.append(fn)
         return super().call_at(t, fn)
 
-    def dead_entries(self):
-        return len(self._queue) - self.pending()
+    def cancel(self, ev):
+        self.cancelled.append(ev)
+        super().cancel(ev)
 
 
 class CountingBBR(BBR):
@@ -525,8 +528,8 @@ class TestTransmitCost:
         sender.set_unlimited()
         sim.run(max_events=40)
         ack_for(sender, 20 * MSS)
-        timer, dead = sender._send_timer, sim.dead_entries()
-        assert sender._limit == "pacing" and not timer.cancelled
+        timer, dead = sender._send_timer, len(sim.cancelled)
+        assert sender._limit == "pacing" and sim.due(timer) is not None
         del sim.pushed[:], port.sent[:]
         fed = sender.stats.feedback_received
         for _ in range(10):
@@ -534,10 +537,10 @@ class TestTransmitCost:
             ack_for(sender, 10 * MSS)
         assert sender.stats.feedback_received == fed + 10
         assert sim.pushed == [] and port.sent == []
-        assert sender._send_timer is timer and not timer.cancelled
-        assert sim.dead_entries() == dead
+        assert sender._send_timer is timer and sim.due(timer) is not None
+        assert len(sim.cancelled) == dead
         sim.run(max_events=1)
-        assert [p.sent_at for p in port.sent] == [pytest.approx(timer.time)]
+        assert [p.sent_at for p in port.sent] == [pytest.approx(sim.due(timer))]
 
     def test_kept_timer_follows_the_pacer_release_time(self, sim):
         sender, port = established_sender(
@@ -548,23 +551,24 @@ class TestTransmitCost:
         # A new rate does not move the release time: same timer.
         pacer.set_rate(pacer.rate_bps / 3)
         sender._try_send()
-        assert sender._send_timer is kept and not kept.cancelled
-        assert kept.time == pytest.approx(pacer.release_at)
+        assert sender._send_timer is kept and sim.due(kept) is not None
+        assert sim.due(kept) == pytest.approx(pacer.release_at)
         # Debt at a replaced rate, then forgiven: the release time
         # moves out and back in, and the timer with it, both times.
         pacer.set_rate(10.0)
         pacer.on_sent(MSS, sim.now())
         sender._try_send()
         far = sender._send_timer
-        assert kept.cancelled and far.time > sim.now() + 60.0
+        assert sim.due(kept) is None and sim.due(far) > sim.now() + 60.0
         pacer.set_rate(20e6)
         pacer.forgive(sim.now(), MSS)
         sender._try_send()
         near = sender._send_timer
-        assert far.cancelled and near.time == pytest.approx(pacer.release_at)
+        assert sim.due(far) is None
+        assert sim.due(near) == pytest.approx(pacer.release_at)
         del port.sent[:]
         sim.run(max_events=1)
-        assert [p.sent_at for p in port.sent] == [pytest.approx(near.time)]
+        assert [p.sent_at for p in port.sent] == [pytest.approx(sim.due(near))]
         # An RTO forgives the debt itself; its retransmissions leave on
         # the timer armed for the forgiven release time.
         pacer.set_rate(10.0)
@@ -574,11 +578,12 @@ class TestTransmitCost:
         while sender.stats.rtos == 0:
             assert sim.step()
         timer = sender._send_timer
-        assert timer.time == pytest.approx(pacer.release_at)
-        assert sim.now() < timer.time < sim.now() + 1.0 and port.sent == []
-        sim.run(until=timer.time)
+        due = sim.due(timer)
+        assert due == pytest.approx(pacer.release_at)
+        assert sim.now() < due < sim.now() + 1.0 and port.sent == []
+        sim.run(until=due)
         assert [(p.seq, p.sent_at) for p in port.sent] == [
-            (0, pytest.approx(timer.time))]
+            (0, pytest.approx(due))]
 
 
     def test_a_departure_costs_the_guard_one_append_and_no_pop(self, sim):
@@ -595,9 +600,11 @@ class TestTransmitCost:
     def test_python_calls_per_data_packet_on_a_tack_wlan_flow(self):
         """Calls into ``repro`` per data packet of a seeded ``tcp-tack``
         flow over 802.11n (``sys.setprofile``, ``call`` events, CPython
-        3.11): 37.83; 40.09 before ``Simulator.run`` stepped its clock
-        in place, 42.60 before ``Simulator.call_at`` read its clock's
-        slot, and 52.00 before the path of a data packet was one pass per
+        3.11): 32.11; 37.83 before the heap entry was the event's
+        handle (an ``Event.__init__`` per push) and the per-packet
+        handlers read the clock in place, 40.09 before ``Simulator.run``
+        stepped its clock in place, 42.60 before ``Simulator.call_at``
+        read its clock's slot, and 52.00 before the path of a data packet was one pass per
         layer (the RTT_min read through four calls, three calls per
         acked record, the WLAN peer looked up per MPDU)."""
         sim = Simulator(seed=1, simsan=False)
@@ -606,13 +613,16 @@ class TestTransmitCost:
         conn.wire(path.forward, path.reverse)
         packets, calls = self.calls_from_half_a_second(sim, conn)
         assert packets > 4000
-        assert calls / packets <= 38.3
+        assert calls / packets <= 32.6
 
     def test_python_calls_per_data_packet_on_a_bbr_wired_flow(self):
         """The same count for a seeded ``tcp-bbr`` flow (delayed ACK,
         SACK, RACK; about one ACK per 1.2 data packets) on a 50 Mbit/s,
-        40 ms wired path losing one packet in 250 (CPython 3.11): 70.88;
-        94.92 before each wired-link leg was one pass (a loss model on
+        40 ms wired path losing one packet in 250 (CPython 3.11): 59.59;
+        70.88 before the heap entry was the event's handle and the
+        per-packet handlers read the clock in place (``Event.__init__``
+        and ``Clock.now`` per push and per handler), 94.92 before each
+        wired-link leg was one pass (a loss model on
         the lossless reverse link, the queue's methods, the
         serialization formula, a closure per arrival, ``advance_to`` per
         event), and 115.48 before one legacy ACK was one pass per layer
@@ -627,7 +637,7 @@ class TestTransmitCost:
             forward_loss=PatternLoss(range(125, 1 << 20, 250)))
         packets, calls = self.calls_from_half_a_second(sim, conn)
         assert packets > 1900 and conn.sender.stats.retransmissions > 5
-        assert calls / packets <= 71.5
+        assert calls / packets <= 60.2
 
     @staticmethod
     def calls_from_half_a_second(sim, conn):
@@ -690,23 +700,24 @@ class TestFeedbackCost:
 
         def watched(fb, kind):
             armed, acked = sender._rto_timer, sender.cum_acked
-            due = None if armed is None else armed.time
+            due = None if armed is None else sim.due(armed)
             pushes = sim.pushed.count(sender._on_rto)
-            dead = sim.dead_entries()
+            dead = len(sim.cancelled)
             on_feedback(fb, kind)
             if sender.cum_acked == acked or armed is None:
                 return
             seen["progress"] += 1
             pushes = sim.pushed.count(sender._on_rto) - pushes
             timer = sender._rto_timer
-            assert timer.time == pytest.approx(sim.now() + sender.rtt.rto())
-            if timer.time >= due:
+            assert sim.due(timer) == pytest.approx(
+                sim.now() + sender.rtt.rto())
+            if sim.due(timer) >= due:
                 seen["moved"] += 1
-                assert timer is armed and not armed.cancelled
-                assert pushes == 0 and sim.dead_entries() <= dead
+                assert timer is armed and sim.due(armed) is not None
+                assert pushes == 0 and len(sim.cancelled) == dead
             else:
                 seen["earlier"] += 1
-                assert timer is not armed and armed.cancelled
+                assert timer is not armed and sim.due(armed) is None
                 assert pushes == 1
 
         sender._on_feedback = watched
@@ -724,23 +735,23 @@ class TestFeedbackCost:
         sim.run(until=0.25)             # the RTO fires and backs off
         assert sender.stats.rtos == 1
         backed_off = sender._rto_timer
-        assert backed_off.time == pytest.approx(0.02 + 0.2 + 0.4)
+        assert sim.due(backed_off) == pytest.approx(0.02 + 0.2 + 0.4)
         del sim.pushed[:]
         # The late ACK of an original transmission (the second segment;
         # the first was retransmitted): progress, one sample (Karn
         # allows it) that resets the backoff, a shorter RTO.
         ack_for(sender, 2 * MSS)
         timer = sender._rto_timer
-        assert timer is not backed_off and backed_off.cancelled
-        assert timer.time == pytest.approx(sim.now() + sender.rtt.rto())
-        assert timer.time < backed_off.time
+        assert timer is not backed_off and sim.due(backed_off) is None
+        assert sim.due(timer) == pytest.approx(sim.now() + sender.rtt.rto())
+        assert sim.due(timer) < 0.02 + 0.2 + 0.4
         assert sim.pushed.count(sender._on_rto) == 1
         # ... and from there on it only recedes: moved, not pushed.
         sim.run(until=0.3)
         del sim.pushed[:]
         ack_for(sender, 3 * MSS)
-        assert sender._rto_timer is timer and not timer.cancelled
-        assert timer.time == pytest.approx(sim.now() + sender.rtt.rto())
+        assert sender._rto_timer is timer and sim.due(timer) is not None
+        assert sim.due(timer) == pytest.approx(sim.now() + sender.rtt.rto())
         assert sender._on_rto not in sim.pushed
 
     def test_pacer_subclass_sees_one_set_rate_per_admitted_feedback(self, sim):

@@ -99,6 +99,15 @@ class TestInvariantsTrip:
         with pytest.raises(InvariantViolation, match="event_clock"):
             sim.san.on_event(float("nan"))
 
+    def test_event_clock_rejects_an_entry_carrying_a_move_mark(self):
+        sim = Simulator(seed=1, simsan=True)
+        ev = sim.call_at(1.0, lambda: None)
+        sim.san.on_event(1.0, ev)                   # live: fires as is
+        sim.move(ev, 2.0)
+        # corrupt: the entry fires under its old key, its mark unread
+        with pytest.raises(InvariantViolation, match="event_clock"):
+            sim.san.on_event(1.0, ev)
+
     def test_pkt_seq_monotone(self):
         sim, conn = self.setup_conn()
         sender = conn.sender
@@ -287,7 +296,7 @@ class TestInvariantsTrip:
         conn.start_transfer(400 * MSS)
         sim.run(until=0.5)
         sender = conn.sender
-        assert sender.in_flight > 0 and not sender._rto_timer.cancelled
+        assert sender.in_flight > 0 and sim.due(sender._rto_timer) is not None
         return sim, sender
 
     def test_rto_armed_timer_dropped(self):
@@ -300,7 +309,7 @@ class TestInvariantsTrip:
         with pytest.raises(InvariantViolation, match="rto_armed"):
             sim.san.on_sender_feedback(sender, fb)
         sender._rto_timer = armed
-        armed.cancel()              # corrupt: the holder kept a dead event
+        sim.cancel(armed)           # corrupt: the holder kept a dead event
         with pytest.raises(InvariantViolation, match="rto_armed"):
             sim.san.on_sender_feedback(sender, fb)
 
@@ -310,7 +319,7 @@ class TestInvariantsTrip:
         fb = AckFeedback(cum_ack=sender.cum_acked, awnd=1 << 20)
         # No progress: an older deadline is what is expected ...
         sim.san.on_sender_feedback(sender, fb, progress=False)
-        assert sender._rto_timer.time < sim.now() + sender.rtt.rto()
+        assert sim.due(sender._rto_timer) < sim.now() + sender.rtt.rto()
         # ... but after progress it is due one RTO from now.
         with pytest.raises(InvariantViolation, match="rto_armed"):
             sim.san.on_sender_feedback(sender, fb, progress=True)
@@ -323,7 +332,7 @@ class TestInvariantsTrip:
         fb = AckFeedback(cum_ack=sender.cum_acked, awnd=1 << 20)
         stale = sim.call_at(sim.now(), lambda: None)
         sim.run(until=sim.now() + 0.001)
-        sender._rto_timer.cancel()
+        sim.cancel(sender._rto_timer)
         sender._rto_timer = stale   # corrupt: fired, so moving it is lost
         with pytest.raises(InvariantViolation, match="rto_armed"):
             sim.san.on_sender_feedback(sender, fb)
