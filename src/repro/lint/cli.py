@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from repro.lint.engine import LintResult, lint_paths
 from repro.lint.rules import RULE_SUMMARIES
-from repro.lint.units import UNIT_RULE_SUMMARIES
 
 #: JSON report schema version; bump on incompatible change.
 JSON_SCHEMA_VERSION = 3
@@ -28,8 +27,8 @@ ENGINE_SUMMARIES = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint",
-        description="Determinism and unit/dimension lint for the TACK "
-                    "simulator (rules REP001-REP009, REP101-REP105).",
+        description="Determinism lint for the TACK simulator "
+                    "(rules REP001-REP009).",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
@@ -71,8 +70,7 @@ def _report_json(result: LintResult) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
-        for code, summary in {**RULE_SUMMARIES, **ENGINE_SUMMARIES,
-                              **UNIT_RULE_SUMMARIES}.items():
+        for code, summary in {**RULE_SUMMARIES, **ENGINE_SUMMARIES}.items():
             print(f"{code}  {summary}")
         return 0
 

@@ -54,10 +54,6 @@ SIM_PACKAGES = ("netsim", "transport", "ack", "cc", "core", "wlan",
 REP004_PACKAGES = ("netsim", "transport", "ack", "cc", "core", "wlan",
                    "energy")
 
-#: Packages where REP105 applies: simulation code whose arithmetic must
-#: be unit-attributable.  Host-side code still gets REP101-REP104.
-STRICT_PACKAGES = ("netsim", "transport", "ack", "cc", "core", "wlan")
-
 #: Parameter names REP004 accepts without a unit suffix: dimensionless
 #: or contextual (`beta` is the paper's ACKs-per-RTT, S4.1; `start` the
 #: Clock epoch).
@@ -81,11 +77,6 @@ def package_of(rpath: str) -> str:
     """The top-level ``repro`` package of a ``repro/...`` path ('' if none)."""
     parts = rpath.split("/")
     return parts[1] if parts[0] == "repro" and len(parts) > 2 else ""
-
-
-def is_fixture(rpath: str) -> bool:
-    """True for lint fixtures (intentionally broken; skipped by every rule)."""
-    return "/tests/fixtures/" in "/" + rpath
 
 
 def is_host(rpath: str) -> bool:

@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.config import is_fixture, is_host, repro_path
+from repro.lint.config import is_host, repro_path
 from repro.lint.rules import DETERMINISM_RULES, RULES, Finding
-from repro.lint.units.checker import analyze_units
 
 _PRAGMA_RE = re.compile(
     r"#\s*reprolint:\s*(disable(?:-file)?)\s*(?:=\s*([A-Z0-9,\s]+))?"
@@ -193,33 +192,23 @@ def _lint(sources: List[Tuple[str, str]],
           report_unused_pragmas: bool = False) -> List[Finding]:
     """Every rule over ``(path, source)`` pairs, pragmas applied.
 
-    Each file is parsed once: the per-file rules run on its tree, then
-    the whole-program unit analysis (:func:`analyze_units`) over every
-    tree that parsed.  Pragma suppression and unused-pragma reporting
-    come last, over the merged findings of both.
+    Each file is parsed once and every rule runs on its tree; the
+    file's pragmas then suppress what they cover and, when asked,
+    report the codes that suppressed nothing.
     """
-    per_file: Dict[str, List[Finding]] = {}
-    trees: List[Tuple[str, ast.AST]] = []
+    findings: List[Finding] = []
     for path, source in sources:
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            per_file[path] = [Finding(
-                "REP000", f"syntax error: {exc.msg}", path,
-                exc.lineno or 1, (exc.offset or 1) - 1)]
-            continue
-        trees.append((path, tree))
-        rpath = repro_path(path)
-        host = is_host(rpath)
-        per_file[path] = [finding for code, rule in RULES.items()
-                          if not (host and code in DETERMINISM_RULES)
-                          for finding in rule(tree, path, rpath)]
-    for finding in analyze_units(trees):
-        per_file[finding.path].append(finding)
-
-    findings: List[Finding] = []
-    for path, source in sources:
-        raw = per_file[path]
+            raw = [Finding("REP000", f"syntax error: {exc.msg}", path,
+                           exc.lineno or 1, (exc.offset or 1) - 1)]
+        else:
+            rpath = repro_path(path)
+            host = is_host(rpath)
+            raw = [finding for code, rule in RULES.items()
+                   if not (host and code in DETERMINISM_RULES)
+                   for finding in rule(tree, path, rpath)]
         if not raw and not report_unused_pragmas:
             continue
         pragmas = PragmaSet(source)
@@ -265,9 +254,8 @@ class LintResult:
 
 def lint_paths(paths: Iterable[Path], *,
                report_unused_pragmas: bool = False) -> LintResult:
-    """Lint every ``.py`` under *paths*, lint fixtures excepted."""
-    files = [str(p) for p in iter_python_files(paths)
-             if not is_fixture(repro_path(str(p)))]
+    """Lint every ``.py`` under *paths*."""
+    files = [str(p) for p in iter_python_files(paths)]
     sources: List[Tuple[str, str]] = []
     findings: List[Finding] = []
     for path in files:

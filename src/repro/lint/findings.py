@@ -1,8 +1,7 @@
 """The Finding record — leaf module so every lint layer can import it.
 
-Rules, the units checker, and the engine all produce or
-consume findings; keeping the dataclass dependency-free avoids import
-cycles between them.
+Rules and the engine both produce or consume findings; keeping the
+dataclass dependency-free avoids import cycles between them.
 """
 
 from __future__ import annotations

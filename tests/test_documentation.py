@@ -70,3 +70,27 @@ class TestRepoDocuments:
     def test_paper_confirmation_present(self):
         design = (REPO_ROOT / "DESIGN.md").read_text()
         assert "Paper identity confirmed" in design
+
+    def test_named_source_paths_exist(self):
+        missing = []
+        for doc in ("DESIGN.md", "README.md", "EXPERIMENTS.md"):
+            text = (REPO_ROOT / doc).read_text()
+            for path in re.findall(r"src/repro/[\w./-]*", text):
+                if not (REPO_ROOT / path.rstrip(".")).exists():
+                    missing.append(f"{doc}: {path}")
+        assert missing == []
+
+    def test_simsan_table_names_every_invariant(self):
+        # DESIGN.md section 9's table against the names the sanitizer
+        # raises: a row per invariant, and no row for a retired one.
+        design = (REPO_ROOT / "DESIGN.md").read_text()
+        table = design[design.index("**simsan**"):
+                       design.index("Violations raise")]
+        documented = {name for line in table.splitlines()
+                      if line.startswith("| `")
+                      for name in re.findall(r"`(\w+)`",
+                                             line.split("|")[1])}
+        source = (REPO_ROOT / "src" / "repro" / "sanitize"
+                  / "invariants.py").read_text()
+        raised = set(re.findall(r'_fail\(\s*"(\w+)"', source))
+        assert documented == raised
