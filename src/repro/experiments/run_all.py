@@ -17,12 +17,14 @@ committed byte.  Tables are printed and written to ``DIR``.
 
 Experiments run through :mod:`repro.runner`: ``--jobs N`` fans them out
 over N worker processes (results are deterministic and identical to a
-serial run), results are cached on disk under ``DIR/.cache`` keyed by
-(experiment, parameters, source fingerprint) so unchanged experiments
-are instant on re-run, and a JSON manifest of per-task status, timing,
-and cache behavior is written to ``DIR/run_manifest.json``.  A failed
-experiment is reported in the summary instead of aborting the run; the
-exit code is non-zero if any experiment failed.
+serial run), and each finished table is appended to the run's record,
+``DIR/run_manifest.jsonl``, keyed by (experiment, parameters, seed)
+under the source fingerprint, so a re-run with unchanged code replays
+it instead of running it.  A record this code cannot adopt (other
+source, or corrupt) is replaced by a fresh one, as is any record under
+``--no-cache``.  A failed experiment is reported in the summary instead
+of aborting the run and is not recorded; the exit code is non-zero if
+any experiment failed.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from repro.experiments import (
     fig16_beta_bound,
     fig17_freq_model,
 )
-from repro.runner import Campaign
+from repro.experiments.table import Table
+from repro.runner import Campaign, ManifestMismatch
 
 
 def experiment_plan(fast: bool):
@@ -64,7 +67,7 @@ def experiment_plan(fast: bool):
 
     Every callable is a plain function or a :func:`functools.partial`
     of one, so the plan is picklable (ships to worker processes) and
-    parameter-introspectable (feeds the result-cache key).
+    parameter-introspectable (feeds the record's task key).
     """
     s = (1.0 / 3.0) if fast else 1.0
 
@@ -150,8 +153,8 @@ def main(argv=None) -> int:
                         help="worker processes (default 1; results are "
                              "identical to a serial run)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="recompute everything, ignoring and not "
-                             "updating the on-disk result cache")
+                        help="recompute everything: replace the run record "
+                             "instead of replaying it")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="kill any experiment running longer than S "
                              "seconds (default: no timeout)")
@@ -186,10 +189,10 @@ def main(argv=None) -> int:
         stream out in completion order; files are what parity cares
         about)."""
         if result.ok:
-            table = result.value
+            table = Table.from_dict(result.value)
             table.show()
             table.save(os.path.join(args.out, f"{result.name}.txt"))
-            tag = " (cached)" if result.cache == "hit" else ""
+            tag = " (cached)" if result.attempts == 0 else ""
             print(f"[{result.name}: {result.wall_time_s:.1f}s{tag}]\n")
         else:
             print(f"[{result.name}: FAILED ({result.failure}) after "
@@ -199,16 +202,20 @@ def main(argv=None) -> int:
                 print(result.error.rstrip())
             print()
 
-    outcome = campaign.run(
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else os.path.join(args.out, ".cache"),
-        timeout=args.timeout,
-        retries=args.retries,
-        manifest_path=os.path.join(args.out, "run_manifest.json"),
-        on_result=emit,
-    )
+    record = os.path.join(args.out, "run_manifest.jsonl")
+    if args.no_cache and os.path.exists(record):
+        os.remove(record)
+    run = functools.partial(campaign.run, jobs=args.jobs,
+                            timeout=args.timeout, retries=args.retries,
+                            manifest_path=record, on_result=emit)
+    try:
+        outcome = run()
+    except ManifestMismatch as exc:
+        print(f"[replacing the run record: {exc}]\n")
+        os.remove(record)
+        outcome = run()
 
-    hits = sum(1 for r in outcome.results if r.cache == "hit")
+    hits = len(outcome.replayed)
     cache_note = f" ({hits} cached)" if hits else ""
     print(f"Regenerated {len(outcome.ok)}/{len(plan)} experiments{cache_note} "
           f"in {time.time() - total_start:.0f}s -> {args.out}/")

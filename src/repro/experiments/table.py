@@ -65,5 +65,15 @@ class Table:
         with open(path, "w") as f:
             f.write(self.format_text() + "\n")
 
+    def to_dict(self) -> dict[str, Any]:
+        return {"title": self.title, "columns": self.columns,
+                "note": self.note, "rows": self.rows}
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "Table":
+        table = cls(data["title"], data["columns"], data["note"])
+        table.rows = data["rows"]
+        return table
+
     def __len__(self) -> int:
         return len(self.rows)

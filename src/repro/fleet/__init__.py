@@ -1,26 +1,17 @@
 """Fleet-scale edge simulation: workload generation, sharded campaigns
-with streaming aggregation, and resumable manifests.
+with streaming aggregation, resumable through the runner's record.
 
 See DESIGN.md section 13 and ``python -m repro.fleet --help``.
 """
 
 from repro.fleet.workload import FlowSpec, WorkloadConfig, generate_flows
 from repro.fleet.shard import ShardSpec, run_shard
-from repro.fleet.manifest import ManifestMismatch, ShardManifest
-from repro.fleet.campaign import (
-    CampaignOutcome,
-    FleetConfig,
-    plan_shards,
-    run_fleet,
-)
+from repro.fleet.campaign import FleetConfig, plan_shards, run_fleet
 from repro.fleet.report import aggregate, aggregate_digest, campaign_report
 
 __all__ = [
-    "CampaignOutcome",
     "FleetConfig",
     "FlowSpec",
-    "ManifestMismatch",
-    "ShardManifest",
     "ShardSpec",
     "WorkloadConfig",
     "aggregate",

@@ -1,15 +1,16 @@
 """Fleet campaign planning and execution.
 
 A campaign is ``schemes x shards_per_scheme`` independent shard
-simulations (each a :class:`~repro.fleet.shard.ShardSpec`) executed on
-the :mod:`repro.runner` process pool and streamed into a
-:class:`~repro.fleet.manifest.ShardManifest`.  Shard seeds derive from
-``(campaign seed, shard name)`` via :func:`repro.runner.task.derive_seed`,
-so results are independent of worker scheduling and of how many times
-the campaign was interrupted and resumed.
+simulations (each a :class:`~repro.fleet.shard.ShardSpec`) run by the
+one campaign driver, :class:`repro.runner.Campaign`, into its durable
+record (:class:`repro.runner.manifest.Manifest`).  Shard seeds derive
+from ``(campaign seed, shard name)`` via
+:func:`repro.runner.task.derive_seed`, so results are independent of
+worker scheduling and of how many times the campaign was interrupted
+and resumed.
 
 The campaign *fingerprint* — sha256 over the canonical JSON of the
-config — names the exact experiment; the manifest refuses to mix
+config — names the exact experiment; the record refuses to mix
 shards from different fingerprints.  Host-side execution knobs (job
 count, shard cap per invocation) are deliberately **not** part of the
 fingerprint: running with ``--jobs 1`` or ``--jobs 32`` is the same
@@ -22,11 +23,11 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.fleet.manifest import ShardManifest, canonical_json
 from repro.fleet.shard import ShardSpec, run_shard
 from repro.fleet.workload import WorkloadConfig
-from repro.runner.pool import execute_tasks
-from repro.runner.task import Task, TaskResult, derive_seed
+from repro.runner.campaign import Campaign, CampaignResult
+from repro.runner.manifest import canonical_json
+from repro.runner.task import TaskResult, derive_seed
 
 DEFAULT_SCHEMES = ("tcp-tack", "tcp-bbr", "tcp-bbr-perpacket")
 
@@ -105,71 +106,28 @@ def plan_shards(config: FleetConfig) -> List[ShardSpec]:
     return specs
 
 
-@dataclass
-class CampaignOutcome:
-    """What one ``run_fleet`` invocation did."""
-
-    fingerprint: str
-    total_shards: int
-    skipped: int                      # already in the manifest (resume)
-    ran: int
-    failed: List[str] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return self.skipped + self.ran == self.total_shards and not self.failed
-
-
 def run_fleet(config: FleetConfig,
               manifest_path,
               jobs: int = 1,
               max_shards: Optional[int] = None,
               timeout_s: Optional[float] = None,
               simsan: Optional[bool] = None,
-              on_shard: Optional[Callable[[Dict[str, Any]], None]] = None,
-              ) -> CampaignOutcome:
-    """Run (or resume) a fleet campaign.
+              on_result: Optional[Callable[[TaskResult], None]] = None,
+              ) -> CampaignResult:
+    """Run (or resume) a fleet campaign: one task per planned shard.
 
-    Shards already present in the manifest are skipped; newly finished
-    shards are fsync'd into it before being acknowledged.  Failed
-    shards are reported but not recorded, so a re-run retries exactly
-    those.  ``max_shards`` caps how many *new* shards this invocation
-    runs — the CI smoke test uses it as a deterministic mid-campaign
-    "kill" before exercising resume.
+    Shards already in the record at *manifest_path* are replayed, not
+    re-run; a record of another config raises
+    :class:`~repro.runner.manifest.ManifestMismatch`.  ``max_shards``
+    caps how many *new* shards this invocation runs — the CI smoke
+    test uses it as a deterministic mid-campaign "kill" before
+    exercising resume.
     """
-    specs = plan_shards(config)
-    fingerprint = config.fingerprint()
-    with ShardManifest(manifest_path) as manifest:
-        done = manifest.ensure_header(fingerprint, config.to_dict())
-        remaining = [s for s in specs if s.shard_id not in done]
-        todo = (remaining[:max_shards] if max_shards is not None
-                else remaining)
-
-        failed: List[str] = []
-
-        def settle(result: TaskResult) -> None:
-            if result.ok:
-                manifest.append_shard(result.value)
-                if on_shard is not None:
-                    on_shard(result.value)
-            else:
-                failed.append(f"{result.name}: {result.failure}")
-
-        tasks = [
-            Task(name=spec.name,
-                 fn=run_shard,
-                 kwargs={"spec": spec.to_dict(), "simsan": simsan},
-                 seed=spec.seed)
-            for spec in todo
-        ]
-        results = execute_tasks(tasks, jobs=jobs, timeout=timeout_s,
-                                on_result=settle)
-
-    ran = sum(1 for r in results if r.ok)
-    return CampaignOutcome(
-        fingerprint=fingerprint,
-        total_shards=len(specs),
-        skipped=len(specs) - len(remaining),
-        ran=ran,
-        failed=failed,
-    )
+    campaign = Campaign("fleet")
+    for spec in plan_shards(config):
+        campaign.add(spec.name, run_shard, seed=spec.seed,
+                     spec=spec.to_dict(), simsan=simsan)
+    return campaign.run(jobs, timeout=timeout_s, manifest_path=manifest_path,
+                        fingerprint=config.fingerprint(),
+                        config=config.to_dict(), max_tasks=max_shards,
+                        on_result=on_result)

@@ -3,7 +3,7 @@
 Host-side code: argument parsing, progress printing, file layout.
 All simulation happens in :mod:`repro.fleet.shard` workers; nothing
 here draws randomness or touches simulated time, which is why this
-module (and the campaign/manifest/report plumbing) sits outside
+module (and the campaign/report plumbing) sits outside
 reprolint's sim scope while ``workload``/``shard`` sit inside it.
 """
 
@@ -13,15 +13,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.fleet.campaign import (
-    DEFAULT_SCHEMES,
-    FleetConfig,
-    plan_shards,
-    run_fleet,
-)
-from repro.fleet.manifest import ManifestMismatch
+from repro.fleet.campaign import DEFAULT_SCHEMES, FleetConfig, run_fleet
 from repro.fleet.report import (
     aggregate,
     aggregate_digest,
@@ -30,6 +24,7 @@ from repro.fleet.report import (
     report_table,
 )
 from repro.fleet.workload import WorkloadConfig
+from repro.runner import ManifestMismatch, TaskResult
 from repro.stats.streaming import LogHistogram
 
 
@@ -38,23 +33,28 @@ def _manifest_path(out_dir: str) -> Path:
 
 
 class _Progress:
-    """Streaming one-line-per-shard progress with running percentiles."""
+    """Streaming one-line-per-shard progress with running percentiles.
 
-    def __init__(self, total: int, already_done: int, quiet: bool):
+    Shards replayed from the record count too, tagged ``recorded``;
+    failed shards are reported after the run.
+    """
+
+    def __init__(self, total: int, quiet: bool):
         self.total = total
-        self.done = already_done
+        self.done = 0
         self.quiet = quiet
         self.fct: Optional[LogHistogram] = None
 
-    def __call__(self, shard: Dict[str, Any]) -> None:
+    def __call__(self, result: TaskResult) -> None:
+        if self.quiet or not result.ok:
+            return
+        shard = result.value
         self.done += 1
         fct = LogHistogram.from_dict(shard["digests"]["fct_s"])
         if self.fct is None:
             self.fct = fct
         else:
             self.fct.merge(fct)
-        if self.quiet:
-            return
         flows = shard["flows"]
         if self.fct.count:
             p50 = self.fct.quantile(50) * 1e3
@@ -65,7 +65,8 @@ class _Progress:
         print(f"[{self.done:>4}/{self.total}] "
               f"shard{shard['shard_id']:04d} {shard['scheme']:<18} "
               f"flows {flows['completed']:>5}/{flows['started']:<5} "
-              f"{running}", flush=True)
+              f"{running}{' recorded' if result.attempts == 0 else ''}",
+              flush=True)
 
 
 def _config_from_args(args: argparse.Namespace) -> FleetConfig:
@@ -98,39 +99,32 @@ def _config_from_args(args: argparse.Namespace) -> FleetConfig:
 def _execute(config: FleetConfig, args: argparse.Namespace,
              resumed: bool) -> int:
     manifest = _manifest_path(args.out)
-    specs = plan_shards(config)
-    try:
-        from repro.fleet.manifest import ShardManifest
-        _, done = ShardManifest(manifest).load()
-    except ManifestMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    total = len(config.schemes) * config.shards_per_scheme
     if not args.quiet:
         expected = config.total_flows_expected()
-        mode = "resuming" if resumed or done else "starting"
+        mode = "resuming" if resumed else "starting"
         print(f"{mode} campaign {config.fingerprint()[:16]}: "
-              f"{len(specs)} shards ({len(done)} already done), "
-              f"~{expected:,.0f} flows expected, jobs={args.jobs}",
-              flush=True)
-    progress = _Progress(len(specs), len(done), args.quiet)
+              f"{total} shards, ~{expected:,.0f} flows expected, "
+              f"jobs={args.jobs}", flush=True)
     try:
         outcome = run_fleet(
             config, manifest,
             jobs=args.jobs,
             max_shards=args.max_shards,
             timeout_s=args.timeout,
-            on_shard=progress,
+            on_result=_Progress(total, args.quiet),
         )
     except ManifestMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for failure in outcome.failed:
-        print(f"shard failed: {failure}", file=sys.stderr)
+    for result in outcome.failed:
+        print(f"shard failed: {result.name}: {result.failure}",
+              file=sys.stderr)
     if outcome.complete:
         _render_report(manifest, args)
         return 0
     if not args.quiet:
-        remaining = outcome.total_shards - outcome.skipped - outcome.ran
+        remaining = outcome.planned - len(outcome.ok)
         print(f"campaign incomplete: {remaining} shards remaining "
               f"({len(outcome.failed)} failed); "
               f"re-run `repro.fleet resume --out {args.out}` to continue",

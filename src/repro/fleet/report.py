@@ -1,6 +1,6 @@
 """Campaign aggregation and reporting.
 
-Merges shard summaries out of a manifest into per-scheme aggregates.
+Merges shard summaries out of a campaign's record into per-scheme aggregates.
 Two rules make the result *reproducible across interruptions*:
 
 * shards merge in **shard-id order**, never completion order, and
@@ -24,7 +24,7 @@ from repro.diagnose import ALL_STATES as DIAG_STATES
 from repro.energy import TOTAL_KEYS as ENERGY_TOTAL_KEYS
 from repro.experiments.table import Table
 from repro.fleet.campaign import FleetConfig, plan_shards
-from repro.fleet.manifest import ManifestMismatch, ShardManifest, canonical_json
+from repro.runner.manifest import Manifest, ManifestMismatch, canonical_json
 from repro.stats.streaming import BottomKReservoir, ExactSum, LogHistogram
 
 #: Integer energy counters folded across shards (plain int sums).
@@ -247,10 +247,11 @@ def aggregate_digest(by_scheme: Dict[str, SchemeAggregate]) -> str:
 # ----------------------------------------------------------------------
 
 def load_campaign(manifest_path):
-    """Read a manifest back: ``(config, {shard_id: result})``."""
-    header, shards = ShardManifest(manifest_path).load()
-    if header is None:
-        raise ManifestMismatch(f"{manifest_path}: no manifest header found")
+    """Read a campaign's record back: ``(config, {shard_id: summary})``."""
+    header, tasks = Manifest(manifest_path).load()
+    if header is None or header.get("campaign") != "fleet":
+        raise ManifestMismatch(f"{manifest_path}: no fleet campaign header")
+    shards = {t["value"]["shard_id"]: t["value"] for t in tasks.values()}
     return FleetConfig.from_dict(header["config"]), shards
 
 

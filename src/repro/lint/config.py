@@ -25,12 +25,11 @@ HOST_FILES = (
     "repro/profile/*",
     "repro/telemetry/cli.py",
     "repro/telemetry/__main__.py",
-    # fleet: campaign orchestration, durable manifest I/O, aggregation,
-    # CLI.  The generators (workload.py, shard.py) are simulation code.
+    # fleet: campaign orchestration, aggregation, CLI.  The generators
+    # (workload.py, shard.py) are simulation code.
     "repro/fleet/cli.py",
     "repro/fleet/__main__.py",
     "repro/fleet/campaign.py",
-    "repro/fleet/manifest.py",
     "repro/fleet/report.py",
     # diagnose: the engine and the live doctor are simulation-side;
     # the trace replayer, explainer and CLI are host tooling.

@@ -1,9 +1,10 @@
 """Parallel experiment-campaign runner.
 
 Orchestrates batches of independent, seed-driven experiments over a
-process pool with on-disk result caching, per-task timeout + bounded
-retry, graceful degradation on failure, and a structured JSON run
-manifest.  See DESIGN.md section 8 for the architecture.
+process pool with per-task timeout + bounded retry, graceful
+degradation on failure, and one durable record of finished tasks (a
+crash-safe JSONL log) that a re-run replays.  See DESIGN.md section 8
+for the architecture.
 
 Typical use::
 
@@ -12,23 +13,21 @@ Typical use::
     campaign = Campaign("beta_sweep")
     for beta in (1.5, 2.0, 4.0):
         campaign.add(f"beta{beta}", my_experiment, beta=beta)
-    outcome = campaign.run(jobs=4, cache_dir="results/.cache",
-                           timeout=300, retries=1,
-                           manifest_path="results/run_manifest.json")
+    outcome = campaign.run(jobs=4, timeout=300, retries=1,
+                           manifest_path="results/run_manifest.jsonl")
     for r in outcome.ok:
-        r.value.show()
+        print(r.name, r.value)
 """
 
-from repro.runner.cache import ResultCache, code_fingerprint
 from repro.runner.campaign import Campaign, CampaignResult
-from repro.runner.manifest import build_manifest, write_manifest
+from repro.runner.manifest import Manifest, ManifestMismatch, canonical_json
 from repro.runner.pool import execute_tasks
-from repro.runner.task import Task, TaskResult, derive_seed, task_signature
+from repro.runner.task import (Task, TaskResult, code_fingerprint, derive_seed,
+                               task_signature)
 
 __all__ = [
     "Campaign", "CampaignResult",
-    "Task", "TaskResult", "derive_seed", "task_signature",
-    "ResultCache", "code_fingerprint",
+    "Manifest", "ManifestMismatch", "canonical_json",
+    "Task", "TaskResult", "code_fingerprint", "derive_seed", "task_signature",
     "execute_tasks",
-    "build_manifest", "write_manifest",
 ]

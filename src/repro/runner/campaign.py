@@ -1,38 +1,39 @@
-"""Campaign orchestration: cache -> pool -> manifest.
+"""The one campaign driver: record -> pool -> record.
 
 A :class:`Campaign` is an ordered set of independent tasks (paper
-figures, ablation grid points, sweep cells).  :meth:`Campaign.run`
+figures, fleet shards, sweep cells).  :meth:`Campaign.run`
 
-1. fingerprints the ``repro`` source tree and checks the on-disk
-   result cache — unchanged tasks resolve instantly as cache hits;
-2. fans the misses out over the worker pool
+1. adopts the campaign's durable record
+   (:class:`repro.runner.manifest.Manifest`), if it is given one, and
+   settles every task already in it from its recorded value without
+   running it;
+2. fans the rest out over the worker pool
    (:func:`repro.runner.pool.execute_tasks`) with per-task timeout and
    bounded retry;
-3. stores fresh results back into the cache; and
-4. returns a :class:`CampaignResult` (plan-ordered results + manifest),
-   optionally writing the manifest JSON to disk.
+3. appends each task that finishes ok to the record before it settles;
+   and
+4. returns a :class:`CampaignResult` of the settled tasks, plan-ordered.
 
-Failed tasks never abort the campaign: they are reported in the
-results/manifest and the caller decides what a failure means.
+Failed tasks never abort the campaign and are never recorded: they
+are reported in the result, a re-run retries them, and the caller
+decides what a failure means.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.runner.cache import ResultCache, code_fingerprint
-from repro.runner.manifest import build_manifest, write_manifest
+from repro.runner.manifest import Manifest, task_key
 from repro.runner.pool import execute_tasks
-from repro.runner.task import Task, TaskResult, derive_seed, task_signature
+from repro.runner.task import Task, TaskResult, code_fingerprint, derive_seed
 
 
 class CampaignResult:
-    """Plan-ordered task results plus the run manifest."""
+    """Plan-ordered results of the tasks that settled in one run."""
 
-    def __init__(self, results: List[TaskResult], manifest: Dict[str, Any]):
+    def __init__(self, results: List[TaskResult], planned: int):
         self.results = results
-        self.manifest = manifest
+        self.planned = planned
 
     @property
     def ok(self) -> List[TaskResult]:
@@ -41,6 +42,14 @@ class CampaignResult:
     @property
     def failed(self) -> List[TaskResult]:
         return [r for r in self.results if not r.ok]
+
+    @property
+    def replayed(self) -> List[TaskResult]:
+        return [r for r in self.results if r.attempts == 0]
+
+    @property
+    def complete(self) -> bool:
+        return len(self.results) == self.planned and not self.failed
 
 
 class Campaign:
@@ -66,75 +75,55 @@ class Campaign:
 
     # ------------------------------------------------------------------
     def run(self, jobs: int = 1, *,
-            cache_dir: Optional[str] = None,
             timeout: Optional[float] = None, retries: int = 0,
-            manifest_path: Optional[str] = None,
+            manifest_path=None,
             fingerprint: Optional[str] = None,
+            config: Any = None,
+            max_tasks: Optional[int] = None,
             on_result: Optional[Callable[[TaskResult], None]] = None,
             ) -> CampaignResult:
-        """Execute the campaign; caching is on iff *cache_dir* is given."""
-        started_unix = time.time()
-        started = time.monotonic()
+        """Run every task not already in the record at *manifest_path*.
 
-        cache: Optional[ResultCache] = None
-        if cache_dir is not None:
-            if fingerprint is None:
-                fingerprint = code_fingerprint()
-            cache = ResultCache(cache_dir, fingerprint)
-
+        Without a record every task runs and values stay as returned.
+        With one, under *fingerprint* (default: :func:`code_fingerprint`)
+        and *config* in its header, a task's value is its JSON form as
+        recorded, whether replayed or fresh.  A record of another
+        campaign raises :class:`~repro.runner.manifest.ManifestMismatch`
+        before any task runs.  *max_tasks* caps how many tasks this run
+        executes; *on_result* fires as each task settles.
+        """
         results: Dict[str, TaskResult] = {}
-        misses: List[Task] = []
-        keys: Dict[str, str] = {}
-        for task in self.tasks:
-            if cache is None:
-                misses.append(task)
-                continue
-            key = cache.key_for(task)
-            keys[task.name] = key
-            hit_started = time.monotonic()
-            hit, value = cache.load(key)
-            if hit:
-                result = TaskResult(
-                    name=task.name, status="ok", value=value,
-                    attempts=0,
-                    wall_time_s=time.monotonic() - hit_started,
-                    cache="hit", seed=task.seed)
-                results[task.name] = result
-                if on_result is not None:
-                    on_result(result)
-            else:
-                misses.append(task)
+        keys = {task.name: task_key(task) for task in self.tasks}
 
-        def settle(result: TaskResult) -> None:
-            task = next(t for t in self.tasks if t.name == result.name)
-            if cache is not None:
-                result.cache = "miss"
-                if result.ok:
-                    cache.store(
-                        keys[result.name], result.value,
-                        meta={
-                            "signature": task_signature(task),
-                            "fingerprint": cache.fingerprint,
-                            "wall_time_s": result.wall_time_s,
-                            "stored_unix": time.time(),
-                        })
+        def deliver(result: TaskResult) -> None:
             results[result.name] = result
             if on_result is not None:
                 on_result(result)
 
-        if misses:
-            execute_tasks(misses, jobs=jobs, timeout=timeout,
-                          retries=retries, on_result=settle)
+        manifest = None if manifest_path is None else Manifest(manifest_path)
+        recorded: Dict[str, Dict[str, Any]] = {} if manifest is None else \
+            manifest.open(self.name, fingerprint or code_fingerprint(), config)
 
-        ordered = [results[t.name] for t in self.tasks]
-        manifest = build_manifest(
-            self.name, ordered, jobs=jobs,
-            wall_time_s=time.monotonic() - started,
-            timeout_s=timeout, retries=retries,
-            cache_enabled=cache is not None,
-            cache_dir=cache_dir,
-            fingerprint=cache.fingerprint if cache is not None else None,
-            started_unix=started_unix)
-        if manifest_path is not None:
-            write_manifest(manifest_path, manifest)
-        return CampaignResult(ordered, manifest)
+        def settle(result: TaskResult) -> None:
+            if result.ok and manifest is not None:
+                result.value = manifest.append(keys[result.name], result)
+            deliver(result)
+
+        try:
+            todo: List[Task] = []
+            for task in self.tasks:
+                entry = recorded.get(keys[task.name])
+                if entry is None:
+                    todo.append(task)
+                else:
+                    deliver(TaskResult(name=task.name, value=entry["value"],
+                                       seed=task.seed))
+            execute_tasks(todo[:max_tasks], jobs=jobs, timeout=timeout,
+                          retries=retries, on_result=settle)
+        finally:
+            if manifest is not None:
+                manifest.close()
+
+        return CampaignResult(
+            [results[t.name] for t in self.tasks if t.name in results],
+            planned=len(self.tasks))

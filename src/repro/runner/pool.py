@@ -119,7 +119,6 @@ def execute_tasks(tasks: Sequence[Task], jobs: int = 1,
             error=error,
             attempts=run.attempt,
             wall_time_s=spent[run.index],
-            cache="off",
             seed=run.task.seed,
         )
         results[run.index] = result

@@ -8,13 +8,16 @@ one (lambdas only work under the ``fork`` start method).
 
 :func:`task_signature` flattens a task into a stable, JSON-friendly
 description of *what* would run (function identity + parameters + seed)
-which the result cache hashes into its key.
+which the campaign record hashes into each task's key, and
+:func:`code_fingerprint` names the source tree that ran it.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -28,6 +31,28 @@ def derive_seed(base_seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{base_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % (2**31 - 1)
+
+
+def code_fingerprint(package: str = "repro") -> str:
+    """sha256 over every ``.py`` source file of *package*.
+
+    File contents and package-relative paths both feed the hash, so
+    renames, additions, deletions, and edits all change the
+    fingerprint.  Byte-compiled caches (``__pycache__``) are ignored.
+    """
+    mod = importlib.import_module(package)
+    root = os.path.dirname(os.path.abspath(mod.__file__))
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in sorted(os.walk(root)):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for fname in sorted(filenames):
+            if not fname.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, fname)
+            h.update(os.path.relpath(path, root).encode())
+            with open(path, "rb") as f:
+                h.update(f.read())
+    return h.hexdigest()
 
 
 @dataclass
@@ -56,7 +81,7 @@ def _unwrap(fn: Callable) -> tuple[Callable, tuple, dict]:
 
 
 def task_signature(task: Task) -> Dict[str, Any]:
-    """Stable description of a task for cache keying.
+    """Stable description of a task, hashed into its record key.
 
     Captures the fully-qualified function name, every bound parameter
     (partial args/kwargs plus the task's own kwargs), and the seed.
@@ -76,16 +101,15 @@ def task_signature(task: Task) -> Dict[str, Any]:
 
 @dataclass
 class TaskResult:
-    """Outcome of one task after caching, retries, and degradation."""
+    """Outcome of one task after replay, retries, and degradation."""
 
     name: str
     status: str = "ok"              # "ok" | "failed"
     value: Any = None
     failure: Optional[str] = None   # "error" | "timeout" | "crashed" | "aborted"
     error: Optional[str] = None     # traceback / diagnostic text
-    attempts: int = 0               # 0 means served from cache
+    attempts: int = 0               # 0 means replayed from the record
     wall_time_s: float = 0.0
-    cache: str = "off"              # "hit" | "miss" | "off"
     seed: Optional[int] = None
 
     @property

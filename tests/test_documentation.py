@@ -80,6 +80,12 @@ class TestRepoDocuments:
                     missing.append(f"{doc}: {path}")
         assert missing == []
 
+    def test_design_md_names_every_golden_file(self):
+        design = (REPO_ROOT / "DESIGN.md").read_text()
+        golden = sorted(p.name for p in (REPO_ROOT / "tests" / "golden").iterdir())
+        assert golden
+        assert [name for name in golden if name not in design] == []
+
     def test_simsan_table_names_every_invariant(self):
         # DESIGN.md section 9's table against the names the sanitizer
         # raises: a row per invariant, and no row for a retired one.

@@ -1,4 +1,4 @@
-"""repro.fleet: workload generation, shards, manifests, resume.
+"""repro.fleet: workload generation, shards, the campaign record, resume.
 
 Everything here runs deliberately tiny campaigns (a handful of flows
 per shard) — the point is contract coverage, not load.  The CI
@@ -12,8 +12,6 @@ import pytest
 
 from repro.fleet import (
     FleetConfig,
-    ManifestMismatch,
-    ShardManifest,
     ShardSpec,
     WorkloadConfig,
     aggregate,
@@ -24,7 +22,7 @@ from repro.fleet import (
     run_fleet,
     run_shard,
 )
-from repro.fleet.manifest import canonical_json
+from repro.runner import Manifest, ManifestMismatch, TaskResult, canonical_json
 
 
 def tiny_workload(**overrides):
@@ -155,47 +153,66 @@ class TestShard:
 # manifest
 # ----------------------------------------------------------------------
 
+def shard_result(shard_id, x):
+    return TaskResult(f"shard{shard_id:04d}", value={"shard_id": shard_id,
+                                                     "x": x}, attempts=1)
+
+
 class TestManifest:
+    """The fleet's shards in the runner's one record."""
+
     def header(self):
         return {"seed": 1}
 
     def test_append_and_reload(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
-        with ShardManifest(path) as m:
-            done = m.ensure_header("fp-1", self.header())
+        with Manifest(path) as m:
+            done = m.open("fleet", "fp-1", self.header())
             assert done == {}
-            m.append_shard({"shard_id": 0, "x": 1})
-            m.append_shard({"shard_id": 1, "x": 2})
-        with ShardManifest(path) as m:
-            done = m.ensure_header("fp-1", self.header())
-        assert sorted(done) == [0, 1]
-        assert done[1]["x"] == 2
+            m.append("k0", shard_result(0, 1))
+            m.append("k1", shard_result(1, 2))
+        with Manifest(path) as m:
+            done = m.open("fleet", "fp-1", self.header())
+        assert sorted(done) == ["k0", "k1"]
+        assert done["k1"]["value"]["x"] == 2
 
     def test_truncated_tail_is_dropped(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
-        with ShardManifest(path) as m:
-            m.ensure_header("fp-1", self.header())
-            m.append_shard({"shard_id": 0, "x": 1})
-            m.append_shard({"shard_id": 1, "x": 2})
+        with Manifest(path) as m:
+            m.open("fleet", "fp-1", self.header())
+            m.append("k0", shard_result(0, 1))
+            m.append("k1", shard_result(1, 2))
         # Simulate a mid-write crash: chop the final record in half.
         raw = path.read_bytes()
         path.write_bytes(raw[:-20])
-        with ShardManifest(path) as m:
-            done = m.ensure_header("fp-1", self.header())
+        with Manifest(path) as m:
+            done = m.open("fleet", "fp-1", self.header())
             # Shard 1's record was truncated -> it is simply not done
             # and will be re-run; shard 0 survives.
-            assert sorted(done) == [0]
-            m.append_shard({"shard_id": 1, "x": 2})
-        with ShardManifest(path) as m:
-            assert sorted(m.ensure_header("fp-1", self.header())) == [0, 1]
+            assert sorted(done) == ["k0"]
+            m.append("k1", shard_result(1, 2))
+        with Manifest(path) as m:
+            assert sorted(m.open("fleet", "fp-1", self.header())) == [
+                "k0", "k1"]
+
+    def test_report_leaves_a_torn_tail_on_disk(self, tmp_path):
+        """Reading never writes: a report beside a live writer must not
+        cut the line the writer is still appending."""
+        path = tmp_path / "manifest.jsonl"
+        run_fleet(tiny_campaign(), path)
+        torn = path.read_bytes() + b'{"kind":"task","na'
+        path.write_bytes(torn)
+        report = campaign_report(path)
+        assert report["missing_shards"] == []
+        assert path.read_bytes() == torn
 
     def test_fingerprint_mismatch_raises(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
-        with ShardManifest(path) as m:
-            m.ensure_header("fp-1", self.header())
-        with ShardManifest(path) as m:
+        with Manifest(path) as m:
+            m.open("fleet", "fp-1", self.header())
+        with Manifest(path) as m:
             with pytest.raises(ManifestMismatch):
-                m.ensure_header("fp-2", self.header())
+                m.open("fleet", "fp-2", self.header())
 
 
 # ----------------------------------------------------------------------
@@ -231,18 +248,18 @@ class TestCampaign:
         config = tiny_campaign()
 
         full = run_fleet(config, tmp_path / "full.jsonl")
-        assert full.complete and full.ran == 2 and not full.failed
+        assert full.complete and len(full.ok) == 2 and not full.failed
 
         # Interrupted run: only one shard lands, outcome is incomplete.
         partial = run_fleet(config, tmp_path / "resumed.jsonl",
                             max_shards=1)
         assert not partial.complete
-        assert partial.ran == 1
+        assert len(partial.ok) == 1
 
-        # Resume: the missing shard runs, the finished one is skipped.
+        # Resume: the missing shard runs, the finished one is replayed.
         resumed = run_fleet(config, tmp_path / "resumed.jsonl")
         assert resumed.complete
-        assert resumed.skipped == 1 and resumed.ran == 1
+        assert len(resumed.replayed) == 1 and len(resumed.ok) == 2
 
         digest_of = {}
         for name in ("full", "resumed"):

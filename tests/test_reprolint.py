@@ -234,11 +234,10 @@ class TestRuleFiring:
         assert codes(src, path="src/repro/fleet/shard.py") == ["REP008"]
 
     def test_rep008_fleet_host_plumbing_exempt(self):
-        # ...while the campaign CLI / manifest / report host code in
-        # the same package is carved out by the sim-exempt globs.
+        # ...while the campaign CLI / report host code in the same
+        # package is carved out by HOST_FILES.
         src = "import random\nrng = random.Random(42)\n"
-        for host in ("cli.py", "__main__.py", "campaign.py",
-                     "manifest.py", "report.py"):
+        for host in ("cli.py", "__main__.py", "campaign.py", "report.py"):
             assert codes(src, path=f"src/repro/fleet/{host}") == [], host
 
     def test_rep008_pragma_suppresses(self):

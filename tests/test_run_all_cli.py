@@ -7,10 +7,30 @@ import os
 import pytest
 
 from repro.experiments import run_all
+from repro.experiments.table import Table
+from repro.runner import code_fingerprint
 
 
 def _boom():
     raise RuntimeError("synthetic experiment failure")
+
+
+def _counted_table(path, fail_first=False):
+    """Count each run in *path*; with *fail_first*, fail the first run."""
+    with open(path, "a") as f:
+        f.write("run\n")
+    with open(path) as f:
+        runs = len(f.readlines())
+    if fail_first and runs == 1:
+        raise RuntimeError("synthetic first-run failure")
+    table = Table("counted", ["runs"])
+    table.add_row(runs=runs)
+    return table
+
+
+def _record(out):
+    with open(out / "run_manifest.jsonl") as f:
+        return [json.loads(line) for line in f]
 
 
 class TestPlan:
@@ -105,23 +125,53 @@ class TestCli:
         rc = run_all.main(["--fast", "--only", "fig17a", "--no-cache",
                            "--out", str(tmp_path)])
         assert rc == 0
-        with open(tmp_path / "run_manifest.json") as f:
-            manifest = json.load(f)
-        assert manifest["campaign"] == "run_all"
-        assert [t["name"] for t in manifest["tasks"]] == ["fig17a_vs_bandwidth"]
-        assert manifest["tasks"][0]["status"] == "ok"
+        header, *tasks = _record(tmp_path)
+        assert header["campaign"] == "run_all"
+        assert header["fingerprint"] == code_fingerprint()
+        assert [t["name"] for t in tasks] == ["fig17a_vs_bandwidth"]
 
     def test_cache_round_trip(self, tmp_path, capsys):
-        args = ["--fast", "--only", "fig17a", "--out", str(tmp_path)]
+        args = ["--fast", "--only", "fig17a,fig17b", "--out", str(tmp_path)]
         assert run_all.main(args) == 0
         first = capsys.readouterr().out
         assert "(cached)" not in first
+        tables = {name: (tmp_path / name).read_bytes()
+                  for name in os.listdir(tmp_path) if name.endswith(".txt")}
+        assert len(tables) == 2
+        record = (tmp_path / "run_manifest.jsonl").read_bytes()
+        for name in tables:
+            os.remove(tmp_path / name)
+        # Warm: nothing runs, the record is untouched, and every table
+        # is rewritten byte for byte from it.
         assert run_all.main(args) == 0
         second = capsys.readouterr().out
-        assert "(cached)" in second
-        with open(tmp_path / "run_manifest.json") as f:
-            manifest = json.load(f)
-        assert manifest["counts"]["cache_hits"] == 1
+        assert second.count("(cached)") == 2
+        assert "Regenerated 2/2 experiments (2 cached)" in second
+        assert (tmp_path / "run_manifest.jsonl").read_bytes() == record
+        for name, content in tables.items():
+            assert (tmp_path / name).read_bytes() == content
+
+    def test_rerun_executes_only_the_failed_task(
+            self, tmp_path, capsys, monkeypatch):
+        """Crash safety: finished tasks are recorded as they settle, so
+        one failure costs only itself on the re-run."""
+        counts = {name: str(tmp_path / f"{name}.count")
+                  for name in ("steady", "flaky")}
+        plan = [("steady", functools.partial(_counted_table,
+                                             counts["steady"])),
+                ("flaky", functools.partial(_counted_table, counts["flaky"],
+                                            fail_first=True))]
+        monkeypatch.setattr(run_all, "experiment_plan", lambda fast: plan)
+        out = tmp_path / "out"
+        assert run_all.main(["--fast", "--out", str(out)]) == 1
+        assert [t["name"] for t in _record(out)[1:]] == ["steady"]
+        assert run_all.main(["--fast", "--out", str(out)]) == 0
+        assert "Regenerated 2/2 experiments (1 cached)" in \
+            capsys.readouterr().out
+        runs = {name: len((tmp_path / f"{name}.count").read_text().split())
+                for name in counts}
+        assert runs == {"steady": 1, "flaky": 2}
+        assert [t["name"] for t in _record(out)[1:]] == ["steady", "flaky"]
 
     def test_failed_experiment_reported_and_nonzero_exit(
             self, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Tests for the campaign runner: cache, pool, manifest, campaign."""
+"""Tests for the campaign runner: pool, record, campaign."""
 # reprolint: disable-file=REP001,REP002  (host-side pool: real timeouts, worker RNG)
 
 from __future__ import annotations
@@ -10,9 +10,11 @@ import time
 
 import pytest
 
-from repro.experiments import fig08_ack_frequency, fig17_freq_model
-from repro.runner import (Campaign, ResultCache, Task, code_fingerprint,
-                          derive_seed, execute_tasks, task_signature)
+from repro.experiments import fig08_ack_frequency, fig17_freq_model, run_all
+from repro.runner import (Campaign, Manifest, ManifestMismatch, Task,
+                          TaskResult, code_fingerprint, derive_seed,
+                          execute_tasks, task_signature)
+from repro.runner.manifest import task_key
 
 
 # ---------------------------------------------------------------------------
@@ -158,32 +160,55 @@ class TestPool:
             execute_tasks([], timeout=-1)
 
 
+def task_lines(path):
+    """The record's task lines, in file order."""
+    with open(path) as f:
+        lines = [json.loads(line) for line in f]
+    return [line for line in lines if line["kind"] == "task"]
+
+
 class TestCache:
+    """The campaign record as the store of finished values."""
+
     def test_hit_then_miss_semantics(self, tmp_path):
-        cache = ResultCache(str(tmp_path), fingerprint="f1")
+        path = tmp_path / "m.jsonl"
         task = Task("t", add, kwargs={"a": 1, "b": 2}, seed=3)
-        key = cache.key_for(task)
-        assert cache.load(key) == (False, None)
-        assert cache.store(key, 42, meta={"note": "test"})
-        assert cache.load(key) == (True, 42)
+        key = task_key(task)
+        with Manifest(path) as m:
+            assert m.open("c", "f1") == {}
+            assert m.append(key, TaskResult("t", value=42, attempts=1,
+                                            seed=3)) == 42
+        with Manifest(path) as m:
+            entry = m.open("c", "f1")[key]
+        assert (entry["name"], entry["value"], entry["seed"]) == ("t", 42, 3)
 
     def test_key_changes_with_params_seed_and_code(self, tmp_path):
-        cache1 = ResultCache(str(tmp_path), fingerprint="f1")
-        cache2 = ResultCache(str(tmp_path), fingerprint="f2")
         base = Task("t", add, kwargs={"a": 1, "b": 2}, seed=3)
         other_param = Task("t", add, kwargs={"a": 1, "b": 99}, seed=3)
         other_seed = Task("t", add, kwargs={"a": 1, "b": 2}, seed=4)
-        keys = {cache1.key_for(base), cache1.key_for(other_param),
-                cache1.key_for(other_seed), cache2.key_for(base)}
-        assert len(keys) == 4  # all distinct
+        keys = {task_key(base), task_key(other_param), task_key(other_seed)}
+        assert len(keys) == 3  # all distinct
+        # Code: the fingerprint lives in the header, and a record under
+        # another fingerprint is refused rather than replayed.
+        path = tmp_path / "m.jsonl"
+        with Manifest(path) as m:
+            m.open("c", "f1")
+        with Manifest(path) as m, pytest.raises(ManifestMismatch):
+            m.open("c", "f2")
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path), fingerprint="f")
-        key = cache.key_for(Task("t", add))
-        cache.store(key, 1)
-        with open(os.path.join(str(tmp_path), key + ".pkl"), "wb") as f:
-            f.write(b"garbage")
-        assert cache.load(key) == (False, None)
+        args = ["--fast", "--only", "fig17a", "--out", str(tmp_path)]
+        assert run_all.main(args) == 0
+        record = tmp_path / "run_manifest.jsonl"
+        header, task = record.read_text().splitlines()
+        record.write_text(f"{header}\ngarbage\n{task}\n")
+        with pytest.raises(ManifestMismatch):
+            Manifest(record).load()
+        # run_all replaces a record it cannot adopt: the table runs
+        # again and lands in a fresh, readable record.
+        assert run_all.main(args) == 0
+        assert [t["name"] for t in task_lines(record)] == [
+            "fig17a_vs_bandwidth"]
 
     def test_code_fingerprint_stable(self):
         assert code_fingerprint() == code_fingerprint()
@@ -193,33 +218,33 @@ class TestCache:
 class TestCampaign:
     def test_cache_skips_reexecution(self, tmp_path):
         counter = str(tmp_path / "calls")
-        cache_dir = str(tmp_path / "cache")
+        record = str(tmp_path / "m.jsonl")
 
         def build():
             c = Campaign("c")
             c.add("rec", record_call, path=counter, value=7)
             return c
 
-        (first,) = build().run(cache_dir=cache_dir).results
-        assert first.cache == "miss"
+        (first,) = build().run(manifest_path=record).results
+        assert first.attempts == 1
         assert first.value == 7
         assert calls_in(counter) == 1
 
-        (second,) = build().run(cache_dir=cache_dir).results
-        assert second.cache == "hit"
+        (second,) = build().run(manifest_path=record).results
+        assert second.attempts == 0  # replayed from the record
         assert second.value == 7
         assert calls_in(counter) == 1  # not executed again
 
     def test_parameter_change_invalidates_cache(self, tmp_path):
         counter = str(tmp_path / "calls")
-        cache_dir = str(tmp_path / "cache")
+        record = str(tmp_path / "m.jsonl")
         c1 = Campaign("c")
         c1.add("rec", record_call, path=counter, value=1)
-        c1.run(cache_dir=cache_dir)
+        c1.run(manifest_path=record)
         c2 = Campaign("c")
         c2.add("rec", record_call, path=counter, value=2)
-        (rec,) = c2.run(cache_dir=cache_dir).results
-        assert rec.cache == "miss"
+        (rec,) = c2.run(manifest_path=record).results
+        assert rec.attempts == 1
         assert rec.value == 2
         assert calls_in(counter) == 2
 
@@ -230,39 +255,43 @@ class TestCampaign:
         outcome = c.run(jobs=2)
         assert [r.name for r in outcome.failed] == ["boom"]
         assert [(r.name, r.value) for r in outcome.ok] == [("ok", 2)]
+        assert not outcome.complete
 
     def test_failed_results_never_cached(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
+        record = str(tmp_path / "m.jsonl")
         c1 = Campaign("c")
         c1.add("boom", hard_crash)
-        c1.run(cache_dir=cache_dir)
+        c1.run(manifest_path=record)
+        assert task_lines(record) == []
         c2 = Campaign("c")
         c2.add("boom", hard_crash)
-        (boom,) = c2.run(cache_dir=cache_dir).results
-        assert boom.cache == "miss"
+        (boom,) = c2.run(manifest_path=record).results
+        assert boom.attempts == 1  # ran again, not replayed
         assert not boom.ok
 
     def test_manifest_written_with_schema(self, tmp_path):
-        manifest_path = str(tmp_path / "m.json")
+        record = str(tmp_path / "m.jsonl")
         c = Campaign("mycampaign")
         c.add("a", add, a=1, b=2)
         c.add("boom", hard_crash)
-        outcome = c.run(jobs=2, retries=1, manifest_path=manifest_path)
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        assert manifest == outcome.manifest
-        assert manifest["schema_version"] == 1
-        assert manifest["campaign"] == "mycampaign"
-        assert manifest["jobs"] == 2
-        assert manifest["counts"] == {"total": 2, "ok": 1, "failed": 1,
-                                      "cache_hits": 0, "cache_misses": 0}
-        by_name = {t["name"]: t for t in manifest["tasks"]}
-        assert by_name["a"]["status"] == "ok"
-        assert by_name["boom"]["status"] == "failed"
-        assert by_name["boom"]["failure"] == "crashed"
-        assert by_name["boom"]["attempts"] == 2
-        assert manifest["host"]["python"]
-        assert json.dumps(manifest)  # JSON-serializable end to end
+        outcome = c.run(jobs=2, retries=1, manifest_path=record,
+                        fingerprint="fp", config={"k": 1})
+        assert [r.name for r in outcome.ok] == ["a"]
+        assert [(r.failure, r.attempts) for r in outcome.failed] == [
+            ("crashed", 2)]
+        with open(record) as f:
+            header, *tasks = [json.loads(line) for line in f]
+        assert header["kind"] == "header"
+        assert header["campaign"] == "mycampaign"
+        assert (header["fingerprint"], header["config"]) == ("fp", {"k": 1})
+        assert header["host"]["python"]
+        (a,) = tasks  # the failed task is not recorded
+        assert a["kind"] == "task"
+        assert sorted(a) == ["attempts", "key", "kind", "name", "seed",
+                             "value", "wall_time_s"]
+        assert (a["name"], a["value"], a["attempts"]) == ("a", 3, 1)
+        assert a["key"] == task_key(c.tasks[0])
+        assert a["seed"] == c.tasks[0].seed
 
     def test_duplicate_names_rejected(self):
         c = Campaign("c")
