@@ -4,8 +4,10 @@ the oracle ``tests/test_link_oracle.py`` drives beside
 :class:`repro.netsim.link.Link`.
 
 Not a second implementation to maintain: it is frozen, and exists only
-so the one-pass link can be checked event for event against the code
-it replaced.  ``LinkImpairments`` did not change and is imported.
+so the link can be checked packet for packet against the code it
+replaced, with its serialization-finish event (which the link no
+longer fires) counted and its differences restated in the test.
+``LinkImpairments`` is imported from the link.
 """
 
 from __future__ import annotations
