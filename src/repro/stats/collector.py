@@ -27,22 +27,11 @@ class FlowCollector:
         self.owd_samples: list[float] = []
         self._cum_delivered = 0
         conn.receiver.on_deliver(self._on_deliver)
-        self._install_owd_probe()
+        conn.receiver.owd_sink = self.owd_samples.append
 
     def _on_deliver(self, nbytes: int, now: float) -> None:
         self._cum_delivered += nbytes
         self.delivered.add(now, self._cum_delivered)
-
-    def _install_owd_probe(self) -> None:
-        tracker = self.conn.receiver.owd
-        original = tracker.on_packet
-
-        def probe(departure_ts: float, arrival_ts: float) -> float:
-            owd = original(departure_ts, arrival_ts)
-            self.owd_samples.append(owd)
-            return owd
-
-        tracker.on_packet = probe  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     def goodput_bps(self, start: float = 0.0, end: Optional[float] = None) -> float:

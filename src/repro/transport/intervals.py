@@ -5,8 +5,7 @@ The receiver's reassembly buffer, the SACK scoreboard, and the TACK
 ranges, coalesce, and enumerate present ranges or gaps.  Implemented as
 a sorted list of disjoint ``[start, end)`` pairs located with
 :mod:`bisect`, plus a running count of the integers present so that
-:meth:`IntervalSet.covered` (read twice per received segment) does not
-depend on the number of holes.
+:meth:`IntervalSet.covered` does not depend on the number of holes.
 """
 
 from __future__ import annotations
@@ -59,6 +58,34 @@ class IntervalSet:
         self._ends[i:j] = [new_end]
         self._covered += added
         return added
+
+    def add_and_drain(self, start: int, end: int, floor: int,
+                      drain: bool) -> tuple[int, int, int]:
+        """``add(max(start, floor), end)``, ``ready = first_missing(floor)``
+        and, with ``drain``, ``remove_below(ready)`` in one call; returns
+        ``(added, ready, covered())``.  Twin test:
+        test_add_and_drain_matches_add_first_missing_remove_below."""
+        if start < floor:
+            start = floor
+        starts, ends = self._starts, self._ends
+        if end <= start:
+            added = 0
+        elif not ends or start >= ends[-1]:     # add's tail case
+            if ends and start == ends[-1]:
+                ends[-1] = end
+            else:
+                starts.append(start)
+                ends.append(end)
+            added = end - start
+            self._covered += added
+        else:
+            added = self.add(start, end)
+        if not starts or starts[0] > floor:     # nothing ready
+            return added, floor, self._covered
+        ready = self.first_missing(floor)
+        if drain:
+            self.remove_below(ready)
+        return added, ready, self._covered
 
     def remove_below(self, bound: int) -> None:
         """Delete every integer < ``bound`` (used when the app consumes

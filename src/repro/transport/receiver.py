@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from repro.ack.base import AckPolicy
 from repro.core.loss_detect import PktSeqTracker
-from repro.core.owd_timing import ReceiverOwdTracker
+from repro.core.owd_timing import OwdSample, ReceiverOwdTracker
 from repro.core.rate_sync import ReceiverRateEstimator
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet, PacketType
@@ -114,6 +114,8 @@ class TransportReceiver:
         self._gaps: list[tuple[int, int]] = []
         self._closed = False
         self._on_deliver: Optional[Callable[[int, float], None]] = None
+        #: Called with every DATA arrival's raw relative OWD (FlowCollector).
+        self.owd_sink: Optional[Callable[[float], None]] = None
         # simsan: one None-check per data packet when disabled.
         self._san = sim.san
         if self._san is not None:
@@ -156,26 +158,13 @@ class TransportReceiver:
     # ingress
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
-        """Entry point for everything arriving on the forward path."""
+        """Entry point for everything arriving on the forward path; DATA
+        in one pass, the ``core`` trackers' common cases in place."""
         if self._closed:
             return
-        kind = packet.kind
-        if kind is PacketType.DATA:
-            self._handle_data(packet)
-        elif kind is PacketType.SYN:
-            self._handle_syn(packet)
-        elif kind is PacketType.FIN:
-            self.policy.on_close()
-        # Anything else (stray feedback) is ignored.
-
-    def _handle_syn(self, packet: Packet) -> None:
-        reply = Packet(PacketType.SYN_ACK, size=64, flow_id=self.flow_id)
-        reply.sent_at = self.sim.now()
-        reply.meta["syn_sent_at"] = packet.sent_at
-        if self._port is not None:
-            self._port.send(reply)
-
-    def _handle_data(self, packet: Packet) -> None:
+        if packet.kind is not PacketType.DATA:
+            self._handle_control(packet)
+            return
         seq, pkt_seq = packet.seq, packet.pkt_seq
         if seq is None or pkt_seq is None:      # cannot be placed: drop
             self.stats.malformed_packets += 1
@@ -187,30 +176,64 @@ class TransportReceiver:
         if meta and "ack_loss_rate" in meta:
             self.peer_ack_loss_rate = meta["ack_loss_rate"]
         # Timing and rate trackers see every arrival, duplicates included.
-        if packet.sent_at is not None:
-            self.owd.on_packet(packet.sent_at, now)
-        gap = self.pkt_tracker.on_packet(pkt_seq)
+        sent_at = packet.sent_at
+        if sent_at is not None:
+            owd = self.owd
+            if owd.mode == "per-packet":
+                sample = owd.on_packet(sent_at, now)
+            else:
+                # ReceiverOwdTracker.on_packet (test_owd_fold_matches_the_tracker)
+                sample = now - sent_at
+                owd.samples_seen += 1
+                smoothed = owd.smoothed_owd
+                owd.smoothed_owd = (sample if smoothed is None else
+                                    smoothed + owd.ewma_gain * (sample - smoothed))
+                best = owd._interval_best
+                if best is None:
+                    owd._interval_first = owd._interval_best = OwdSample(
+                        sent_at, now, sample)
+                elif sample < best.owd:
+                    owd._interval_best = OwdSample(sent_at, now, sample)
+            if self.owd_sink is not None:
+                self.owd_sink(sample)
+        tracker = self.pkt_tracker
+        if pkt_seq == tracker.largest_seen + 1:
+            # PktSeqTracker.on_packet (test_pkt_seq_fold_matches_the_tracker)
+            tracker.received += 1
+            tracker.largest_seen = pkt_seq
+            gap = None
+        else:
+            gap = tracker.on_packet(pkt_seq)
         # Clip below the consumption point: bytes the app already read
         # were removed from the interval set, so a stale retransmission
         # must not re-enter it (it would corrupt buffer accounting).
         intervals, stats = self.intervals, self.stats
         delivered_ptr = self.delivered_ptr
-        clip_start = seq if seq > delivered_ptr else delivered_ptr
         end_seq = seq + packet.payload_len
-        added = intervals.add(clip_start, end_seq) if clip_start < end_seq else 0
+        auto_drain = self.auto_drain
+        if seq <= delivered_ptr < end_seq and auto_drain and not intervals._ends:
+            # add_and_drain on an empty buffer, all of it ready: nothing
+            # stored (test_reassembly_fold_matches_add_and_drain).
+            added, ready_upto, buffered = end_seq - delivered_ptr, end_seq, 0
+        else:
+            added, ready_upto, buffered = intervals.add_and_drain(
+                seq, end_seq, delivered_ptr, auto_drain)
         stats.data_packets += 1
         if added == 0:
             stats.duplicate_packets += 1
         else:
             stats.bytes_received += added
-            self.rate.on_data(added, now)
+            # ReceiverRateEstimator.on_data (test_rate_fold_matches_the_estimator)
+            rate = self.rate
+            if rate._interval_start is None:
+                rate._interval_start = now
+            rate._last_arrival = now
+            rate._bytes_in_interval += added
         in_order = False
-        ready_upto = intervals.first_missing(delivered_ptr)
         if ready_upto > delivered_ptr:
             in_order = seq <= delivered_ptr
-            if self.auto_drain:
+            if auto_drain:
                 self._consume(ready_upto - delivered_ptr)
-        buffered = intervals.covered()
         if buffered > stats.peak_buffered_bytes:
             stats.peak_buffered_bytes = buffered
         # Site-local stride counter: one event per data packet makes
@@ -241,6 +264,17 @@ class TransportReceiver:
                 or self.rcv_buffer_bytes - buffered < LOW_WINDOW_BYTES):
             self._check_window_events()
 
+    def _handle_control(self, packet: Packet) -> None:
+        if packet.kind is PacketType.SYN:
+            reply = Packet(PacketType.SYN_ACK, size=64, flow_id=self.flow_id)
+            reply.sent_at = self.sim.now()
+            reply.meta["syn_sent_at"] = packet.sent_at
+            if self._port is not None:
+                self._port.send(reply)
+        elif packet.kind is PacketType.FIN:
+            self.policy.on_close()
+        # Anything else (stray feedback) is ignored.
+
     # ------------------------------------------------------------------
     # application read side
     # ------------------------------------------------------------------
@@ -253,13 +287,14 @@ class TransportReceiver:
         amount actually read (slow-reader mode)."""
         take = min(nbytes, self.available_bytes())
         if take > 0:
+            self.intervals.remove_below(self.delivered_ptr + take)
             self._consume(take)
             self._check_window_events()
         return take
 
     def _consume(self, nbytes: int) -> None:
+        """Hand ``nbytes`` up; the caller removed them from the buffer."""
         self.delivered_ptr += nbytes
-        self.intervals.remove_below(self.delivered_ptr)
         self.stats.bytes_delivered += nbytes
         if self._tel_stride:
             n = self._tel_n + 1

@@ -50,6 +50,9 @@ from repro.transport.rtt import MinRttTracker, RttEstimator
 #: block covered it (final: a late loss mark never revives it).
 IN_FLIGHT, LOST, SACKED = range(3)
 
+#: A SendRecord without ``__init__``: ``_try_send`` makes the stores.
+_new_record = object.__new__
+
 
 class SendRecord:
     """Bookkeeping for one outstanding segment."""
@@ -954,8 +957,24 @@ class TransportSender:
                 break
             if has_retx:
                 self._transmit_retx(retx_queue.popleft(), now)
-            else:
-                self._transmit_new(size, now)
+                continue
+            # _transmit_new (test_new_segment_fold_matches_transmit_new)
+            seq = self.next_seq
+            pkt_seq = self.next_pkt_seq
+            self.next_seq = seq + size
+            self.next_pkt_seq = pkt_seq + 1
+            if not self.unlimited:
+                self.pending_bytes -= size
+            rec = _new_record(SendRecord)
+            rec.seq, rec.length, rec.pkt_seq = seq, size, pkt_seq
+            rec.first_sent = rec.last_sent = rec.delivered_time = now
+            rec.retx_count, rec.state = 0, IN_FLIGHT
+            rec.delivered_snapshot = self.delivered
+            self.records[seq] = rec
+            self._order.append(seq)
+            self.pkt_map[pkt_seq] = seq
+            self.in_flight += size
+            self._emit(rec, now)
         # Send-limit classification for the flow doctor: every break
         # above names what throttled the flow; only changes are worth
         # an event.
@@ -1017,10 +1036,20 @@ class TransportSender:
         if self._san is not None:
             self._san.on_data_sent(self, rec)
         if self.receiver_driven:
-            if self.guard is not None:
+            guard = self.guard
+            if guard is not None:
                 # Departure-stamp ground truth for the echo_ts rule:
                 # only timestamps recorded here may come back in a TACK.
-                self.guard.on_data_sent(now, length)
+                # on_data_sent's append; a first packet, short segment,
+                # repeated time or prune goes there
+                # (test_stamp_fold_matches_on_data_sent).
+                stamps = guard._stamps
+                if (stamps and stamps[-1] < now
+                        and length >= guard._min_seg_bytes
+                        and len(stamps) + 1 < guard._stamp_prune_len):
+                    stamps.append(now)
+                else:
+                    guard.on_data_sent(now, length)
             # current_rtt_min() read in place (samples are > 0; srtt
             # before the first one).
             rtt_min = self.rtt_min_est.filter.value or self.rtt.smoothed()
@@ -1053,7 +1082,11 @@ class TransportSender:
         stats = self.stats
         stats.data_packets_sent += 1
         stats.bytes_sent += length
-        self.pacer.on_sent(pkt.size, now)
+        # Pacer.on_sent, inline (test_pacer_fold_matches_on_sent).
+        pacer = self.pacer
+        release_at = pacer.release_at
+        pacer.release_at = ((now if release_at < now else release_at)
+                            + pkt.size * 8.0 / pacer._rate_bps)
         # The link's verdict feeds the watchdog: only *accepted* sends
         # count as "data still flowing" (a blacked-out link refuses at
         # ingress, so a dead path never looks like ACK withholding).

@@ -45,6 +45,16 @@ class TestExamplesImportAndRun:
         util = mod.run("tcp-tack", ack_loss=0.01)
         assert util > 0.3
 
+    def test_wan_bulk_utilization_never_exceeds_the_link(self):
+        """Out-of-order bytes held at the window's start and delivered
+        once their hole fills are not counted in it (this cell read
+        130 % of the link when the window counted in-order delivery)."""
+        mod = load_example("wan_bulk_transfer.py")
+        mod.DURATION_S = 6.0
+        mod.WARMUP_S = 3.0
+        util = mod.run("tcp-tack-poor", ack_loss=0.05)
+        assert 0.0 < util <= 1.0
+
     def test_crowded_ap_reduced(self):
         mod = load_example("crowded_ap.py")
         mod.DURATION_S = 1.5

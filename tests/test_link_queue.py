@@ -1,17 +1,15 @@
 """Unit tests for queues, links, pipes, and the WAN emulator."""
 
-import os
-import sys
-
 import pytest
 
-import repro
 from repro.netsim.emulator import EmulatedPath, PathConfig
 from repro.netsim.engine import Simulator
 from repro.netsim.link import DropTailQueue, Link, LinkConfig
 from repro.netsim.loss import BernoulliLoss, PatternLoss
 from repro.netsim.packet import make_ack_packet, make_data_packet
 from repro.netsim.pipe import Pipe
+
+from callcount import calls_by_package, per_packet
 
 
 class TestDropTail:
@@ -225,7 +223,7 @@ class TestLink:
 
 class TestLinkCost:
     """Python calls into ``repro`` per packet of a ``Link`` driven
-    directly (``sys.setprofile``, ``call`` events, CPython 3.11): 5.005
+    directly (``callcount``, CPython 3.11): 5.005
     idle and backlogged -- ``send``, the queue's ``settle``, the link's
     ``_schedule`` and its ``call_at`` for the arrival, the delivery,
     and ``run`` once.  5.01 before a packet was one event (a
@@ -245,20 +243,7 @@ class TestLinkCost:
         return Simulator(seed=1, simsan=False)    # no sanitizer hooks
 
     def calls_per_packet(self, sim, drive):
-        root = os.path.dirname(repro.__file__)
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call" and frame.f_code.co_filename.startswith(root):
-                calls += 1
-
-        sys.setprofile(count)
-        try:
-            drive()
-        finally:
-            sys.setprofile(None)
-        return calls / self.PACKETS
+        return per_packet(calls_by_package(drive), self.PACKETS)["total"]
 
     def test_idle_link(self, sim):
         got = []
