@@ -131,15 +131,17 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def call_at(self, t: float, fn: Callable[[], None]) -> list:
+    def call_at(self, t: float, fn: Callable[[], None],
+                seq: Optional[int] = None) -> list:
         """Schedule ``fn`` to run at absolute time ``t``; returns the
-        event's heap entry, its handle."""
+        event's heap entry, its handle; ``seq``, drawn earlier, keeps
+        the entry's ties as if pushed then (a station's ingress wake)."""
         # The clock's slot, read in place: every packet schedules here.
         if not t >= self.clock._now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule in the past: {t} < {self.now()}"
             )
-        ev = [t, next(self._seq), fn, None]
+        ev = [t, next(self._seq) if seq is None else seq, fn, None]
         heappush(self._queue, ev)
         return ev
 

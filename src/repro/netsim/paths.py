@@ -26,7 +26,7 @@ from repro.netsim.packet import Packet
 from repro.netsim.pipe import Pipe
 from repro.wlan.medium import WirelessMedium
 from repro.wlan.phy import PhyProfile, get_profile
-from repro.wlan.station import Station
+from repro.wlan.station import Station, wireless_pair
 
 
 class WirelessHop:
@@ -115,16 +115,12 @@ def _make_wlan(
     queue_frames: int,
     aggregate: bool,
     per_mpdu_error_rate: float,
+    ingress_delay_s: float = 0.0,
 ) -> tuple[WirelessMedium, Station, Station]:
     profile = get_profile(phy) if isinstance(phy, str) else phy
     medium = WirelessMedium(sim, profile, per_mpdu_error_rate)
-    ap = Station(medium, "ap", queue_frames=queue_frames, aggregate=aggregate)
-    sta = Station(medium, "sta", queue_frames=queue_frames, aggregate=aggregate)
-    ap.set_peer(sta)
-    sta.set_peer(ap)
-    medium.register(ap)
-    medium.register(sta)
-    return medium, ap, sta
+    return (medium, *wireless_pair(medium, "ap", "sta", queue_frames,
+                                   aggregate, ingress_delay_s))
 
 
 def wlan_path(
@@ -138,17 +134,16 @@ def wlan_path(
     """Endpoints across one WLAN hop (downlink data, uplink ACKs).
 
     ``extra_rtt_s`` adds symmetric end-to-end latency (the paper's
-    RTT = 10/80/200 ms settings) via lossless delay pipes.
+    RTT = 10/80/200 ms settings): half as the AP's ingress delay, half
+    as a lossless delay pipe behind the uplink hop.
     """
-    medium, ap, sta = _make_wlan(sim, phy, queue_frames, aggregate, per_mpdu_error_rate)
-    down = WirelessHop(ap, sta)
-    up = WirelessHop(sta, ap)
-    if extra_rtt_s > 0:
-        owd = extra_rtt_s / 2.0
-        forward = ChainPort(Pipe(sim, owd), down)
-        reverse = ChainPort(up, Pipe(sim, owd))
-    else:
-        forward, reverse = down, up
+    owd = extra_rtt_s / 2.0
+    medium, ap, sta = _make_wlan(sim, phy, queue_frames, aggregate,
+                                 per_mpdu_error_rate, owd)
+    forward = WirelessHop(ap, sta)
+    reverse = WirelessHop(sta, ap)
+    if owd > 0:
+        reverse = ChainPort(reverse, Pipe(sim, owd))
     return PathHandle(forward, reverse, medium=medium, stations=(ap, sta))
 
 
@@ -172,7 +167,8 @@ def multi_client_wlan(
         raise ValueError(f"need at least one client, got {n_clients}")
     profile = get_profile(phy) if isinstance(phy, str) else phy
     medium = WirelessMedium(sim, profile)
-    ap = Station(medium, "ap", queue_frames=queue_frames)
+    owd = extra_rtt_s / 2.0
+    ap = Station(medium, "ap", queue_frames=queue_frames, ingress_delay_s=owd)
     medium.register(ap)
     # Uplink frames from every client land at the AP; a demux fans
     # them out to the right flow's sender.
@@ -180,7 +176,6 @@ def multi_client_wlan(
     ap.connect(uplink_demux)
     peer_map: dict[int, Station] = {}
     handles: list[PathHandle] = []
-    owd = extra_rtt_s / 2.0
 
     class _UplinkPort:
         """Per-flow reverse port: client station in, demux out."""
@@ -204,9 +199,8 @@ def multi_client_wlan(
         client.set_peer(ap)
         medium.register(client)
         peer_map[i] = client
-        down = WirelessHop(ap, client)
-        forward = ChainPort(Pipe(sim, owd), down) if owd > 0 else down
-        handles.append(PathHandle(forward, _UplinkPort(client, i),
+        handles.append(PathHandle(WirelessHop(ap, client),
+                                  _UplinkPort(client, i),
                                   medium=medium, stations=(ap, client)))
     ap.set_peer_map(peer_map)
     return handles

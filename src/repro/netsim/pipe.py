@@ -1,7 +1,7 @@
 """Ideal pipe: fixed-delay, infinite-rate delivery.
 
-Used to unit-test protocol logic in isolation from link dynamics and
-to model intra-host handoff between layers.
+Used to unit-test protocol logic in isolation from link dynamics, to
+model intra-host handoff, and as a WLAN path's uplink extra delay.
 """
 
 from __future__ import annotations

@@ -50,10 +50,12 @@ class WirelessMedium:
         self.per_mpdu_error_rate = per_mpdu_error_rate
         self.rng = sim.fork_rng("wlan-medium")
         self.stations: list["Station"] = []
+        self._delayed: list["Station"] = []
         # A PPDU is on the air / a contention round is pending: while
         # either holds, a new frame needs no notify_backlog call.
         self.busy = False
         self.round_scheduled = False
+        self._rounds = 0    # pending; the flag is cleared by any firing
         # statistics
         self.transmissions = 0
         self.collisions = 0
@@ -65,6 +67,8 @@ class WirelessMedium:
     def register(self, station: "Station") -> None:
         """Add a station to the collision domain."""
         self.stations.append(station)
+        if station.ingress_delay_s > 0:
+            self._delayed.append(station)
 
     def notify_backlog(self) -> None:
         """A station enqueued a frame; start a contention round if the
@@ -79,21 +83,27 @@ class WirelessMedium:
     def _schedule_round(self) -> None:
         contenders = self._contenders()
         if not contenders:
+            for s in self._delayed:
+                s._arm_wake()
             return
         self.round_scheduled = True
+        self._rounds += 1
         for s in contenders:
             s.ensure_backoff(self.rng)
         min_slots = min(s.backoff_slots for s in contenders)
         wait = self.phy.difs_s + min_slots * self.phy.slot_s
-        self.sim.call_in(wait, lambda: self._fire_round(min_slots))
+        ev = self.sim.call_in(wait, lambda: self._fire_round(min_slots, ev))
 
-    def _fire_round(self, elapsed_slots: int) -> None:
+    def _fire_round(self, elapsed_slots: int, ev: list) -> None:
+        for s in self._delayed:
+            s.settle(ev)
         self.round_scheduled = False
-        if self.busy:  # defensive: a round never overlaps a transmission
+        self._rounds -= 1
+        if self.busy:  # the collided path's second round (_finish_round)
             return
         contenders = self._contenders()
         if not contenders:
-            return
+            return self._schedule_round()   # idle: arms the wakes
         winners = []
         for s in contenders:
             s.backoff_slots -= elapsed_slots
@@ -117,8 +127,8 @@ class WirelessMedium:
         if collided:
             self.collisions += len(winners)
             self.airtime_collided_s += airtime
-        self.sim.call_in(
-            airtime, lambda: self._finish_round(winners, txops, collided)
+        ev = self.sim.call_in(
+            airtime, lambda: self._finish_round(winners, txops, collided, ev)
         )
 
     def _finish_round(
@@ -126,7 +136,10 @@ class WirelessMedium:
         winners: list["Station"],
         txops: list["TxOp"],
         collided: bool,
+        ev: list,
     ) -> None:
+        for s in self._delayed:
+            s.settle(ev)
         self.busy = False
         for station, txop in zip(winners, txops):
             if collided:
@@ -141,7 +154,10 @@ class WirelessMedium:
                 self.mpdu_phy_errors += sum(errored)
                 station.note_tx_outcome(ok=not any(errored))
                 station.txop_succeeded(txop, errored)
-        self._schedule_round()
+        # A clean TXOP's one pending round, all drawn, needs no busy twin.
+        if (collided or not self.round_scheduled or self._rounds > 1
+                or any(s.backoff_slots < 0 and s.has_backlog() for s in self.stations)):
+            self._schedule_round()
 
     # ------------------------------------------------------------------
     def collision_rate(self) -> float:

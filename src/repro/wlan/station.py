@@ -6,6 +6,10 @@ peer wait in a FIFO; when the station wins a contention round it
 transmits an A-MPDU of up to the PHY's aggregation limit and the peer's
 sink receives every MPDU that survived (collision kills the whole PPDU,
 PHY noise kills individual MPDUs).
+
+A station with an ``ingress_delay_s`` keys each frame at ``send`` as a
+delay pipe's event would have been keyed; the medium admits it at its
+own events, and arms a wake only while idle (DESIGN.md S3).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import collections
 import random
 from typing import Callable, Optional
 
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
 from repro.wlan.medium import WirelessMedium
 
@@ -43,6 +48,8 @@ class Station:
     aggregate:
         When ``False`` the station never aggregates even on n/ac PHYs
         (used by the "no-aggregation" ablation).
+    ingress_delay_s:
+        Positive: fixed delay between ``send`` and reaching the queue.
     """
 
     SMALL_FRAME_BYTES = 200
@@ -56,6 +63,7 @@ class Station:
         aggregate: bool = True,
         control_aggregate_limit: Optional[int] = None,
         rate_adaptation: bool = False,
+        ingress_delay_s: float = 0.0,
     ):
         self.medium = medium
         self.phy = medium.phy
@@ -79,6 +87,12 @@ class Station:
         self._peer_map: Optional[dict[int, "Station"]] = None
         self._sink: Optional[Callable[[Packet], None]] = None
         self._queue: collections.deque[Packet] = collections.deque()
+        # ``[due, seq, packet]`` in key order, and the armed wake.
+        self.ingress_delay_s = ingress_delay_s
+        self._ingress: collections.deque[list] = collections.deque()
+        self._wake: Optional[list] = None
+        if ingress_delay_s > 0:
+            self.send = self._send_later
         # DCF state
         self.backoff_slots = -1  # -1 means "no backoff drawn"
         self._cw = self.phy.cw_min
@@ -126,11 +140,7 @@ class Station:
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet`` for transmission to the peer."""
-        if self._peer_map is None:
-            queue = self._queue
-        else:
-            queue = self._dest_queues.setdefault(
-                id(self.peer_for(packet)), collections.deque())
+        queue = self._queue if self._peer_map is None else self._dest_queue(packet)
         if self.queue_frames is not None and len(queue) >= self.queue_frames:
             self.frames_dropped_queue += 1
             return False
@@ -139,6 +149,48 @@ class Station:
         if not (medium.busy or medium.round_scheduled):
             medium.notify_backlog()
         return True
+
+    def _dest_queue(self, packet: Packet) -> "collections.deque[Packet]":
+        """Infrastructure mode: the queue of ``packet``'s receiver."""
+        return self._dest_queues.setdefault(id(self.peer_for(packet)),
+                                            collections.deque())
+
+    def _send_later(self, packet: Packet) -> bool:
+        """``send`` with an ingress delay: no push unless idle."""
+        sim, medium, ingress = self.medium.sim, self.medium, self._ingress
+        ingress.append([sim.clock._now + self.ingress_delay_s, next(sim._seq), packet])
+        if len(ingress) == 1 and not (medium.busy or medium.round_scheduled):
+            self._arm_wake()
+        return True
+
+    def settle(self, key: list) -> None:
+        """Admit the frames keyed below ``key`` (a medium event's entry;
+        ``[now, inf]`` at a ``run(until=)`` horizon) as busy ``send``s."""
+        ingress, cap = self._ingress, self.queue_frames
+        queue, mapped = self._queue, self._peer_map is not None
+        while ingress and ingress[0] < key:
+            packet = ingress.popleft()[2]
+            packet.hops += 1
+            if mapped:
+                queue = self._dest_queue(packet)
+            if cap is not None and len(queue) >= cap:
+                self.frames_dropped_queue += 1
+            else:
+                queue.append(packet)
+
+    def _arm_wake(self) -> None:
+        """Idle medium: arm the head's arrival at its key (via the
+        engine's own call_at: an override could not take ``seq``)."""
+        if self._ingress and self._wake is None:
+            due, seq, _ = self._ingress[0]
+            self._wake = Simulator.call_at(self.medium.sim, due,
+                                           self._on_wake, seq)
+
+    def _on_wake(self) -> None:
+        self._wake = None
+        due, seq, _ = self._ingress[0]
+        self.settle([due, seq + 1])     # the head alone: seqs are unique
+        self.medium.notify_backlog()    # a round, or if dropped the next wake
 
     def _select_queue(self) -> "collections.deque[Packet]":
         """The queue the next TXOP draws from: round-robin over
@@ -151,14 +203,6 @@ class Station:
             if queue:
                 return queue
         return self._queue
-
-    def deliver(self, packet: Packet) -> None:
-        """Hand a received MPDU to the upper layer."""
-        self.frames_delivered += 1
-        self.bytes_delivered += packet.size
-        packet.hops += 1
-        if self._sink is not None:
-            self._sink(packet)
 
     # ------------------------------------------------------------------
     # DCF hooks called by the medium
@@ -243,16 +287,14 @@ class Station:
             else:
                 if mapped:
                     receiver = self.peer_for(packet)
-                if receiver is not None:
-                    receiver.deliver(packet)
+                if receiver is not None:    # hand it to the receiver's sink
+                    receiver.frames_delivered += 1
+                    receiver.bytes_delivered += packet.size
+                    packet.hops += 1
+                    if receiver._sink is not None:
+                        receiver._sink(packet)
         for packet in reversed(retry):
-            if self._peer_map is not None:
-                key = id(self.peer_for(packet))
-                self._dest_queues.setdefault(
-                    key, collections.deque()
-                ).appendleft(packet)
-            else:
-                self._queue.appendleft(packet)
+            (self._dest_queue(packet) if mapped else self._queue).appendleft(packet)
         if self.has_backlog():
             self.medium.notify_backlog()
 
@@ -307,9 +349,11 @@ def wireless_pair(
     name_b: str = "sta",
     queue_frames: Optional[int] = 1024,
     aggregate: bool = True,
+    ingress_delay_s: float = 0.0,
 ) -> tuple[Station, Station]:
     """Create two peered stations on ``medium`` (e.g. AP and client)."""
-    a = Station(medium, name_a, queue_frames, aggregate)
+    a = Station(medium, name_a, queue_frames, aggregate,
+                ingress_delay_s=ingress_delay_s)
     b = Station(medium, name_b, queue_frames, aggregate)
     a.set_peer(b)
     b.set_peer(a)

@@ -42,7 +42,8 @@ the per-packet transmit -> pipe -> receive path was flattened: the
 paced TACK sender, one emission per send-timer event.
 
 * wlan: 1 s of a ``tcp-tack`` bulk flow over an 802.11n hop with 80 ms
-  of extra RTT (delay pipes, A-MPDUs, one feedback per ~80 packets);
+  of extra RTT (the AP's ingress delay and an uplink delay pipe,
+  A-MPDUs, one feedback per ~80 packets);
 * finite: a ``tcp-tack`` transfer whose last segment is partial, over a
   wired path that drops data and feedback (pulls, RTO-free recovery,
   the rho' sync, completion);
@@ -52,7 +53,11 @@ each pinned by a sha256 over every DATA emission at the forward port
 ``ack_loss_rate`` the packet carries), a sha256 over every arrival at
 the receiver's sink (arrival time, ``seq``, ``pkt_seq``),
 ``events_fired``, ``sim.pending()`` at the end, and every sender and
-receiver counter.
+receiver counter.  The wlan cell's ``events_fired`` and ``pending``
+were re-recorded (32 386 -> 17 916 and 729 -> 7) when the AP's
+ingress delay replaced the forward delay pipe and a clean TXOP stopped
+pushing a second, idle contention round; every other value is the
+original.
 
 Feedback path
 -------------

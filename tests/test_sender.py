@@ -599,8 +599,8 @@ class TestTransmitCost:
     #: for the two flows below (``callcount``; "other" holds every
     #: package not named).  Measured values are in the docstrings.
     CALL_CEILINGS = {
-        "tack_wlan": {"total": 24.8, "transport": 9.5, "netsim": 5.8,
-                      "wlan": 5.25, "cc": 1.4, "core": 2.9, "ack": 1.0,
+        "tack_wlan": {"total": 20.6, "transport": 9.5, "netsim": 2.65,
+                      "wlan": 4.2, "cc": 1.4, "core": 2.9, "ack": 1.0,
                       "other": 0.05},
         "bbr_wired": {"total": 50.2, "transport": 23.8, "netsim": 14.8,
                       "cc": 8.9, "core": 1.15, "ack": 2.45, "other": 0.05},
@@ -608,9 +608,15 @@ class TestTransmitCost:
 
     def test_python_calls_per_data_packet_on_a_tack_wlan_flow(self):
         """Calls into ``repro`` per data packet of a seeded ``tcp-tack``
-        flow over 802.11n (``callcount``, CPython 3.11): 24.34
-        (transport 9.26, netsim 5.55, wlan 4.98, core 2.67, cc 1.14,
-        ack 0.74); 31.88 (recorded as 32.11; ceiling 32.6) before the
+        flow over 802.11n (``callcount``, CPython 3.11): 20.17
+        (transport 9.26, wlan 3.96, core 2.67, netsim 2.40, cc 1.14,
+        ack 0.74); 24.34 (netsim 5.55, wlan 4.98; ceiling 24.8) before
+        the AP's ingress delay replaced the forward delay pipe (a
+        ``Pipe.send``, a ``call_at`` and a ``_deliver_next`` per data
+        packet, where the medium's ``settle`` per event is now), a
+        clean TXOP stopped pushing a second round and handed its MPDUs
+        to the receiver's sink in place (``Station.deliver``), 31.88
+        (recorded as 32.11; ceiling 32.6) before the
         receiver took a data packet in one pass (the three ``core``
         trackers, four ``IntervalSet`` methods and the DATA dispatch as
         calls) and the sender built a new segment's record, charged the
@@ -674,6 +680,22 @@ class TestTransmitCost:
         stats = conn.sender.stats
         assert stats.data_packets_sent > 5000 and stats.retransmissions > 15
         assert sim.events_fired / stats.data_packets_sent <= 2.9
+
+    def test_events_per_data_packet_on_a_tack_wlan_flow(self):
+        """``tack_wlan_bulk`` at a quarter of its length: 1.24 events per
+        data packet -- its send timer, and its TXOPs and feedback shared
+        out -- and 2.27 while a delay pipe ahead of the AP had an
+        arrival event per data packet and every clean TXOP pushed a
+        second, idle contention round."""
+        sim = Simulator(seed=1, simsan=False)
+        path = wlan_path(sim, "802.11n", extra_rtt_s=0.08)
+        conn = make_connection(sim, "tcp-tack", initial_rtt_s=0.08)
+        conn.wire(path.forward, path.reverse)
+        conn.start_bulk()
+        sim.run(until=1.25)
+        stats = conn.sender.stats
+        assert stats.data_packets_sent > 15000
+        assert sim.events_fired / stats.data_packets_sent <= 1.3
 
     @staticmethod
     def calls_from_half_a_second(sim, conn):
