@@ -1,9 +1,9 @@
 """Acknowledgment policy interface.
 
-The receiver calls the hooks below; the policy responds by asking the
-receiver to emit feedback (``receiver.emit_feedback``), which snapshots
-reassembly state into an :class:`~repro.transport.feedback.AckFeedback`
-and sends it through the reverse path.
+The receiver calls the hooks below; the policy answers through the
+receiver: ``send_ack`` writes a plain ACK, and ``emit_feedback`` sends
+the :class:`~repro.transport.feedback.AckFeedback` that
+``build_feedback`` snapshots (TACK, IACK) through the reverse path.
 """
 
 from __future__ import annotations

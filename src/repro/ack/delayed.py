@@ -9,7 +9,7 @@ the RFCs require — legacy fast retransmit depends on those dupACKs.
 from __future__ import annotations
 
 from repro.ack.base import AckPolicy
-from repro.netsim.packet import Packet, PacketType
+from repro.netsim.packet import Packet
 
 
 class DelayedAck(AckPolicy):
@@ -57,8 +57,7 @@ class DelayedAck(AckPolicy):
         if self._timer is not None:
             self.receiver.sim.cancel(self._timer)
             self._timer = None
-        fb = self.receiver.build_feedback(max_sack_blocks=self.max_sack_blocks)
-        self.receiver.emit_feedback(PacketType.ACK, fb)
+        self.receiver.send_ack(self.max_sack_blocks)
 
     def on_close(self) -> None:
         if self.receiver is not None:

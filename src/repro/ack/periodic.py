@@ -9,7 +9,7 @@ minimum of the two clocks).
 from __future__ import annotations
 
 from repro.ack.base import AckPolicy
-from repro.netsim.packet import Packet, PacketType
+from repro.netsim.packet import Packet
 
 
 class PeriodicAck(AckPolicy):
@@ -36,15 +36,13 @@ class PeriodicAck(AckPolicy):
         if not self._pending:
             return
         self._pending = False
-        fb = self.receiver.build_feedback(max_sack_blocks=self.max_sack_blocks)
-        self.receiver.emit_feedback(PacketType.ACK, fb)
+        self.receiver.send_ack(self.max_sack_blocks)
         self._timer = self.receiver.sim.call_in(self.alpha_s, self._on_timer)
 
     def on_close(self) -> None:
         if self.receiver is not None and self._pending:
             self._pending = False
-            fb = self.receiver.build_feedback(max_sack_blocks=self.max_sack_blocks)
-            self.receiver.emit_feedback(PacketType.ACK, fb)
+            self.receiver.send_ack(self.max_sack_blocks)
 
     def detach(self) -> None:
         if self._timer is not None:

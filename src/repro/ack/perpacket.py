@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.ack.base import AckPolicy
-from repro.netsim.packet import Packet, PacketType
+from repro.netsim.packet import Packet
 
 
 class PerPacketAck(AckPolicy):
@@ -16,10 +16,8 @@ class PerPacketAck(AckPolicy):
         self.max_sack_blocks = max_sack_blocks
 
     def on_data(self, packet: Packet, in_order: bool) -> None:
-        fb = self.receiver.build_feedback(max_sack_blocks=self.max_sack_blocks)
-        self.receiver.emit_feedback(PacketType.ACK, fb)
+        self.receiver.send_ack(self.max_sack_blocks)
 
     def on_close(self) -> None:
         if self.receiver is not None:
-            fb = self.receiver.build_feedback(max_sack_blocks=self.max_sack_blocks)
-            self.receiver.emit_feedback(PacketType.ACK, fb)
+            self.receiver.send_ack(self.max_sack_blocks)

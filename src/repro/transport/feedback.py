@@ -211,25 +211,32 @@ def check_wire_form(fb: Any) -> AckFeedback:
         _require_int("cum_ack", fb.cum_ack)
     if type(fb.awnd) is not int:
         _require_int("awnd", fb.awnd)
-    for field, blocks in (("sack_blocks", fb.sack_blocks),
-                          ("unacked_blocks", fb.unacked_blocks)):
-        if type(blocks) is not list:
-            _require_pair_list(field, blocks, _require_int)
-            continue
-        for entry in blocks:    # the receiver's shape needs no second look
-            if (type(entry) is not tuple or len(entry) != 2
-                    or type(entry[0]) is not int or type(entry[1]) is not int):
-                _require_pair_list(field, blocks, _require_int)
-                break
+    # By name, building no tuple per frame.  A block list the helper
+    # passes holds pairs, so its loop below reaches the same verdict.
+    blocks = fb.sack_blocks
+    if type(blocks) is not list:
+        _require_pair_list("sack_blocks", blocks, _require_int)
+    for e in blocks:    # the receiver's shape needs no second look
+        if type(e) is not tuple or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            _require_pair_list("sack_blocks", blocks, _require_int)
+            break
+    blocks = fb.unacked_blocks
+    if type(blocks) is not list:
+        _require_pair_list("unacked_blocks", blocks, _require_int)
+    for e in blocks:
+        if type(e) is not tuple or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            _require_pair_list("unacked_blocks", blocks, _require_int)
+            break
     if fb.pull_pkt_range is not None:
         _require_pair_list("pull_pkt_range", [fb.pull_pkt_range], _require_int)
-    for field, value in (("tack_delay", fb.tack_delay),
-                         ("echo_departure_ts", fb.echo_departure_ts),
-                         ("delivery_rate_bps", fb.delivery_rate_bps),
-                         ("rx_loss_rate", fb.rx_loss_rate)):
-        if value is not None and not (type(value) is float
-                                      and isfinite(value)):
-            _require_real(field, value)
+    if (v := fb.tack_delay) is not None and not (type(v) is float and isfinite(v)):
+        _require_real("tack_delay", v)
+    if (v := fb.echo_departure_ts) is not None and not (type(v) is float and isfinite(v)):
+        _require_real("echo_departure_ts", v)
+    if (v := fb.delivery_rate_bps) is not None and not (type(v) is float and isfinite(v)):
+        _require_real("delivery_rate_bps", v)
+    if (v := fb.rx_loss_rate) is not None and not (type(v) is float and isfinite(v)):
+        _require_real("rx_loss_rate", v)
     if fb.largest_pkt_seq is not None and type(fb.largest_pkt_seq) is not int:
         _require_int("largest_pkt_seq", fb.largest_pkt_seq)
     if type(fb.packet_delays) is not list or fb.packet_delays:
@@ -248,7 +255,7 @@ def feedback_wire_bytes(fb: AckFeedback) -> int:
     each additional block costs :data:`BYTES_PER_BLOCK`, capped at one
     MTU (a TACK cannot exceed a full-sized frame, paper S5.1).
     """
-    extra_blocks = max(0, fb.block_count() - FREE_BLOCKS)
+    extra_blocks = max(0, len(fb.sack_blocks) + len(fb.unacked_blocks) - FREE_BLOCKS)
     extra = (extra_blocks * BYTES_PER_BLOCK
              + len(fb.packet_delays) * BYTES_PER_DELAY)
     return min(ACK_PACKET_SIZE + extra, DATA_PACKET_SIZE)
@@ -256,10 +263,6 @@ def feedback_wire_bytes(fb: AckFeedback) -> int:
 
 def make_feedback_packet(kind: PacketType, fb: AckFeedback, flow_id: int = 0) -> Packet:
     """Wrap ``fb`` in a wire packet of :func:`feedback_wire_bytes` size."""
-    size = ACK_PACKET_SIZE      # a frame that fits the base ACK
-    if (len(fb.sack_blocks) + len(fb.unacked_blocks) > FREE_BLOCKS
-            or fb.packet_delays):
-        size = feedback_wire_bytes(fb)
-    pkt = Packet(kind, size, flow_id=flow_id)
+    pkt = Packet(kind, feedback_wire_bytes(fb), flow_id=flow_id)
     pkt.meta["fb"] = fb
     return pkt

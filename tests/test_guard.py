@@ -338,6 +338,19 @@ class TestWireFormOracle:
         for junk in GARBAGE:
             assert self.same(junk) is not None
 
+    @pytest.mark.parametrize("field", ["sack_blocks", "unacked_blocks"])
+    def test_a_bad_part_of_either_block_list(self, field):
+        """Each block list is checked by its own written-out loop: an
+        entry of the wrong shape, or with either part not an exact int,
+        first or after a good entry, is named as that list."""
+        for bad in ((1, True), (True, 1), (1.0, 2), (1, 2.0), (1,), (1, 2, 3),
+                    [1, 2], _Pair((1, 2)), (_Int(1), 2), (1, _Int(2))):
+            for blocks in ([bad], [(0, 1), bad]):
+                fb = AckFeedback(**self.BASES[1])
+                setattr(fb, field, blocks)
+                verdict = self.same(fb)
+                assert verdict is None or verdict[0] == field
+
     @settings(max_examples=600, deadline=None)
     @given(_VALID_FRAMES, _WRONG_FIELDS)
     def test_by_name_matches_the_getattr_version(self, fields, wrong):

@@ -602,7 +602,7 @@ class TestTransmitCost:
         "tack_wlan": {"total": 20.6, "transport": 9.5, "netsim": 2.65,
                       "wlan": 4.2, "cc": 1.4, "core": 2.9, "ack": 1.0,
                       "other": 0.05},
-        "bbr_wired": {"total": 50.2, "transport": 23.8, "netsim": 14.8,
+        "bbr_wired": {"total": 44.1, "transport": 18.6, "netsim": 13.95,
                       "cc": 8.9, "core": 1.15, "ack": 2.45, "other": 0.05},
     }
 
@@ -638,9 +638,15 @@ class TestTransmitCost:
     def test_python_calls_per_data_packet_on_a_bbr_wired_flow(self):
         """The same count for a seeded ``tcp-bbr`` flow (delayed ACK,
         SACK, RACK; about one ACK per 1.2 data packets) on a 50 Mbit/s,
-        40 ms wired path losing one packet in 250 (CPython 3.11): 49.75 (transport 23.52, netsim 14.54, cc 8.62, ack
-        2.18, core 0.90);
-        59.39 before the receiver took a data packet in one pass and the
+        40 ms wired path losing one packet in 250 (CPython 3.11): 43.69
+        (transport 18.32, netsim 13.67, cc 8.62, ack 2.18, core 0.90);
+        49.75 (transport 23.52, netsim 14.54; ceiling 50.2) before the
+        receiver wrote a plain ACK in one pass (``send_ack``: the frame
+        and its packet built without ``__init__``, where
+        ``build_feedback``, ``first_missing``, ``covered``,
+        ``last_ranges``, ``AckFeedback.__init__``, ``emit_feedback``,
+        ``make_feedback_packet`` and ``Packet.__init__`` were called per
+        ACK), 59.39 before the receiver took a data packet in one pass and the
         sender's new segment, pacer charge and stamp were made in place,
         59.44 before a wired-link packet was one event (a serialization
         finish and a ``call_at`` for it, per data packet and per ACK,
