@@ -29,15 +29,8 @@ def run(scheme: str, ack_loss: float) -> float:
     )
     flow = BulkFlow(sim, path, scheme, initial_rtt_s=RTT_S)
     flow.start()
-    # The window counts bytes by first arrival, not by in-order
-    # delivery: bytes held out of order at WARMUP_S and handed up once
-    # their hole fills crossed the wire before the window opened.
-    stats = flow.conn.receiver.stats
-    at_warmup = []
-    sim.call_at(WARMUP_S, lambda: at_warmup.append(stats.bytes_received))
-    sim.run(until=DURATION_S)
-    received = stats.bytes_received - at_warmup[0]
-    return received * 8.0 / (DURATION_S - WARMUP_S) / RATE_BPS
+    # Counted by first arrival, not by in-order delivery (see arrival_bps).
+    return flow.arrival_bps(WARMUP_S, DURATION_S) / RATE_BPS
 
 
 def main() -> None:

@@ -54,8 +54,7 @@ def run_simulated(rate_bps: float = 20e6, rtt_s: float = 0.2,
                               ack_loss=min(ack_loss, 0.3))
             flow = BulkFlow(sim, path, scheme, initial_rtt_s=rtt_s)
             flow.start()
-            sim.run(until=duration_s)
-            utils[scheme] = 100 * min(flow.goodput_bps(start=warmup_s) / rate_bps, 1.0)
+            utils[scheme] = 100 * flow.arrival_bps(warmup_s, duration_s) / rate_bps
         table.add_row(**{
             "ack_loss_%": 100 * min(ack_loss, 0.3),
             "relation": "below threshold" if ack_loss < threshold else "above threshold",

@@ -30,8 +30,7 @@ def _utilization(scheme: str, ack_loss: float, rate_bps: float, rtt_s: float,
                       data_loss=data_loss, ack_loss=ack_loss)
     flow = BulkFlow(sim, path, scheme, initial_rtt_s=rtt_s)
     flow.start()
-    sim.run(until=duration_s)
-    return min(100.0, 100.0 * flow.goodput_bps(start=warmup_s) / rate_bps)
+    return 100.0 * flow.arrival_bps(warmup_s, duration_s) / rate_bps
 
 
 def run(rate_bps: float = 20e6, rtt_s: float = 0.2, data_loss: float = 0.03,

@@ -51,10 +51,9 @@ def run_simulated(rate_bps: float = 20e6, rtt_s: float = 0.1,
         flow = BulkFlow(sim, path, "tcp-tack",
                         params=TackParams(beta=beta), initial_rtt_s=rtt_s)
         flow.start()
-        sim.run(until=duration_s)
         table.add_row(
             beta=beta,
-            **{"utilization_%": 100 * min(flow.goodput_bps(start=warmup_s) / rate_bps, 1.0)},
+            **{"utilization_%": 100 * flow.arrival_bps(warmup_s, duration_s) / rate_bps},
             acks_per_s=flow.ack_count() / duration_s,
         )
     return table
