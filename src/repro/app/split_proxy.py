@@ -100,15 +100,6 @@ class SplitTransfer:
         not received — the reliability gap of splitting (paper S7)."""
         return max(0, self.wan_conn.sender.cum_acked - self.delivered_bytes)
 
-    def goodput_bps(self, start: float = 0.0, end: Optional[float] = None) -> float:
-        if end is None:
-            end = self.sim.now()
-        if end <= start:
-            return 0.0
-        return self.delivered_bytes * 8.0 / (end - 0.0) if start == 0.0 else (
-            self.delivered_bytes * 8.0 / end
-        )
-
     def total_acks(self) -> int:
         return self.wan_conn.ack_count() + self.wlan_conn.ack_count()
 

@@ -47,12 +47,12 @@ def _split(phy: str, wan_rate_bps: float, wan_rtt_s: float, loss: float,
                           wlan_scheme="tcp-tack",
                           wan_rtt_hint=wan_rtt_s, wlan_rtt_hint=0.01)
     split.start_bulk()
+    at_warmup = []      # the end-to-end rows' window: [warmup_s, duration_s]
+    sim.call_at(warmup_s, lambda: at_warmup.append(split.delivered_bytes))
     sim.run(until=duration_s)
-    span = duration_s - warmup_s
-    # goodput over the steady window
-    d0 = split.delivered_bytes
     return {
-        "goodput_mbps": split.delivered_bytes * 8.0 / duration_s / 1e6,
+        "goodput_mbps": (split.delivered_bytes - at_warmup[0]) * 8.0
+        / (duration_s - warmup_s) / 1e6,
         "acks": split.total_acks(),
         "held_kb": split.proxy_held_bytes / 1e3,
     }

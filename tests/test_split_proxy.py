@@ -59,3 +59,25 @@ class TestSplitTransfer:
         assert split.total_acks() == (split.wan_conn.ack_count()
                                       + split.wlan_conn.ack_count())
         assert split.total_acks() > 0
+
+
+def test_split_row_counts_the_window_after_warmup():
+    """``ext_tcp_splitting``'s split row is the client's in-order
+    delivery over ``[warmup_s, duration_s]``, the window of the
+    end-to-end rows, not over the whole run."""
+    from repro.experiments.ext_tcp_splitting import _split
+    from repro.netsim.engine import Simulator
+
+    row = _split("802.11g", 50e6, 0.1, 0.01, duration_s=3.0, warmup_s=1.5, seed=3)
+    sim = Simulator(seed=3)
+    wan = wired_path(sim, 50e6, 0.1, data_loss=0.01, ack_loss=0.01)
+    wlan = wlan_path(sim, "802.11g", extra_rtt_s=0.004)
+    split = SplitTransfer(sim, wan, wlan, wan_scheme="tcp-bbr",
+                          wlan_scheme="tcp-tack", wan_rtt_hint=0.1,
+                          wlan_rtt_hint=0.01)
+    split.start_bulk()
+    sim.run(until=1.5)
+    at_warmup = split.delivered_bytes
+    sim.run(until=3.0)
+    assert 0 < at_warmup < split.delivered_bytes
+    assert row["goodput_mbps"] == (split.delivered_bytes - at_warmup) * 8.0 / 1.5 / 1e6
