@@ -292,7 +292,7 @@ class TestLiveOfflineIdentity:
         "blackout", "ack-path-loss", "route-change", "adv-optimistic-acker"))
     def test_golden_chaos_cells_replay_to_the_live_digest(
             self, scenario, scheme):
-        """The eight cells ``tests/golden/probe_bus.json`` locks, live
+        """Eight ``chaos/...`` cells of ``tests/golden/lock.json``, live
         (bus -> ``fold``) against offline (trace -> ``fold``)."""
         collector = TraceCollector()
         live = run_scenario(get_scenario(scenario), scheme, seed=1,

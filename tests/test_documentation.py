@@ -2,6 +2,7 @@
 docstring, and the repo-level documents reference real artifacts."""
 
 import importlib
+import json
 import pathlib
 import pkgutil
 import re
@@ -81,10 +82,15 @@ class TestRepoDocuments:
         assert missing == []
 
     def test_design_md_names_every_golden_file(self):
+        # One file, and DESIGN.md names it and every family of its cells
+        # (``chaos/...``, ``bulk/...``, ``chaos_digest/...``).
         design = (REPO_ROOT / "DESIGN.md").read_text()
-        golden = sorted(p.name for p in (REPO_ROOT / "tests" / "golden").iterdir())
-        assert golden
-        assert [name for name in golden if name not in design] == []
+        golden = REPO_ROOT / "tests" / "golden"
+        assert sorted(p.name for p in golden.iterdir()) == ["lock.json"]
+        assert "tests/golden/lock.json" in design
+        families = {cell.split("/")[0]
+                    for cell in json.loads((golden / "lock.json").read_text())}
+        assert [f for f in sorted(families) if f"`{f}" not in design] == []
 
     def test_simsan_table_names_every_invariant(self):
         # DESIGN.md section 9's table against the names the sanitizer
