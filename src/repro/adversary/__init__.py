@@ -20,7 +20,8 @@ Quickstart::
     adv = make_adversary("optimistic-acker", sim, path.reverse)
     conn.wire(path.forward, adv)
 
-CLI: ``python -m repro.adversary {list,run,fuzz}``.
+CLI: ``python -m repro.adversary fuzz``; one model's transfer is
+``python -m repro.chaos run --scenario adv-<model>``.
 """
 
 from repro.adversary.models import (

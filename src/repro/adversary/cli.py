@@ -1,15 +1,12 @@
-"""CLI for the adversary plane: ``python -m repro.adversary``.
+"""CLI for the feedback fuzzer: ``python -m repro.adversary fuzz``.
 
-Subcommands::
-
-    list                    registered models and fuzz schemes
-    run --model NAME        one adversarial transfer, JSON verdict
-    fuzz --seeds A:B        seeded mutation corpus, JSON report
-
-``fuzz`` is what CI's adversary-smoke job calls: it exits non-zero if
-any run violates the full-delivery-or-clean-abort property and, with
-``--repro-dir``, writes one JSON artifact per failing run carrying the
-exact (scheme, seed, mutation_rate) triple needed to replay it.
+``fuzz --seeds A:B`` runs a seeded mutation corpus and prints a JSON
+report.  It exits non-zero if any run violates the
+full-delivery-or-clean-abort property and, with ``--repro-dir``, writes
+one JSON artifact per failing run carrying the exact (scheme, seed,
+mutation_rate) triple needed to replay it.  One adversary model's
+transfer is a chaos scenario: ``python -m repro.chaos run --scenario
+adv-<model>``, listed by ``python -m repro.chaos list``.
 """
 
 from __future__ import annotations
@@ -20,8 +17,7 @@ import os
 import sys
 from typing import Optional
 
-from repro.adversary.fuzz import FUZZ_SCHEMES, fuzz_corpus, fuzz_run
-from repro.adversary.models import ADVERSARIES
+from repro.adversary.fuzz import FUZZ_SCHEMES, fuzz_corpus
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -30,27 +26,6 @@ def _parse_seeds(spec: str) -> list[int]:
         lo, hi = spec.split(":", 1)
         return list(range(int(lo), int(hi)))
     return [int(s) for s in spec.split(",") if s]
-
-
-def _cmd_list(_args) -> int:
-    print(json.dumps({
-        "adversaries": sorted(ADVERSARIES),
-        "fuzz_schemes": list(FUZZ_SCHEMES),
-    }, indent=2))
-    return 0
-
-
-def _cmd_run(args) -> int:
-    # Imported lazily: the chaos runner imports the adversary models,
-    # so the models module must never import chaos at the top level.
-    from repro.chaos.runner import run_scenario
-    from repro.chaos.scenarios import adversary_scenario
-
-    scenario = adversary_scenario(args.model)
-    result = run_scenario(scenario, scheme=args.scheme, seed=args.seed,
-                          simsan=True)
-    print(json.dumps(result.to_dict(), indent=2))
-    return 0 if result.ok else 1
 
 
 def _cmd_fuzz(args) -> int:
@@ -82,22 +57,17 @@ def _cmd_fuzz(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.adversary",
-        description="misbehaving-peer models and the feedback fuzzer",
+        description="the feedback fuzzer (adversary models run as "
+                    "'python -m repro.chaos run --scenario adv-<model>')",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    sub.add_parser("list", help="registered models and schemes")
-
-    run = sub.add_parser("run", help="one adversarial transfer")
-    run.add_argument("--model", required=True, choices=sorted(ADVERSARIES))
-    run.add_argument("--scheme", default="tcp-tack")
-    run.add_argument("--seed", type=int, default=1)
 
     fz = sub.add_parser("fuzz", help="seeded mutation corpus")
     fz.add_argument("--seeds", default="1:9",
                     help="A:B half-open range or comma list (default 1:9)")
     fz.add_argument("--schemes", default="",
-                    help="comma list (default: all fuzz schemes)")
+                    help="comma list of fuzz schemes (default: all of "
+                         f"{', '.join(FUZZ_SCHEMES)})")
     fz.add_argument("--frames-target", type=int, default=None,
                     help="stop after this many mutated frames")
     fz.add_argument("--mutation-rate", type=float, default=0.4)
@@ -111,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {"list": _cmd_list, "run": _cmd_run, "fuzz": _cmd_fuzz}[args.cmd]
-    return handler(args)
+    return _cmd_fuzz(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

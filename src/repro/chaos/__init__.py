@@ -42,7 +42,6 @@ from repro.chaos.scenarios import (
     DEFAULT_SCHEMES,
     SCENARIOS,
     Scenario,
-    adversary_scenario,
     get_scenario,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "ADVERSARY_SCENARIOS",
     "DEFAULT_SCHEMES",
     "get_scenario",
-    "adversary_scenario",
     "ChaosResult",
     "run_scenario",
 ]

@@ -1,8 +1,9 @@
 """Chaos CLI: ``python -m repro.chaos <list|run>``.
 
-``list`` prints the scenario library; ``run`` executes one scenario
-(or ``--all``) against one or more schemes and reports each run's
-ending.  Exit codes follow the repo convention: 0 every run ended as
+``list`` prints the scenario library, the ``adv-*`` misbehaving-peer
+scenarios marked as adversaries; ``run`` executes one scenario (or
+``--all`` fault scenarios) against one or more schemes and reports each
+run's ending.  Exit codes follow the repo convention: 0 every run ended as
 its scenario expects, 1 at least one run misbehaved, 2 usage errors.
 
 Examples::
@@ -11,6 +12,7 @@ Examples::
     python -m repro.chaos run --scenario blackout
     python -m repro.chaos run --all --scheme tcp-tack --scheme tcp-bbr
     python -m repro.chaos run --scenario dead-path --simsan --json
+    python -m repro.chaos run --scenario adv-field-mangler --scheme tcp-tack
     python -m repro.chaos run --scenario flap --trace flap.jsonl
 """
 
@@ -22,22 +24,23 @@ import sys
 from typing import Optional, Sequence
 
 from repro.chaos.runner import ChaosResult, run_scenario
-from repro.chaos.scenarios import DEFAULT_SCHEMES, SCENARIOS, get_scenario
+from repro.chaos.scenarios import (ADVERSARY_SCENARIOS, DEFAULT_SCHEMES,
+                                   SCENARIOS, get_scenario)
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    rows = []
-    for name in sorted(SCENARIOS):
-        s = SCENARIOS[name]
-        rows.append((name, s.expect, s.description))
+    library = [*sorted(SCENARIOS.values(), key=lambda s: s.name),
+               *sorted(ADVERSARY_SCENARIOS.values(), key=lambda s: s.name)]
     if args.json:
         print(json.dumps([
-            {"name": n, "expect": e, "description": d} for n, e, d in rows
+            {"name": s.name, "expect": s.expect, "adversary": s.adversary,
+             "description": s.description} for s in library
         ], indent=2))
         return 0
-    width = max(len(n) for n, _, _ in rows)
-    for name, expect, description in rows:
-        print(f"{name:<{width}}  [{expect:>7}]  {description}")
+    width = max(len(s.name) for s in library)
+    for s in library:
+        kind = "adversary" if s.adversary else "fault"
+        print(f"{s.name:<{width}}  {kind:<9}  [{s.expect:>7}]  {s.description}")
     return 0
 
 
@@ -122,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "transport simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("list", help="print the scenario library")
+    p = sub.add_parser("list", help="print the scenario library, adversaries "
+                                    "marked")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_list)
 
@@ -130,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", action="append", default=None,
                    help="scenario name (repeatable)")
     p.add_argument("--all", action="store_true",
-                   help="run every scenario in the library")
+                   help="run every fault scenario, the strict-mode "
+                        "false-positive suite (adv-* scenarios run only "
+                        "by name)")
     p.add_argument("--scheme", action="append", default=None,
                    help=f"protocol scheme (repeatable; default "
                         f"{', '.join(DEFAULT_SCHEMES)})")

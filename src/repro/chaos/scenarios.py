@@ -296,14 +296,3 @@ def get_scenario(name: str) -> Scenario:
         known = sorted(SCENARIOS) + sorted(ADVERSARY_SCENARIOS)
         raise KeyError(
             f"unknown scenario {name!r}; have {known}") from None
-
-
-def adversary_scenario(model: str) -> Scenario:
-    """The ``adv-*`` scenario exercising one adversary model."""
-    name = f"adv-{model}"
-    try:
-        return ADVERSARY_SCENARIOS[name]
-    except KeyError:
-        known = sorted(s.adversary for s in ADVERSARY_SCENARIOS.values())
-        raise KeyError(
-            f"no scenario for adversary {model!r}; have {known}") from None

@@ -33,7 +33,6 @@ from repro.chaos import (
     ADVERSARY_SCENARIOS,
     DEFAULT_SCHEMES,
     SCENARIOS,
-    adversary_scenario,
     get_scenario,
     run_scenario,
 )
@@ -68,7 +67,7 @@ class TestRegistry:
 
     def test_unknown_model_rejected(self):
         with pytest.raises(KeyError, match="optimistic-acker"):
-            adversary_scenario("no-such-model")
+            get_scenario("adv-no-such-model")
 
     def test_get_scenario_resolves_adv_names(self):
         assert get_scenario("adv-field-mangler").adversary == "field-mangler"
@@ -88,7 +87,7 @@ class TestDeclaredVerdicts:
         assert_declared_ending(result)
 
     def test_withholder_aborts_via_watchdog(self):
-        result = run_scenario(adversary_scenario("ack-withholder"),
+        result = run_scenario(get_scenario("adv-ack-withholder"),
                               scheme="tcp-tack", simsan=True)
         assert result.abort["reason"] == "misbehaving_peer"
         guard = result.summary["guard"]
@@ -96,7 +95,7 @@ class TestDeclaredVerdicts:
         assert guard["violations"].get("withheld", 0) >= 1
 
     def test_rtt_poisoner_is_tolerated_not_escalated(self):
-        result = run_scenario(adversary_scenario("rtt-poisoner"),
+        result = run_scenario(get_scenario("adv-rtt-poisoner"),
                               scheme="tcp-tack", simsan=True)
         assert result.outcome == "delivered"
         assert result.bytes_delivered == result.transfer_bytes
@@ -105,7 +104,7 @@ class TestDeclaredVerdicts:
         assert result.abort is None          # ...and clamped through
 
     def test_misbehaving_peer_anomaly_carries_evidence(self):
-        result = run_scenario(adversary_scenario("field-mangler"),
+        result = run_scenario(get_scenario("adv-field-mangler"),
                               scheme="tcp-tack", simsan=True)
         flow = next(iter(result.diagnosis["flows"].values()))
         anomaly = next(a for a in flow["anomalies"]
@@ -118,15 +117,15 @@ class TestDeclaredVerdicts:
         """Seed 6 mangles delivery_rate_bps to 3.5 on an early TACK;
         the pacer then charged one packet 1 200 s of debt and the run
         ended ``stalled`` at its 120 s limit with nothing in flight."""
-        result = run_scenario(adversary_scenario("field-mangler"),
+        result = run_scenario(get_scenario("adv-field-mangler"),
                               scheme="tcp-tack", seed=6, simsan=True)
         assert result.outcome in ("delivered", "aborted")
         assert result.sim_time_s < 10.0
 
     def test_same_seed_is_deterministic(self):
-        a = run_scenario(adversary_scenario("field-mangler"),
+        a = run_scenario(get_scenario("adv-field-mangler"),
                          scheme="tcp-tack", seed=5)
-        b = run_scenario(adversary_scenario("field-mangler"),
+        b = run_scenario(get_scenario("adv-field-mangler"),
                          scheme="tcp-tack", seed=5)
         assert a.to_dict() == b.to_dict()
 
@@ -195,7 +194,7 @@ class TestLiveOfflineParity:
 
         path = tmp_path / "adv.jsonl"
         collector = TraceCollector(sink=JsonlSink(str(path)))
-        live = run_scenario(adversary_scenario(model), scheme="tcp-tack",
+        live = run_scenario(get_scenario(f"adv-{model}"), scheme="tcp-tack",
                             simsan=True, telemetry=collector)
         collector.close()
         offline = diagnose_trace(str(path))

@@ -8,6 +8,7 @@ The full matrix is marked ``slow``; tier-1 runs a smoke subset.
 import pytest
 
 from repro.chaos import (
+    ADVERSARY_SCENARIOS,
     Blackout,
     ChaosInjector,
     DEFAULT_SCHEMES,
@@ -141,6 +142,19 @@ class TestCli:
         import json
         names = [row["name"] for row in json.loads(capsys.readouterr().out)]
         assert "blackout" in names and "dead-path" in names
+
+    def test_list_json_names_every_scenario_run_accepts(self, capsys):
+        # Every name get_scenario resolves is runnable by `run
+        # --scenario`; the adv-* ones are listed too, marked.
+        from repro.chaos.cli import main
+        import json
+        assert main(["list", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        names = [row["name"] for row in rows]
+        assert sorted(names) == sorted({*SCENARIOS, *ADVERSARY_SCENARIOS})
+        assert all(get_scenario(name).name == name for name in names)
+        assert {row["name"] for row in rows if row["adversary"]} == set(
+            ADVERSARY_SCENARIOS)
 
     def test_run_single_scenario_json(self, capsys, tmp_path):
         from repro.chaos.cli import main
