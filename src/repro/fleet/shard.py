@@ -22,8 +22,10 @@ the substitution.
 Flow lifecycle: arrivals are pulled lazily from
 :mod:`repro.fleet.workload` (one pending arrival event at a time); a
 periodic reaper retires finished or aborted connections, folds their
-metrics into the digests, unregisters them from the demux, and drops
-the last reference.  Active-set size is capped (``max_active``);
+metrics into the digests, unregisters them from the demux, releases
+them (``Connection.release``) and drops the last reference: a retired
+flow is in no reference cycle, so refcounting frees it once its
+cancelled timers surface.  Active-set size is capped (``max_active``);
 arrivals beyond the cap wait in a deferral queue, modeling an AP's
 admission backlog.
 """
@@ -213,6 +215,7 @@ class _ShardRun:
         conn.close()
         self.fwd_demux.unregister(index)
         self.rev_demux.unregister(index)
+        conn.release()
         # Fold the flow's diagnosis and drop the per-flow record.  The
         # transport/close event just emitted by conn.close() finalized
         # it inside the engine; states fold in the fixed ALL_STATES

@@ -20,7 +20,9 @@ properties matter:
   live, and the queue skips an entry whose mark is set instead of
   paying for removal: :data:`_CANCELLED` once the event is cancelled,
   or the ``(time, seq)`` it is due under once :meth:`Simulator.move`
-  moved a receding deadline (the RTO) later without a push.
+  moved a receding deadline (the RTO) later without a push.  An entry
+  that fired holds no callback (``fn`` is cleared before it runs), so
+  a closure holding its own entry is no lasting reference cycle.
 
 Holders go through the simulator (:meth:`~Simulator.cancel`,
 :meth:`~Simulator.due`, :meth:`~Simulator.move`); only per-packet code
@@ -236,6 +238,7 @@ class Simulator:
                     self._events_fired = fired
                     if san is not None:
                         san.on_event(t, ev)
+                ev[2] = None    # a fired entry holds no callback
                 # Clock.advance_to in place, rewind check included.
                 if not t >= clock._now:
                     raise ValueError(f"clock cannot rewind: {t} < {clock._now}")

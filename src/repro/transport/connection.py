@@ -119,13 +119,12 @@ class Connection:
         if sim.san is not None:
             sim.san.register_pair(self.sender, self.receiver)
         # When the sender gives up, tear down the receive side too so
-        # its ACK clock stops and the event loop can drain.
-        self.sender.on_abort(self._on_sender_abort)
+        # its ACK clock stops and the event loop can drain.  The
+        # callback holds the receiver, not the connection: no cycle.
+        receiver = self.receiver
+        self.sender.on_abort(lambda info: receiver.close())
         if forward_port is not None and reverse_port is not None:
             self.wire(forward_port, reverse_port)
-
-    def _on_sender_abort(self, info: AbortInfo) -> None:
-        self.receiver.close()
 
     def wire(self, forward_port, reverse_port) -> None:
         """Attach the two directions of the network path."""
@@ -212,6 +211,13 @@ class Connection:
     def close(self) -> None:
         self.sender.close()
         self.receiver.close()
+
+    def release(self) -> None:
+        """Cut the guard's back-reference to the sender, the flow's one
+        reference cycle, once the flow is closed and unwired: nothing
+        reaches it any more, and refcounting frees it."""
+        if self.sender.guard is not None:
+            self.sender.guard.sender = None
 
     def __repr__(self) -> str:
         return f"Connection(sender={self.sender!r}, receiver={self.receiver!r})"
