@@ -58,7 +58,6 @@ class TackPolicy(AckPolicy):
         self._bytes_since_tack = 0
         self._last_arrival = 0.0
         self._fallback_rtt_min = 0.1
-        self.tack_intervals_used: list[float] = []
         # Timer ticks since the last emission: 1 means the periodic
         # clock is the binding constraint of Eq. (3) ("periodic"), >1
         # means ticks were skipped waiting for L*MSS ("bytecount").
@@ -187,7 +186,6 @@ class TackPolicy(AckPolicy):
     # the periodic TACK clock
     # ------------------------------------------------------------------
     def _arm(self, interval: float) -> None:
-        self.tack_intervals_used.append(interval)
         self._timer = self.receiver.sim.call_in(interval, self._on_timer)
 
     def _on_timer(self) -> None:

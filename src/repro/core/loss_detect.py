@@ -46,33 +46,47 @@ class PktSeqTracker:
     def __init__(self):
         self.largest_seen: int = 0
         self.received = 0
-        self._holes: set[int] = set()
+        # One byte per PKT.SEQ below the last gap's upper edge, 1 for a
+        # hole never filled, and a count of the 1s.  Nothing is pruned:
+        # a delayed IACK re-validates its gap (any_missing) a settling
+        # delay after it opened, and a byte per number is cheap.
+        self._hole_map = bytearray()
+        self._hole_count = 0
         self.duplicates = 0
 
     def on_packet(self, pkt_seq: int) -> Optional[GapEvent]:
         """Record an arrival; returns a gap event if this arrival
         exposes fresh missing packet numbers."""
         self.received += 1
-        if pkt_seq <= self.largest_seen:
+        largest = self.largest_seen
+        if pkt_seq <= largest:
             # Filling a known hole (or a duplicate in pkt space --
             # cannot happen with unique numbering, but stay safe).
-            if pkt_seq in self._holes:
-                self._holes.discard(pkt_seq)
+            hole_map = self._hole_map
+            if 0 <= pkt_seq < len(hole_map) and hole_map[pkt_seq]:
+                hole_map[pkt_seq] = 0
+                self._hole_count -= 1
             else:
                 self.duplicates += 1
             return None
         event: Optional[GapEvent] = None
-        if pkt_seq > self.largest_seen + 1 and self.largest_seen > 0:
-            event = GapEvent(self.largest_seen, pkt_seq)
-            for missing in range(self.largest_seen + 1, pkt_seq):
-                self._holes.add(missing)
+        if pkt_seq > largest + 1 and largest > 0:
+            event = GapEvent(largest, pkt_seq)
+            hole_map = self._hole_map
+            hole_map.extend(bytes(largest + 1 - len(hole_map)))
+            hole_map.extend(b"\x01" * (pkt_seq - largest - 1))
+            self._hole_count += pkt_seq - largest - 1
         self.largest_seen = pkt_seq
         return event
 
     def any_missing(self, lo: int, hi: int) -> bool:
         """True when any pkt_seq in the inclusive range is still an
         unfilled hole (used to re-validate delayed IACK pulls)."""
-        return any(p in self._holes for p in range(lo, hi + 1))
+        return self._hole_map.find(1, lo, hi + 1) != -1
+
+    def holes(self) -> list[int]:
+        """The unfilled holes' packet numbers, ascending."""
+        return [p for p, hole in enumerate(self._hole_map) if hole]
 
     @property
     def outstanding_holes(self) -> int:
@@ -82,14 +96,14 @@ class PktSeqTracker:
         carries a new number), so this counts transmission losses, not
         unrecovered data.
         """
-        return len(self._holes)
+        return self._hole_count
 
     def loss_rate(self) -> float:
         """Fraction of transmitted packets (<= horizon) that never
         arrived: the receiver's rho estimate (paper S5.4)."""
         if self.largest_seen == 0:
             return 0.0
-        return len(self._holes) / self.largest_seen
+        return self._hole_count / self.largest_seen
 
 
 class RetransmitGovernor:

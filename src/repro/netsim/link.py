@@ -156,7 +156,8 @@ class Link:
                  "packets_sent", "packets_delivered", "packets_lost",
                  "packets_duplicated", "packets_corrupted",
                  "packets_reordered", "bytes_delivered", "_tel",
-                 "_tel_stride", "_tel_n", "_imp", "_en")
+                 "_tel_stride", "_tel_n", "_imp", "_en",
+                 "__weakref__")   # the sanitizer's audit list
 
     def __init__(
         self,

@@ -32,7 +32,7 @@ paper's correctness rests on:
     kept for exactly its gaps.
 ``stamp_store``
     The feedback guard's departure stamps are sorted without repeats,
-    its head index lies inside the list, and from the head on it holds
+    its head index lies inside the array, and from the head on it holds
     exactly the departures (as this sanitizer saw them) no older than
     the last one minus ``echo_window_s``.
 ``interval_count``
@@ -151,7 +151,9 @@ class SimSanitizer:
     """
 
     def __init__(self, sim):
-        self.sim = sim
+        # A proxy: the simulator owns its sanitizer (``Simulator.san``),
+        # and a strong edge back would hold both in a cycle.
+        self.sim = weakref.proxy(sim)
         self._last_event_time = -math.inf
         # States are keyed by endpoint *object*: several endpoints may
         # legitimately share a flow_id on one simulator (unit tests,
@@ -178,12 +180,12 @@ class SimSanitizer:
         injected) can be checked."""
         self.register_sender(sender)
         self.register_receiver(receiver)
-        self._peer_sender[receiver] = sender
+        self._peer_sender[receiver] = weakref.ref(sender)
 
     def register_link(self, link) -> None:
         """Audit ``link`` from :meth:`on_event`, so its own per-packet
         path carries no hook."""
-        self._links.append(link)
+        self._links.append(weakref.ref(link))
 
     def _fail(self, invariant: str, flow_id: Optional[int], detail: str):
         raise InvariantViolation(invariant, self.sim.now(), flow_id, detail)
@@ -208,8 +210,10 @@ class SimSanitizer:
                        f"{self._last_event_time!r} (queue order broken)")
         self._last_event_time = t
         if self.sim.events_fired % LEDGER_CHECK_PERIOD == 0:
-            for link in self._links:
-                self.check_link(link)
+            for ref in self._links:
+                link = ref()
+                if link is not None:
+                    self.check_link(link)
 
     def check_link(self, link) -> None:
         """The transmitter's timing, the drop-tail queue and the packet
@@ -446,7 +450,8 @@ class SimSanitizer:
             self._fail("interval_count", flow,
                        f"covered() counter {receiver.intervals.covered()} "
                        f"!= {buffered} summed over the ranges")
-        sender = self._peer_sender.get(receiver)
+        peer = self._peer_sender.get(receiver)
+        sender = None if peer is None else peer()
         if sender is not None:
             held = receiver.delivered_ptr + buffered
             if held > sender.next_seq:

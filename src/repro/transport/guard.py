@@ -73,6 +73,7 @@ honest ``rto_exhausted``.
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
@@ -188,8 +189,9 @@ class FeedbackValidator:
         self.frames = 0
         self.escalated = False
         self.escalation_rule: Optional[str] = None
-        # Departure stamps, ascending; those before the head aged out.
-        self._stamps: list[float] = []
+        # Departure stamps, ascending, as unboxed doubles (8 bytes
+        # each); those before the head aged out.
+        self._stamps = array("d")
         self._stamp_head = 0
         self._stamp_prune_len = 2
         self._fb_seq_max = -1
@@ -224,7 +226,7 @@ class FeedbackValidator:
         truth) and segment size.  Time is monotone: appending keeps the
         stamps sorted, and a repeated time is the last entry.  A stamp
         is echoable until it is older than the last departure minus
-        ``echo_window_s``; the list is pruned when :meth:`admit` asks,
+        ``echo_window_s``; the array is pruned when :meth:`admit` asks,
         and here once it has doubled since the last prune (a flow whose
         feedback stops stays bounded)."""
         if self._first_sent_s is None:
@@ -240,7 +242,7 @@ class FeedbackValidator:
 
     def _prune_stamps(self) -> None:
         """Move the head past the stamps that aged out; compact once
-        the head passes the middle of the list."""
+        the head passes the middle of the array."""
         stamps = self._stamps
         if stamps:
             head = bisect_left(stamps, stamps[-1] - self.cfg.echo_window_s,

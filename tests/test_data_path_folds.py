@@ -245,8 +245,8 @@ def owd_state(rx):
 
 def pkt_seq_state(rx):
     t = rx.pkt_tracker
-    return (t.largest_seen, t.received, sorted(t._holes), t.duplicates,
-            rx.stats.gap_events, [e for e in rx.policy.log if e[0] == "gap"])
+    return (t.largest_seen, t.received, t.holes(), t.outstanding_holes,
+            t.duplicates, rx.stats.gap_events, [e for e in rx.policy.log if e[0] == "gap"])
 
 
 def rate_state(rx):

@@ -120,6 +120,57 @@ def test_pkt_tracker_holes_match_brute_force(arrivals):
     assert t.largest_seen == largest
 
 
+class _HoleSetModel:
+    """``PktSeqTracker``'s hole ledger kept as a set of packet numbers."""
+
+    def __init__(self):
+        self.largest_seen = 0
+        self.holes: set[int] = set()
+        self.duplicates = 0
+
+    def on_packet(self, pkt_seq):
+        """Record an arrival; returns the gap's ``(second_largest,
+        largest)`` or None."""
+        if pkt_seq <= self.largest_seen:
+            if pkt_seq in self.holes:
+                self.holes.discard(pkt_seq)
+            else:
+                self.duplicates += 1
+            return None
+        gap = None
+        if pkt_seq > self.largest_seen + 1 and self.largest_seen > 0:
+            gap = (self.largest_seen, pkt_seq)
+            self.holes.update(range(self.largest_seen + 1, pkt_seq))
+        self.largest_seen = pkt_seq
+        return gap
+
+
+@given(arrivals=st.lists(st.integers(-3, 150), min_size=1, max_size=120),
+       ranges=st.lists(st.tuples(st.integers(0, 160), st.integers(0, 30)),
+                       min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_pkt_tracker_hole_ledger_matches_a_set(arrivals, ranges):
+    """Shuffled arrivals, duplicates and numbers <= 0 included: after
+    each one the byte-map ledger agrees with a set of holes on the gap
+    it reports, the hole count, the loss rate, the duplicates, the hole
+    numbers and ``any_missing`` over random inclusive ranges."""
+    t, model = PktSeqTracker(), _HoleSetModel()
+    for p in arrivals:
+        ev = t.on_packet(p)
+        gap = model.on_packet(p)
+        assert (None if ev is None else (ev.second_largest, ev.largest)) == gap
+        holes = model.holes
+        assert t.largest_seen == model.largest_seen
+        assert t.outstanding_holes == len(holes)
+        assert t.loss_rate() == (len(holes) / model.largest_seen
+                                 if model.largest_seen else 0.0)
+        assert t.duplicates == model.duplicates
+        assert t.holes() == sorted(holes)
+        for lo, width in ranges:
+            assert t.any_missing(lo, lo + width) == any(
+                q in holes for q in range(lo, lo + width + 1))
+
+
 @given(st.lists(st.integers(1, 60), min_size=2, max_size=60, unique=True))
 @settings(max_examples=100)
 def test_gap_events_cover_every_hole_exactly_once(arrivals):

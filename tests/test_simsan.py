@@ -56,7 +56,7 @@ class TestEnablement:
         conn = make_conn(sim, simsan=True)
         assert sim.san is not None
         assert conn.sender in sim.san._senders
-        assert sim.san._peer_sender[conn.receiver] is conn.sender
+        assert sim.san._peer_sender[conn.receiver]() is conn.sender
 
     def test_enable_sanitizer_idempotent(self):
         sim = Simulator(seed=1, simsan=True)
